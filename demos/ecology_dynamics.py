@@ -19,7 +19,7 @@ state = WorldState(
     households=tuple(HouseholdState(index=i + 1, budget=300.0)
                      for i in range(n)),
     fish=FishPopulation(np.array(DEFAULT_INITIAL_FISH)),
-    river=river, authority_budget=0.0, rng=np.random.default_rng(0))
+    river=river, rng=np.random.default_rng(0))
 
 print(f"river carries {river.annual_total:.0f} units/year; "
       f"{n} households each demand 100 (10 fields x {params.w:g})")

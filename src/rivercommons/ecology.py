@@ -14,7 +14,6 @@ from .errors import ConfigurationError
 
 N_FISH_CLASSES = 13
 LARVA = 0
-JUVENILE = slice(1, 5)
 ADULT = slice(5, 13)
 
 
@@ -63,10 +62,6 @@ class FishPopulation:
     @property
     def adult_total(self) -> float:
         return float(self.classes[ADULT].sum())
-
-    @property
-    def juvenile_total(self) -> float:
-        return float(self.classes[JUVENILE].sum())
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,6 @@ class WorldState:
     households: tuple
     fish: FishPopulation
     river: RiverYear
-    authority_budget: float
     rng: np.random.Generator
     year: int = 0
 

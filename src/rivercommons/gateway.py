@@ -35,7 +35,7 @@ class ChatRequest:
         object.__setattr__(self, "messages", msgs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GatewayConfig:
     backend: str = "stub"                 # "stub" or "http"
     endpoint: str = None
@@ -52,9 +52,9 @@ class GatewayConfig:
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if self.endpoint is None:
-            self.endpoint = os.environ.get(ENV_ENDPOINT)
+            object.__setattr__(self, "endpoint", os.environ.get(ENV_ENDPOINT))
         if self.model is None:
-            self.model = os.environ.get(ENV_MODEL, "stub-model")
+            object.__setattr__(self, "model", os.environ.get(ENV_MODEL, "stub-model"))
         if self.backend == "http" and not self.endpoint:
             raise ConfigurationError("http backend requires an endpoint "
                                      f"(set {ENV_ENDPOINT} or config)")
@@ -87,10 +87,16 @@ class Gateway:
         if config.backend == "stub":
             if not config.fixture_path:
                 raise ConfigurationError("stub backend requires fixture_path")
-            with open(config.fixture_path, "r", encoding="utf-8") as fh:
-                entries = json.load(fh)
-            if not isinstance(entries, list) or not entries:
-                raise ConfigurationError("fixture must be a non-empty JSON array")
+            try:
+                with open(config.fixture_path, "r", encoding="utf-8") as fh:
+                    entries = json.load(fh)
+            except (OSError, ValueError) as err:
+                raise ConfigurationError(
+                    f"cannot read stub fixture {config.fixture_path}: {err}") from err
+            if (not isinstance(entries, list) or not entries
+                    or not all(isinstance(e, dict) and "response" in e for e in entries)):
+                raise ConfigurationError("fixture must be a non-empty JSON array of "
+                                         "objects with a response")
             for entry in entries:
                 fp = entry.get("fingerprint")
                 response = entry["response"]

@@ -6,18 +6,20 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .ecology import (ActivityClass, Decision, EcologyParams, FishPopulation,
                       HouseholdState, RiverYear, WorldState, advance_year)
 from .equilibrium import BimatrixGame, enumerate_pure_ne, lemke_howson
-from .errors import ConfigurationError, SchemaError, SimulationError
+from .errors import ConfigurationError, RiverCommonsError, SimulationError
 from .games import parse_llm_game
 from .gateway import ChatRequest, Gateway, GatewayConfig
 from .policies import (AuthorityState, BehaviourProfile, centralized_allocate,
@@ -99,34 +101,32 @@ def _build_section(cls, data, name):
 
 def config_from_dict(data: dict) -> RunConfig:
     data = dict(data)
-    sections = {}
-    if "ecology" in data:
-        sections["ecology"] = _build_section(EcologyParams, data.pop("ecology"), "ecology")
-    if "gateway" in data:
-        sections["gateway"] = _build_section(GatewayConfig, data.pop("gateway"), "gateway")
-    if "inflow" in data:
-        sections["inflow"] = _build_section(InflowConfig, data.pop("inflow"), "inflow")
+    for name, cls in (("ecology", EcologyParams), ("gateway", GatewayConfig),
+                      ("inflow", InflowConfig)):
+        if name in data:
+            data[name] = _build_section(cls, data[name], name)
     if "initial_fish" in data:
-        data["initial_fish"] = tuple(float(v) for v in data.pop("initial_fish"))
-    allowed = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return RunConfig(**data, **sections)
+        data["initial_fish"] = tuple(float(v) for v in data["initial_fish"])
+    return _build_section(RunConfig, data, "config")
+
+
+def _load_json_object(path: str, kind: str) -> dict:
+    """The JSON object in a file; any failure is a ConfigurationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as err:
+        raise ConfigurationError(f"cannot read {kind} file {path}: {err}") from err
+    except ValueError as err:
+        raise ConfigurationError(f"{kind} file {path} is not valid JSON: {err}") from err
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{kind} file {path} must hold a JSON object")
+    return data
 
 
 def load_config(path: str) -> RunConfig:
     """Parse a JSON config file, apply defaults, validate invariants."""
-    if not os.path.exists(path):
-        raise ConfigurationError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as err:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {err}")
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"config file {path} must hold a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(_load_json_object(path, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +148,10 @@ def seasonal_weights(peak_month: float, shape_power: float) -> np.ndarray:
 class SyntheticInflow:
     """Deterministic per-(seed, year) seasonal inflow."""
 
-    def __init__(self, cfg: InflowConfig, seed: int,
-                 irrigation_months=frozenset({5, 6, 7, 8, 9}), may_index=5):
+    def __init__(self, cfg: InflowConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
         self.weights = seasonal_weights(cfg.peak_month, cfg.shape_power)
-        self.irrigation_months = irrigation_months
-        self.may_index = may_index
 
     def year(self, t: int) -> RiverYear:
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, _SEASON_STREAM, t]))
@@ -162,15 +159,14 @@ class SyntheticInflow:
         noise = rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma, size=12) \
             if sigma > 0 else np.ones(12)
         monthly = self.cfg.mean_annual * self.weights * noise
-        return RiverYear(monthly, self.irrigation_months, self.may_index)
+        return RiverYear(monthly)
 
 
 class CsvInflow:
     """Inflow read from a year,month,inflow CSV; years cycle when the
     horizon outruns the series."""
 
-    def __init__(self, path: str, irrigation_months=frozenset({5, 6, 7, 8, 9}),
-                 may_index=5):
+    def __init__(self, path: str):
         table = {}
         with open(path, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
@@ -184,13 +180,11 @@ class CsvInflow:
             if sorted(table[y]) != list(range(1, 13)):
                 raise ConfigurationError(f"inflow CSV year {y} must have 12 months")
         self.table = table
-        self.irrigation_months = irrigation_months
-        self.may_index = may_index
 
     def year(self, t: int) -> RiverYear:
         y = self.years[t % len(self.years)]
         monthly = np.array([self.table[y][m] for m in range(1, 13)])
-        return RiverYear(monthly, self.irrigation_months, self.may_index)
+        return RiverYear(monthly)
 
 
 def make_inflow(config: RunConfig):
@@ -210,24 +204,17 @@ PROMPT_FILES = ("role", "as_action", "as_extraction",
 
 
 def load_prompts(prompts_dir: str = None) -> dict:
+    """Every prompt template, from `prompts_dir` or else the packaged copies."""
+    root = (resources.files("rivercommons") / "prompts" if prompts_dir is None
+            else Path(prompts_dir))
     prompts = {}
     for name in PROMPT_FILES:
-        if prompts_dir is not None:
-            path = os.path.join(prompts_dir, name + ".txt")
-            with open(path, "r", encoding="utf-8") as fh:
-                prompts[name] = fh.read()
-        else:
-            prompts[name] = (resources.files("rivercommons") / "prompts"
-                             / (name + ".txt")).read_text(encoding="utf-8")
+        path = root / (name + ".txt")
+        try:
+            prompts[name] = path.read_text(encoding="utf-8")
+        except OSError as err:
+            raise ConfigurationError(f"cannot read prompt file {path}: {err}") from err
     return prompts
-
-
-def default_fixture_path() -> str:
-    return str(resources.files("rivercommons") / "fixtures" / "stub_default.json")
-
-
-def behaviour_profile(kind: str, prompts: dict) -> BehaviourProfile:
-    return BehaviourProfile(kind, prompts[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +231,6 @@ class RunArtifacts:
     as_models: list = field(default_factory=list)
     gateway_calls: int = 0
 
-    def summary(self):
-        return summarize(self)
-
 
 def _initial_state(config: RunConfig, inflow) -> WorldState:
     year0 = inflow.year(0)
@@ -257,8 +241,7 @@ def _initial_state(config: RunConfig, inflow) -> WorldState:
         for i in range(config.n_households))
     fish = FishPopulation(np.array(config.initial_fish, dtype=float))
     rng = np.random.default_rng(config.seed)
-    return WorldState(households=households, fish=fish, river=year0,
-                      authority_budget=config.authority_budget, rng=rng)
+    return WorldState(households=households, fish=fish, river=year0, rng=rng)
 
 
 def _household_view(config: RunConfig, h: HouseholdState) -> dict:
@@ -276,15 +259,6 @@ def _household_view(config: RunConfig, h: HouseholdState) -> dict:
     }
 
 
-def extract_action_situations(gateway: Gateway, prompts: dict) -> list:
-    """Step 1 of the naive pipeline: one extraction call at run start."""
-    request = ChatRequest(
-        model=gateway.config.model,
-        messages=(("user", prompts["as_extraction"]),))
-    text = gateway.complete(request, tags={"stage": "as_extraction"})
-    return parse_llm_game(text)
-
-
 class _Runner:
     def __init__(self, config: RunConfig):
         self.config = config
@@ -294,9 +268,10 @@ class _Runner:
         if config.pipeline in LLM_PIPELINES:
             gw_cfg = config.gateway
             if gw_cfg.backend == "stub" and not gw_cfg.fixture_path:
-                gw_cfg = dataclasses.replace(gw_cfg, fixture_path=default_fixture_path())
+                gw_cfg = replace(gw_cfg, fixture_path=str(
+                    resources.files("rivercommons") / "fixtures" / "stub_default.json"))
             self.gateway = Gateway(gw_cfg)
-        self.profile = behaviour_profile(config.behaviour, self.prompts)
+        self.profile = BehaviourProfile(config.behaviour, self.prompts[config.behaviour])
         self.as_models = []
         self.fallbacks = 0
         self.clamps = 0
@@ -324,7 +299,11 @@ class _Runner:
                 state, cfg.tau, cfg.ecology, cfg.pair_stress_threshold,
                 cfg.max_fields, cfg.e_max, cfg.effort_cost, state.rng)
         if cfg.pipeline == "naive-egta" and not self.as_models:
-            self.as_models = extract_action_situations(self.gateway, self.prompts)
+            # Step 1 of the naive pipeline: one extraction call at run start.
+            request = ChatRequest(model=self.gateway.config.model,
+                                  messages=(("user", self.prompts["as_extraction"]),))
+            self.as_models = parse_llm_game(
+                self.gateway.complete(request, tags={"stage": "as_extraction"}))
 
         decisions = []
         for h in state.households:
@@ -356,8 +335,7 @@ class _Runner:
         try:
             for year in range(1, cfg.horizon + 1):
                 river = self.inflow.year(year)
-                state = replace(state, river=river,
-                                authority_budget=authority.budget)
+                state = replace(state, river=river)
                 decisions = self.decide(state, authority, year)
                 state, year_records = advance_year(state, decisions, cfg.ecology)
                 records.extend(year_records)
@@ -412,35 +390,38 @@ def summarize(artifacts: RunArtifacts) -> dict:
     }
 
 
-SWEEP_COLUMNS = ("pipeline", "tau", "behaviour", "seed") + SUMMARY_FIELDS + (
-    "fallback_events", "error")
+GRID_FIELDS = ("pipeline", "tau", "behaviour", "seed")
+SWEEP_COLUMNS = GRID_FIELDS + SUMMARY_FIELDS + ("fallback_events", "error")
+
+
+def _summary_row(cell: dict, artifacts: RunArtifacts = None, error: str = "") -> dict:
+    """A SWEEP_COLUMNS row: the cell's GRID_FIELDS values, then the run's
+    summary, or blank summary fields and the error of a failed cell."""
+    row = dict(cell, fallback_events=0, error=error)
+    if artifacts is None:
+        row.update(dict.fromkeys(SUMMARY_FIELDS, ""))
+    else:
+        row.update(summarize(artifacts), fallback_events=artifacts.fallback_events)
+    return row
 
 
 def sweep(base: RunConfig, pipelines=None, taus=None, behaviours=None, seeds=None):
-    """One summary row per grid cell; failures are recorded in-row and do not
-    stop the remaining cells."""
+    """One summary row per grid cell. A cell that fails with a package error
+    (RiverCommonsError) is recorded in its row's `error` column and does not
+    stop the remaining cells; any other exception propagates."""
     pipelines = list(pipelines or [base.pipeline])
     taus = list(taus if taus is not None else [base.tau])
     behaviours = list(behaviours or [base.behaviour])
     seeds = list(seeds if seeds is not None else [base.seed])
     rows = []
-    for pipeline in pipelines:
-        for tau in taus:
-            for behaviour in behaviours:
-                for seed in seeds:
-                    row = {"pipeline": pipeline, "tau": tau,
-                           "behaviour": behaviour, "seed": seed,
-                           "fallback_events": 0, "error": ""}
-                    row.update({k: "" for k in SUMMARY_FIELDS})
-                    try:
-                        cfg = replace(base, pipeline=pipeline, tau=tau,
-                                      behaviour=behaviour, seed=seed)
-                        artifacts = run_simulation(cfg)
-                        row.update(summarize(artifacts))
-                        row["fallback_events"] = artifacts.fallback_events
-                    except Exception as err:  # keep the rest of the grid alive
-                        row["error"] = f"{type(err).__name__}: {err}"
-                    rows.append(row)
+    for values in itertools.product(pipelines, taus, behaviours, seeds):
+        cell = dict(zip(GRID_FIELDS, values))
+        try:
+            artifacts = run_simulation(replace(base, **cell))
+        except RiverCommonsError as err:
+            rows.append(_summary_row(cell, error=f"{type(err).__name__}: {err}"))
+        else:
+            rows.append(_summary_row(cell, artifacts))
     return rows
 
 
@@ -457,20 +438,22 @@ RECORD_COLUMNS = ("year", "household", "planted", "irrigated", "delivered",
                   "fish_income", "budget", "activity")
 
 
+def _write_rows(fh, rows, columns):
+    """CSV header plus one line per row mapping; missing cells are blank."""
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row.get(col, "")) for col in columns])
+
+
 def write_records_csv(records, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, col)) for col in RECORD_COLUMNS])
+        _write_rows(fh, (vars(r) for r in records), RECORD_COLUMNS)
 
 
-def write_summary_csv(rows, path, columns=SWEEP_COLUMNS):
+def write_summary_csv(rows, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col, "")) for col in columns])
+        _write_rows(fh, rows, SWEEP_COLUMNS)
 
 
 # -- minimal hand-rolled SVG charts (CSV is canonical; SVG is derived) ------
@@ -578,19 +561,13 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str) -> dict:
         paths = {}
         paths["records"] = os.path.join(out_dir, "records.csv")
         write_records_csv(artifacts.records, paths["records"])
-        cfg = artifacts.config
-        row = {"pipeline": cfg.pipeline, "tau": cfg.tau,
-               "behaviour": cfg.behaviour, "seed": cfg.seed,
-               "fallback_events": artifacts.fallback_events, "error": ""}
-        row.update(summarize(artifacts))
+        cell = {name: getattr(artifacts.config, name) for name in GRID_FIELDS}
         paths["summary"] = os.path.join(out_dir, "summary.csv")
-        write_summary_csv([row], paths["summary"])
-        paths["budgets"] = os.path.join(out_dir, "budgets.svg")
-        with open(paths["budgets"], "w", encoding="utf-8") as fh:
-            fh.write(budgets_svg(artifacts.records))
-        paths["activity"] = os.path.join(out_dir, "activity.svg")
-        with open(paths["activity"], "w", encoding="utf-8") as fh:
-            fh.write(activity_svg(artifacts.records))
+        write_summary_csv([_summary_row(cell, artifacts)], paths["summary"])
+        for name, chart in (("budgets", budgets_svg), ("activity", activity_svg)):
+            paths[name] = os.path.join(out_dir, name + ".svg")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(chart(artifacts.records))
         return paths
     except OSError as err:
         raise SimulationError(f"cannot write outputs under {out_dir}: {err}")
@@ -664,24 +641,24 @@ def _cmd_sweep(args):
     base = load_config(args.config)
     rows = sweep(base,
                  pipelines=args.pipelines or None,
-                 taus=[float(t) for t in args.taus] if args.taus else None,
+                 taus=args.taus or None,
                  behaviours=args.profiles or None,
-                 seeds=[int(s) for s in args.seeds] if args.seeds else None)
+                 seeds=args.seeds or None)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sweep.csv")
         write_summary_csv(rows, path)
         print(f"sweep: {path}")
-    writer = csv.writer(sys.stdout)
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c, "")) for c in SWEEP_COLUMNS])
+    _write_rows(sys.stdout, rows, SWEEP_COLUMNS)
     return 0
 
 
 def _cmd_solve_game(args):
-    with open(args.game, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json_object(args.game, "game")
+    missing = {"row_payoffs", "col_payoffs"} - set(data)
+    if missing:
+        raise ConfigurationError(
+            f"game file {args.game} lacks {', '.join(sorted(missing))}")
     game = BimatrixGame(
         np.array(data["row_payoffs"], dtype=float),
         np.array(data["col_payoffs"], dtype=float),
@@ -703,8 +680,7 @@ def _cmd_solve_game(args):
 
 def _cmd_calibrate_check(args):
     config = load_config(args.config)
-    taus = [float(t) for t in args.taus] if args.taus else (0.0, 0.25, 1.0)
-    report = calibrate_check(config, taus=taus)
+    report = calibrate_check(config, taus=args.taus or (0.0, 0.25, 1.0))
     if report["insufficient_horizon"]:
         print(f"warning: horizon {config.horizon} is below "
               f"{CALIBRATE_MIN_HORIZON}; pattern checks are unreliable")
@@ -730,9 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--pipelines", nargs="*", default=None)
-    p.add_argument("--taus", nargs="*", default=None)
+    p.add_argument("--taus", nargs="*", type=float, default=None)
     p.add_argument("--profiles", nargs="*", default=None)
-    p.add_argument("--seeds", nargs="*", default=None)
+    p.add_argument("--seeds", nargs="*", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("solve-game", help="solve a bimatrix game from JSON")
@@ -742,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate-check", help="verify the shipped defaults")
     p.add_argument("--config", required=True)
-    p.add_argument("--taus", nargs="*", default=None)
+    p.add_argument("--taus", nargs="*", type=float, default=None)
     p.set_defaults(func=_cmd_calibrate_check)
     return parser
 
@@ -751,7 +727,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, SimulationError, SchemaError) as err:
+    except RiverCommonsError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

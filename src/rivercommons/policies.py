@@ -157,7 +157,7 @@ def _clamp(value: int, high: int):
     return clamped, clamped != int(value)
 
 
-def _reply_to_fields_and_fish(value, max_fields: int, e_max: int):
+def _reply_to_fields_and_fish(value):
     """Interpret a structured gateway reply as (fields, fish_target)."""
     if isinstance(value, bool):
         raise SchemaError(f"cannot interpret reply value {value!r}")
@@ -168,8 +168,28 @@ def _reply_to_fields_and_fish(value, max_fields: int, e_max: int):
         fish = value.get("fish", value.get("fish_target", value.get("catch")))
         if fields is None:
             raise SchemaError(f"reply object lacks a field count: {value!r}")
-        return int(fields), None if fish is None else int(fish)
+        try:
+            return int(fields), None if fish is None else int(fish)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise SchemaError(f"reply object holds a non-integer count: {value!r}") from err
     raise SchemaError(f"cannot interpret reply value {value!r}")
+
+
+def _ask(gateway: Gateway, profile: BehaviourProfile, prompt: str, parse, tags):
+    """`parse(reply)` for the profile's system prompt plus `prompt`, asked again
+    while `parse` raises SchemaError; None once the configured retries run out
+    or on transport failure."""
+    request = ChatRequest(
+        model=gateway.config.model,
+        messages=(("system", profile.system_prompt), ("user", prompt)))
+    for _ in range(gateway.config.max_retries + 1):
+        try:
+            return parse(gateway.complete(request, tags=tags))
+        except SchemaError:
+            continue
+        except TransportError:
+            return None
+    return None
 
 
 def generative_decide(view: dict, profile: BehaviourProfile, gateway: Gateway,
@@ -185,28 +205,16 @@ def generative_decide(view: dict, profile: BehaviourProfile, gateway: Gateway,
     Returns (Decision, events) where events is a list of strings among
     {"clamp", "fallback"}.
     """
-    prompt = render_prompt(role_template, view)
-    request = ChatRequest(
-        model=gateway.config.model,
-        messages=(("system", profile.system_prompt), ("user", prompt)))
-    events = []
     default_fish = int(view.get("default_fish_target", 0))
-    for _ in range(gateway.config.max_retries + 1):
-        try:
-            text = gateway.complete(request, tags=tags)
-            value = extract_structured(text)
-            fields, fish = _reply_to_fields_and_fish(value, max_fields, e_max)
-        except SchemaError:
-            continue
-        except TransportError:
-            break
-        fields, clamped_f = _clamp(fields, max_fields)
-        fish, clamped_t = _clamp(default_fish if fish is None else fish, e_max)
-        if clamped_f or clamped_t:
-            events.append("clamp")
-        return Decision(fields, fish), events
-    events.append("fallback")
-    return fallback(), events
+    reply = _ask(gateway, profile, render_prompt(role_template, view),
+                 lambda text: _reply_to_fields_and_fish(extract_structured(text)),
+                 tags)
+    if reply is None:
+        return fallback(), ["fallback"]
+    fields, fish = reply
+    fields, clamped_f = _clamp(fields, max_fields)
+    fish, clamped_t = _clamp(default_fish if fish is None else fish, e_max)
+    return Decision(fields, fish), ["clamp"] if clamped_f or clamped_t else []
 
 
 def map_abstract_action(value, max_fields: int, low_action: int) -> int:
@@ -232,6 +240,14 @@ def map_abstract_action(value, max_fields: int, low_action: int) -> int:
         raise SchemaError(f"cannot interpret action {value!r}") from err
 
 
+def _reply_to_action(text: str, high: int, low_action: int) -> int:
+    try:
+        value = extract_structured(text)
+    except SchemaError:
+        value = text  # bare labels like "low" are still mappable
+    return map_abstract_action(value, high, low_action)
+
+
 def naive_egta_decide(as_models, view: dict, profile: BehaviourProfile,
                       gateway: Gateway, action_template: str, max_fields: int,
                       e_max: int, low_action: int, fallback, tags: dict = None):
@@ -239,7 +255,8 @@ def naive_egta_decide(as_models, view: dict, profile: BehaviourProfile,
 
     The first pairwise-cooperation model drives the field choice and the
     first common-pool-resource model the fish target; failing that, models
-    are used in order. Returns (Decision, events) like generative_decide.
+    are used in order. A component without a usable reply comes from
+    `fallback()`. Returns (Decision, events) like generative_decide.
     """
     irrigation_as = next((m for m in as_models
                           if m.kind is ASKind.PAIRWISE_COOPERATION), None)
@@ -251,49 +268,25 @@ def naive_egta_decide(as_models, view: dict, profile: BehaviourProfile,
         fishing_as = as_models[1]
 
     events = []
-    results = []
+    chosen = []
     for as_model, high in ((irrigation_as, max_fields), (fishing_as, e_max)):
-        if as_model is None:
-            results.append(None)
-            continue
-        variables = dict(view)
-        variables.update(
-            as_name=as_model.name,
-            as_actions=", ".join(as_model.actions),
-            as_participants=as_model.participants)
-        prompt = render_prompt(action_template, variables)
-        request = ChatRequest(
-            model=gateway.config.model,
-            messages=(("system", profile.system_prompt), ("user", prompt)))
-        chosen = None
-        for _ in range(gateway.config.max_retries + 1):
-            try:
-                text = gateway.complete(request, tags=tags)
-                try:
-                    value = extract_structured(text)
-                except SchemaError:
-                    value = text  # bare labels like "low" are still mappable
-                raw = map_abstract_action(value, high, low_action)
-            except SchemaError:
-                continue
-            except TransportError:
-                break
-            chosen, clamped = _clamp(raw, high)
+        action = None
+        if as_model is not None:
+            variables = dict(view, as_name=as_model.name,
+                             as_actions=", ".join(as_model.actions),
+                             as_participants=as_model.participants)
+            action = _ask(gateway, profile, render_prompt(action_template, variables),
+                          lambda text: _reply_to_action(text, high, low_action), tags)
+        if action is not None:
+            action, clamped = _clamp(action, high)
             if clamped:
                 events.append("clamp")
-            break
-        results.append(chosen)
+        chosen.append(action)
 
-    if results[0] is None:
+    fields, fish = chosen
+    if fields is None or fish is None:
         events.append("fallback")
         fb = fallback()
-        fields = fb.fields_planted
-        fish = fb.fish_target if results[1] is None else results[1]
-        return Decision(fields, fish), events
-    fields = results[0]
-    if results[1] is None:
-        events.append("fallback")
-        fish = fallback().fish_target
-    else:
-        fish = results[1]
+        fields = fb.fields_planted if fields is None else fields
+        fish = fb.fish_target if fish is None else fish
     return Decision(fields, fish), events

@@ -27,7 +27,7 @@ def make_state(n=2, budget=100.0, fish=None, inflow=1000.0, seed=0):
                        for i in range(n))
     classes = np.zeros(N_FISH_CLASSES) if fish is None else np.asarray(fish, float)
     return WorldState(households=households, fish=FishPopulation(classes),
-                      river=river, authority_budget=0.0,
+                      river=river,
                       rng=np.random.default_rng(seed))
 
 

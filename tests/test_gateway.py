@@ -75,6 +75,14 @@ class TestStubBackend:
         with pytest.raises(ConfigurationError):
             Gateway(GatewayConfig(backend="stub"))
 
+    @pytest.mark.parametrize("content", [None, "{not json", '[{"text": "7"}]'])
+    def test_unusable_fixture_file_rejected(self, tmp_path, content):
+        path = tmp_path / "fixture.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            Gateway(GatewayConfig(backend="stub", fixture_path=str(path)))
+
     def test_only_fingerprinted_entries_and_no_match(self, tmp_path):
         gw = stub_gateway(tmp_path, [{"fingerprint": "0" * 16,
                                       "response": "never"}])
@@ -131,6 +139,17 @@ def echo_server():
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     thread.join(timeout=5)
+
+
+class TestGatewayConfig:
+    def test_run_config_is_hashable(self):
+        from rivercommons import RunConfig
+        assert hash(RunConfig()) == hash(RunConfig())
+
+    def test_model_from_environment(self, monkeypatch):
+        monkeypatch.setenv("RIVERCOMMONS_MODEL", "env-model")
+        assert GatewayConfig().model == "env-model"
+        assert GatewayConfig(model="explicit").model == "explicit"
 
 
 class TestHttpBackend:

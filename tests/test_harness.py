@@ -11,8 +11,8 @@ from rivercommons import (ActivityClass, ConfigurationError, RunConfig,
                           emit_outputs, load_config, run_simulation, summarize,
                           sweep)
 from rivercommons.harness import (CsvInflow, InflowConfig, RunArtifacts,
-                                  SyntheticInflow, main, make_inflow,
-                                  seasonal_weights)
+                                  SyntheticInflow, load_prompts, main,
+                                  make_inflow, seasonal_weights)
 from rivercommons.ecology import YearRecord
 from conftest import short_config
 
@@ -56,6 +56,11 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError):
             load_config(str(path))
+
+    def test_prompts_dir_missing_a_file_rejected(self, tmp_path):
+        (tmp_path / "role.txt").write_text("Reply with a field count.")
+        with pytest.raises(ConfigurationError):
+            load_prompts(str(tmp_path))
 
     def test_shipped_default_config_loads(self):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -194,6 +199,25 @@ class TestSweep:
         assert by_pipeline["procedural"]["error"] == ""
         assert by_pipeline["generative"]["error"] != ""
 
+    def test_missing_fixture_recorded_as_configuration_error(self, tmp_path):
+        from rivercommons import GatewayConfig
+        base = short_config(
+            pipeline="generative", horizon=2,
+            gateway=GatewayConfig(backend="stub",
+                                  fixture_path=str(tmp_path / "absent.json")))
+        (row,) = sweep(base)
+        assert row["error"].startswith("ConfigurationError")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import rivercommons.harness as harness
+
+        def broken(config):
+            raise TypeError("a bug, not a failed cell")
+
+        monkeypatch.setattr(harness, "run_simulation", broken)
+        with pytest.raises(TypeError):
+            sweep(short_config(horizon=2))
+
 
 class TestEmitOutputs:
     def test_horizon_one_outputs(self, tmp_path):
@@ -279,6 +303,28 @@ class TestCli:
         assert main(["solve-game", "--game", str(game)]) == 0
         out = capsys.readouterr().out
         assert "(H, L)" in out and "(L, H)" in out
+
+    def test_solve_game_mismatched_shapes_exit_code(self, tmp_path, capsys):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({"row_payoffs": [[1, 2], [3, 4]],
+                                    "col_payoffs": [[1, 2, 3], [4, 5, 6]]}))
+        assert main(["solve-game", "--game", str(game)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json",
+                                         '{"row_payoffs": [[1]]}'])
+    def test_solve_game_unusable_file_exit_code(self, tmp_path, capsys, content):
+        game = tmp_path / "game.json"
+        if content is not None:
+            game.write_text(content)
+        assert main(["solve-game", "--game", str(game)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_numeric_sweep_seed_exit_code(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--seeds", "one"])
+        assert exc.value.code == 2
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -34,7 +34,6 @@ def make_world(n=2, budget=1000.0, adults=1000.0, node_inflow=10000.0, seed=0):
     return WorldState(households=households,
                       fish=FishPopulation(classes),
                       river=RiverYear(np.full(12, node_inflow / 12.0)),
-                      authority_budget=0.0,
                       rng=np.random.default_rng(seed))
 
 
@@ -180,6 +179,14 @@ def stub_gateway(tmp_path, responses, max_retries=2):
                                  max_retries=max_retries))
 
 
+def unmatched_gateway(tmp_path):
+    """A stub whose only entry is fingerprinted for no real prompt, so every
+    request fails with TransportError."""
+    path = tmp_path / "fingerprinted.json"
+    path.write_text(json.dumps([{"fingerprint": "0" * 16, "response": "7"}]))
+    return Gateway(GatewayConfig(backend="stub", fixture_path=str(path)))
+
+
 PROFILE = BehaviourProfile("balanced", "You are a farmer.")
 ROLE_TEMPLATE = ("Water {predicted_water}, budget {budget}. "
                  "Reply with a field count.")
@@ -239,6 +246,23 @@ class TestGenerativeDecide:
         assert decision.fields_planted == 5
         assert events == []
 
+    def test_non_integer_field_count_retried(self, tmp_path):
+        gw = stub_gateway(tmp_path, ['{"fields": "many"}', "4"])
+        decision, events = generative_decide(view(), PROFILE, gw,
+                                             ROLE_TEMPLATE, 10, 5,
+                                             fallback_decision)
+        assert decision == Decision(4, 2)
+        assert events == []
+        assert gw.call_count == 2
+
+    def test_transport_error_falls_back(self, tmp_path):
+        gw = unmatched_gateway(tmp_path)
+        decision, events = generative_decide(view(), PROFILE, gw,
+                                             ROLE_TEMPLATE, 10, 5,
+                                             fallback_decision)
+        assert decision == fallback_decision()
+        assert events == ["fallback"]
+
 
 class TestMapAbstractAction:
     @pytest.mark.parametrize("reply,expected", [
@@ -295,3 +319,29 @@ class TestNaiveEgtaDecide:
                                              fallback_decision)
         assert decision == fallback_decision()
         assert "fallback" in events
+
+    def test_unusable_irrigation_reply_falls_back_for_fields_only(self, tmp_path):
+        # Three unusable irrigation replies exhaust the retries; the fishing
+        # situation then gets "3".
+        gw = stub_gateway(tmp_path, ["shrug", "shrug", "shrug", "3"])
+        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
+                                             AS_TEMPLATE, 10, 5, 2,
+                                             fallback_decision)
+        assert decision == Decision(fallback_decision().fields_planted, 3)
+        assert events == ["fallback"]
+
+    def test_unusable_fishing_reply_falls_back_for_fish_only(self, tmp_path):
+        gw = stub_gateway(tmp_path, ["high", "shrug", "shrug", "shrug"])
+        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
+                                             AS_TEMPLATE, 10, 5, 2,
+                                             fallback_decision)
+        assert decision == Decision(10, fallback_decision().fish_target)
+        assert events == ["fallback"]
+
+    def test_transport_error_falls_back(self, tmp_path):
+        gw = unmatched_gateway(tmp_path)
+        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
+                                             AS_TEMPLATE, 10, 5, 2,
+                                             fallback_decision)
+        assert decision == fallback_decision()
+        assert events == ["fallback"]
