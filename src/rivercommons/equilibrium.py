@@ -178,8 +178,7 @@ def enumerate_pure_ne(game: BimatrixGame) -> frozenset:
     b = game.col_payoffs
     row_best = a >= a.max(axis=0, keepdims=True)
     col_best = b >= b.max(axis=1, keepdims=True)
-    cells = np.argwhere(row_best & col_best)
-    return frozenset((int(i), int(j)) for i, j in cells)
+    return frozenset(map(tuple, np.argwhere(row_best & col_best).tolist()))
 
 
 def is_epsilon_ne(game: BimatrixGame, profile: MixedProfile, eps: float) -> bool:
@@ -193,34 +192,35 @@ def is_epsilon_ne(game: BimatrixGame, profile: MixedProfile, eps: float) -> bool
     return bool(ay.max() - x @ ay <= eps and xb.max() - xb @ y <= eps)
 
 
-def _action_value(actions, index):
-    label = actions[index]
-    return label if isinstance(label, (int, float)) and not isinstance(label, bool) else index
+def _action_values(actions):
+    """Each action's value: its label when numeric, its index otherwise."""
+    return [label if isinstance(label, (int, float)) and not isinstance(label, bool) else i
+            for i, label in enumerate(actions)]
 
 
 def select_equilibrium(candidates, fallback: MixedProfile,
                        row_actions=None, col_actions=None) -> MixedProfile:
     """Deterministic selection among pure equilibria.
 
-    Picks the candidate minimizing total action value (then the smaller row
-    action); falls back to the supplied profile when no pure candidate exists.
-    Action labels are used as values when numeric, indices otherwise.
+    Picks the candidate minimizing total action value, then the smaller row
+    action value, then the smaller (row, col) index pair; falls back to the
+    supplied profile when no pure candidate exists. Action labels are used
+    as values when numeric, indices otherwise.
     """
-    cells = sorted(candidates)
-    if not cells:
+    if not candidates:
         return fallback
     m = len(fallback.row_dist)
     n = len(fallback.col_dist)
     rows = row_actions if row_actions is not None else tuple(range(m))
     cols = col_actions if col_actions is not None else tuple(range(n))
+    row_value = _action_values(rows)
+    col_value = _action_values(cols)
 
     def key(cell):
-        i, j = cell
-        ru = _action_value(rows, i)
-        cu = _action_value(cols, j)
-        return (ru + cu, ru)
+        ru = row_value[cell[0]]
+        return (ru + col_value[cell[1]], ru, cell)
 
-    i, j = min(cells, key=key)
+    i, j = min(candidates, key=key)
     return MixedProfile.pure(i, j, m, n)
 
 
@@ -242,15 +242,18 @@ def solve_symmetric_cpr(payoff, n_players: int, e_max: int) -> CprSolution:
     if e_max < 0:
         raise InvalidGameError("e_max must be non-negative")
     levels = range(e_max + 1)
+    # by_others[k][e] = payoff(e, (n_players - 1) * k): every value the scan
+    # and the best-response walk below can ask for.
+    by_others = [[payoff(e, (n_players - 1) * k) for e in levels] for k in levels]
     tol = 1e-12
     for e_star in levels:
-        others = (n_players - 1) * e_star
-        u_star = payoff(e_star, others)
-        if all(payoff(e, others) <= u_star + tol for e in levels):
+        column = by_others[e_star]
+        u_star = column[e_star]
+        if all(u <= u_star + tol for u in column):
             return CprSolution(e_star, True)
 
+    best = [min(levels, key=lambda d: (-column[d], d)) for column in by_others]
     e = 0
     for _ in range(1000):
-        others = (n_players - 1) * e
-        e = min(levels, key=lambda d: (-payoff(d, others), d))
+        e = best[e]
     return CprSolution(e, False)

@@ -4,7 +4,6 @@ resource fishing game, plus parsing of LLM-proposed game models.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,34 +41,44 @@ class IrrigationGameSpec:
             raise ConfigurationError("max_fields and tau must be non-negative")
 
 
-def irrigated_fields(s_u: int, s_d: int, spec: IrrigationGameSpec):
-    """Fields actually irrigated: upstream has water priority; both are
-    limited by budget affordability and floored to integers."""
-    f_u = max(0, int(math.floor(min(s_u, spec.B_u / spec.c, spec.T / spec.w) + 1e-9)))
-    f_d = max(0, int(math.floor(
-        min(s_d, spec.B_d / spec.c, max(spec.T / spec.w - f_u, 0.0)) + 1e-9)))
-    return f_u, f_d
+def _payoff_rule(s_u, s_d, spec: IrrigationGameSpec):
+    """The irrigation payoff rule, elementwise over numpy-broadcast strategy
+    arrays (or scalars): (f_u, f_d, pi_u, pi_d).
 
-
-def pair_payoffs(s_u: int, s_d: int, spec: IrrigationGameSpec):
-    """Annual payoffs for a strategy pair: yield plus fishing income, minus
-    irrigation and consumption costs and the extraction tax."""
-    f_u, f_d = irrigated_fields(s_u, s_d, spec)
-    y = spec.y0 if f_u + f_d <= spec.S else spec.ys
+    Fields actually irrigated: upstream has water priority; both are limited
+    by budget affordability and floored to integers. Payoffs are yield plus
+    fishing income, minus irrigation and consumption costs and the
+    extraction tax.
+    """
+    f_u = np.maximum(0.0, np.floor(
+        np.minimum(np.minimum(s_u, spec.B_u / spec.c), spec.T / spec.w) + 1e-9))
+    f_d = np.maximum(0.0, np.floor(
+        np.minimum(np.minimum(s_d, spec.B_d / spec.c),
+                   np.maximum(spec.T / spec.w - f_u, 0.0)) + 1e-9))
+    y = np.where(f_u + f_d <= spec.S, spec.y0, spec.ys)
     total = s_u + s_d
     pi_u = f_u * y + spec.F_u - (f_u * spec.c + spec.kappa) - spec.tau * total * s_u
     pi_d = f_d * y + spec.F_d - (f_d * spec.c + spec.kappa) - spec.tau * total * s_d
-    return pi_u, pi_d
+    return f_u, f_d, pi_u, pi_d
+
+
+def irrigated_fields(s_u: int, s_d: int, spec: IrrigationGameSpec):
+    """Fields actually irrigated for one strategy pair, as ints."""
+    f_u, f_d, _, _ = _payoff_rule(s_u, s_d, spec)
+    return int(f_u), int(f_d)
+
+
+def pair_payoffs(s_u: int, s_d: int, spec: IrrigationGameSpec):
+    """Annual payoffs (pi_u, pi_d) for one strategy pair, as floats."""
+    _, _, pi_u, pi_d = _payoff_rule(s_u, s_d, spec)
+    return float(pi_u), float(pi_d)
 
 
 def build_irrigation_game(spec: IrrigationGameSpec) -> BimatrixGame:
     """Normal form over field choices 0..max_fields for both players."""
     k = spec.max_fields + 1
-    row = np.empty((k, k))
-    col = np.empty((k, k))
-    for s_u in range(k):
-        for s_d in range(k):
-            row[s_u, s_d], col[s_u, s_d] = pair_payoffs(s_u, s_d, spec)
+    s = np.arange(k, dtype=float)
+    _, _, row, col = _payoff_rule(s[:, None], s[None, :], spec)
     actions = tuple(range(k))
     return BimatrixGame(row, col, actions, actions)
 

@@ -8,8 +8,10 @@ import csv
 import dataclasses
 import itertools
 import json
+import numbers
 import os
 import sys
+import typing
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -91,11 +93,27 @@ class RunConfig:
             raise ConfigurationError("action bounds must be non-negative")
 
 
+# The JSON values a scalar config field accepts. bool is a number to Python
+# but never a valid count or coefficient, so it is rejected separately.
+_FIELD_KINDS = {int: (numbers.Integral, "an integer"),
+                float: (numbers.Real, "a number"),
+                str: (str, "a string")}
+
+
 def _build_section(cls, data, name):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {data!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown {name} keys: {', '.join(sorted(unknown))}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if hints[key] not in _FIELD_KINDS or (value is None and fields[key].default is None):
+            continue
+        kind, label = _FIELD_KINDS[hints[key]]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigurationError(f"{name} key {key!r} must be {label}, got {value!r}")
     return cls(**data)
 
 
@@ -106,7 +124,12 @@ def config_from_dict(data: dict) -> RunConfig:
         if name in data:
             data[name] = _build_section(cls, data[name], name)
     if "initial_fish" in data:
-        data["initial_fish"] = tuple(float(v) for v in data["initial_fish"])
+        fish = data["initial_fish"]
+        if not isinstance(fish, (list, tuple)) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in fish):
+            raise ConfigurationError(
+                f"config key 'initial_fish' must be a list of numbers, got {fish!r}")
+        data["initial_fish"] = tuple(float(v) for v in fish)
     return _build_section(RunConfig, data, "config")
 
 
@@ -659,11 +682,14 @@ def _cmd_solve_game(args):
     if missing:
         raise ConfigurationError(
             f"game file {args.game} lacks {', '.join(sorted(missing))}")
-    game = BimatrixGame(
-        np.array(data["row_payoffs"], dtype=float),
-        np.array(data["col_payoffs"], dtype=float),
-        tuple(data.get("row_actions", ())),
-        tuple(data.get("col_actions", ())))
+    try:
+        row = np.array(data["row_payoffs"], dtype=float)
+        col = np.array(data["col_payoffs"], dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(
+            f"game file {args.game} payoffs must be rectangular numeric matrices: {err}") from err
+    game = BimatrixGame(row, col, tuple(data.get("row_actions", ())),
+                        tuple(data.get("col_actions", ())))
     pure = sorted(enumerate_pure_ne(game))
     print("pure equilibria:")
     if pure:

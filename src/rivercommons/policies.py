@@ -228,7 +228,10 @@ def map_abstract_action(value, max_fields: int, low_action: int) -> int:
     if isinstance(value, bool) or value is None:
         raise SchemaError(f"cannot interpret action {value!r}")
     if isinstance(value, (int, float)):
-        return int(value)
+        try:
+            return int(value)
+        except (ValueError, OverflowError) as err:  # NaN or infinity
+            raise SchemaError(f"cannot interpret action {value!r}") from err
     text = str(value).strip().lower()
     if "high" in text:
         return max_fields

@@ -47,6 +47,32 @@ class TestConfig:
         assert cfg.ecology.y0 == 60.0
         assert cfg.inflow.mean_annual == 500.0
 
+    @pytest.mark.parametrize("data,key", [
+        ({"horizon": "5"}, "horizon"),
+        ({"horizon": 5.0}, "horizon"),
+        ({"seed": True}, "seed"),
+        ({"tau": False}, "tau"),
+        ({"prompts_dir": 1}, "prompts_dir"),
+        ({"ecology": 5}, "ecology"),
+        ({"ecology": {"w": "10"}}, "w"),
+        ({"gateway": {"max_retries": 1.5}}, "max_retries"),
+        ({"inflow": {"csv_path": 7}}, "csv_path"),
+        ({"initial_fish": 5}, "initial_fish"),
+        ({"initial_fish": ["a"] * 13}, "initial_fish"),
+    ])
+    def test_wrongly_typed_value_rejected(self, data, key):
+        with pytest.raises(ConfigurationError) as err:
+            config_from_dict(dict(data, pipeline="procedural"))
+        assert key in str(err.value)
+
+    def test_value_types_accepted(self):
+        cfg = config_from_dict({"pipeline": "procedural", "tau": 1, "horizon": 5,
+                                "prompts_dir": None, "ecology": {"w": 12},
+                                "gateway": {"model": None, "timeout": 5}})
+        assert (cfg.tau, cfg.horizon, cfg.prompts_dir) == (1, 5, None)
+        assert cfg.ecology.w == 12
+        assert cfg.gateway.timeout == 5
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(str(tmp_path / "nope.json"))
@@ -320,11 +346,25 @@ class TestCli:
         assert main(["solve-game", "--game", str(game)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [[["a"]], [[1, 2], [3]]])
+    def test_solve_game_unusable_payoffs_exit_code(self, tmp_path, capsys, row):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({"row_payoffs": row, "col_payoffs": [[1]]}))
+        assert main(["solve-game", "--game", str(game)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_non_numeric_sweep_seed_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", cfg, "--seeds", "one"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("overrides,key", [({"horizon": "5"}, "horizon"),
+                                               ({"ecology": 5}, "ecology")])
+    def test_wrongly_typed_config_exit_code(self, tmp_path, capsys, overrides, key):
+        cfg = self.write_config(tmp_path, **overrides)
+        assert main(["run", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -277,6 +277,12 @@ class TestMapAbstractAction:
         with pytest.raises(SchemaError):
             map_abstract_action("dunno", 10, 2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, value):
+        from rivercommons import SchemaError
+        with pytest.raises(SchemaError):
+            map_abstract_action({"action": value}, 10, 2)
+
 
 AS_MODELS = parse_llm_game(json.dumps([
     {"name": "neighbour irrigation", "kind": "pairwise cooperation",
@@ -337,6 +343,15 @@ class TestNaiveEgtaDecide:
                                              fallback_decision)
         assert decision == Decision(10, fallback_decision().fish_target)
         assert events == ["fallback"]
+
+    def test_non_finite_action_retried(self, tmp_path):
+        gw = stub_gateway(tmp_path, ['{"action": NaN}', "3"])
+        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
+                                             AS_TEMPLATE, 10, 5, 2,
+                                             fallback_decision)
+        assert decision == Decision(3, 3)
+        assert events == []
+        assert gw.call_count == 4
 
     def test_transport_error_falls_back(self, tmp_path):
         gw = unmatched_gateway(tmp_path)
