@@ -1,14 +1,17 @@
 """Finite-game solvers: Lemke-Howson, pure-equilibrium enumeration, and a
 symmetric solver for the N-player common pool resource game.
 
-The Lemke-Howson implementation pivots with exact rational arithmetic and a
+The Lemke-Howson implementation pivots with exact arithmetic and a
 lexicographic ratio test, so it terminates on degenerate inputs and the
-returned profile is exact up to the final float conversion.
+returned profile is exact up to the final float conversion. The arithmetic is
+integer pivoting (von Stengel, "Computing equilibria for two-person games",
+Handbook of Game Theory vol. 3, 2002, section 2.6): the float payoffs are
+scaled to integers once, and each pivot keeps the tableau in Python ints over
+a common positive denominator, with no gcd per entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -79,39 +82,80 @@ class MixedProfile:
 
 
 class _Tableau:
-    """One of the two Lemke-Howson tableaux, with exact Fraction entries.
+    """One of the two Lemke-Howson tableaux, pivoted in exact integers.
 
-    Rows are [coeff_0 .. coeff_{m+n-1} | rhs]; `basis[i]` is the label of the
-    variable currently basic in row i. The ratio test compares the full row
-    (rhs first) lexicographically, which both breaks ties deterministically
-    and guarantees termination on degenerate games.
+    Rows are [coeff_0 .. coeff_{m+n-1} | rhs] as Python ints; `basis[i]` is
+    the label of the variable currently basic in row i. The rational tableau
+    is `rows / det`: `det` is the previous pivot element (1 at the start) and
+    always positive, and every basic column holds `det` in its own row and 0
+    elsewhere. A pivot keeps that invariant without fractions: the pivot row
+    stays as it is and every other row, including one whose entering
+    coefficient f is 0, becomes `(a*p - f*b) // det`, a division that is
+    exact (von Stengel 2002, section 2.6).
+
+    The ratio test compares the full row (rhs first) lexicographically, which
+    both breaks ties deterministically and guarantees termination on
+    degenerate games. Since `det` is positive it compares the integer rows,
+    by cross-multiplication, and walks the coefficients only on a tie. The
+    payoff columns are the player's payoffs scaled by one positive constant
+    (`_integer_payoffs`). A positive column scaling multiplies each component
+    of the ratio tuple by a positive factor that is the same for every
+    candidate row, so the pivot sequence is the one the unscaled rational
+    tableau takes.
     """
 
     def __init__(self, rows, basis):
         self.rows = rows
         self.basis = basis
+        self.det = 1
 
     def pivot(self, entering):
-        candidates = [i for i, r in enumerate(self.rows) if r[entering] > 0]
-        if not candidates:
+        rows = self.rows
+        i = best = p = None
+        for k, r in enumerate(rows):
+            q = r[entering]
+            if q > 0 and (best is None or _lex_below(r, q, best, p)):
+                i, best, p = k, r, q
+        if best is None:
             raise InvalidGameError("unbounded pivot ray (non-positive column)")
-
-        def ratio_key(i):
-            r = self.rows[i]
-            p = r[entering]
-            return tuple(v / p for v in [r[-1]] + r[:-1])
-
-        i = min(candidates, key=ratio_key)
-        prow = self.rows[i]
-        p = prow[entering]
-        self.rows[i] = prow = [v / p for v in prow]
-        for j, r in enumerate(self.rows):
-            if j != i and r[entering] != 0:
+        det = self.det
+        for k, r in enumerate(rows):
+            if k != i:
                 f = r[entering]
-                self.rows[j] = [a - f * b for a, b in zip(r, prow)]
+                rows[k] = [(a * p - f * b) // det for a, b in zip(r, best)]
+        self.det = p
         leaving = self.basis[i]
         self.basis[i] = entering
         return leaving
+
+
+def _lex_below(r, p, s, q):
+    """True iff r / p precedes s / q lexicographically, rhs first (p, q > 0)."""
+    u, v = r[-1] * q, s[-1] * p
+    if u != v:
+        return u < v
+    for a, b in zip(r, s):
+        u, v = a * q, b * p
+        if u != v:
+            return u < v
+    return False
+
+
+def _integer_payoffs(matrix, offset):
+    """`matrix + offset` times one power of two, as nested lists of ints.
+    `offset` is an (n, d) ratio.
+
+    Every finite float is n / 2**e, so the largest denominator among the
+    entries and the offset is a common one, and it is the scale. Each matrix
+    gets its own scale, a positive column scaling of its player's tableau:
+    it leaves the pivot sequence unchanged and multiplies that player's
+    unnormalised strategy by a constant, which the normalisation removes.
+    """
+    ratios = [[v.as_integer_ratio() for v in row] for row in matrix.tolist()]
+    on, od = offset
+    scale = max([od] + [d for row in ratios for _, d in row])
+    shift = on * (scale // od)
+    return [[n * (scale // d) + shift for n, d in row] for row in ratios]
 
 
 def lemke_howson(game: BimatrixGame, initial_label: int = 0) -> MixedProfile:
@@ -127,24 +171,23 @@ def lemke_howson(game: BimatrixGame, initial_label: int = 0) -> MixedProfile:
         raise InvalidGameError(f"initial label {initial_label} out of range for {m}x{n} game")
 
     # Positive payoffs keep both polytopes bounded.
-    low = min(a.min(), b.min())
-    offset = Fraction(0)
+    low = float(min(a.min(), b.min()))
+    offset = (0, 1)
     if low <= 0:
-        offset = Fraction(1) - Fraction(low)
-    af = [[Fraction(a[i, j]) + offset for j in range(n)] for i in range(m)]
-    bf = [[Fraction(b[i, j]) + offset for j in range(n)] for i in range(m)]
+        ln, ld = low.as_integer_ratio()
+        offset = (ld - ln, ld)   # 1 - low
+    ai = _integer_payoffs(a, offset)
+    bi = _integer_payoffs(b, offset)
 
-    zero, one = Fraction(0), Fraction(1)
     # Row-player polytope: B^T x + s = 1 (n rows; slacks carry column labels).
     tx = _Tableau(
-        rows=[[bf[i][j] for i in range(m)]
-              + [one if k == j else zero for k in range(n)] + [one]
+        rows=[[bi[i][j] for i in range(m)]
+              + [1 if k == j else 0 for k in range(n)] + [1]
               for j in range(n)],
         basis=[m + j for j in range(n)])
     # Column-player polytope: A y + r = 1 (m rows; slacks carry row labels).
     ty = _Tableau(
-        rows=[[one if k == i else zero for k in range(m)]
-              + [af[i][j] for j in range(n)] + [one]
+        rows=[[1 if k == i else 0 for k in range(m)] + ai[i] + [1]
               for i in range(m)],
         basis=list(range(m)))
 
@@ -157,8 +200,10 @@ def lemke_howson(game: BimatrixGame, initial_label: int = 0) -> MixedProfile:
         entering = leaving
         tab = ty if tab is tx else tx
 
-    x = [zero] * m
-    y = [zero] * n
+    # Both sums share their tableau's det, so it cancels in the normalisation;
+    # int / int true division is correctly rounded, like float(Fraction).
+    x = [0] * m
+    y = [0] * n
     for label, row in zip(tx.basis, tx.rows):
         if label < m:
             x[label] = row[-1]
@@ -168,8 +213,8 @@ def lemke_howson(game: BimatrixGame, initial_label: int = 0) -> MixedProfile:
     sx, sy = sum(x), sum(y)
     if sx == 0 or sy == 0:
         raise InvalidGameError("pivoting ended on an empty support")
-    return MixedProfile(np.array([float(v / sx) for v in x]),
-                        np.array([float(v / sy) for v in y]))
+    return MixedProfile(np.array([v / sx for v in x]),
+                        np.array([v / sy for v in y]))
 
 
 def enumerate_pure_ne(game: BimatrixGame) -> frozenset:
@@ -198,14 +243,31 @@ def _action_values(actions):
             for i, label in enumerate(actions)]
 
 
+def select_cell(candidates, row_actions, col_actions):
+    """The (row, col) cell the selection rule picks among pure equilibria.
+
+    Picks the candidate minimizing total action value, then the smaller row
+    action value, then the smaller (row, col) index pair. Action labels are
+    used as values when numeric, indices otherwise. `candidates` must not be
+    empty.
+    """
+    row_value = _action_values(row_actions)
+    col_value = _action_values(col_actions)
+
+    def key(cell):
+        ru = row_value[cell[0]]
+        return (ru + col_value[cell[1]], ru, cell)
+
+    return min(candidates, key=key)
+
+
 def select_equilibrium(candidates, fallback: MixedProfile,
                        row_actions=None, col_actions=None) -> MixedProfile:
     """Deterministic selection among pure equilibria.
 
-    Picks the candidate minimizing total action value, then the smaller row
-    action value, then the smaller (row, col) index pair; falls back to the
-    supplied profile when no pure candidate exists. Action labels are used
-    as values when numeric, indices otherwise.
+    Returns the pure profile on the cell `select_cell` picks; falls back to
+    the supplied profile when no pure candidate exists. Without labels the
+    action values are the indices.
     """
     if not candidates:
         return fallback
@@ -213,14 +275,7 @@ def select_equilibrium(candidates, fallback: MixedProfile,
     n = len(fallback.col_dist)
     rows = row_actions if row_actions is not None else tuple(range(m))
     cols = col_actions if col_actions is not None else tuple(range(n))
-    row_value = _action_values(rows)
-    col_value = _action_values(cols)
-
-    def key(cell):
-        ru = row_value[cell[0]]
-        return (ru + col_value[cell[1]], ru, cell)
-
-    i, j = min(candidates, key=key)
+    i, j = select_cell(candidates, rows, cols)
     return MixedProfile.pure(i, j, m, n)
 
 

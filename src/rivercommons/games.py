@@ -4,12 +4,16 @@ resource fishing game, plus parsing of LLM-proposed game models.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .equilibrium import BimatrixGame, MixedProfile, enumerate_pure_ne, lemke_howson, select_equilibrium
+# select_equilibrium is not called here; it stays in this namespace because
+# perfbench/tracing.py wraps it at this name.
+from .equilibrium import (BimatrixGame, enumerate_pure_ne, lemke_howson,  # noqa: F401
+                          select_cell, select_equilibrium)
 from .errors import ConfigurationError, SchemaError
 from .gateway import extract_structured
 
@@ -33,6 +37,9 @@ class IrrigationGameSpec:
     max_fields: int = 10
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.c <= 0 or self.w <= 0:
             raise ConfigurationError("c and w must be positive")
         if self.ys >= self.y0:
@@ -86,17 +93,15 @@ def build_irrigation_game(spec: IrrigationGameSpec) -> BimatrixGame:
 def solve_irrigation_game(spec: IrrigationGameSpec, initial_label: int = 0):
     """Selected equilibrium strategies (s_u, s_d) for one pair.
 
-    Pure equilibria are enumerated and selected by the min-total rule; the
+    Pure equilibria are enumerated and the min-total rule picks one cell; the
     Lemke-Howson profile is the fallback when no pure equilibrium exists, in
     which case the most probable action on each side is taken.
     """
     game = build_irrigation_game(spec)
     pure = enumerate_pure_ne(game)
     if pure:
-        profile = select_equilibrium(pure, MixedProfile.pure(0, 0, *game.shape),
-                                     game.row_actions, game.col_actions)
-    else:
-        profile = lemke_howson(game, initial_label)
+        return select_cell(pure, game.row_actions, game.col_actions)
+    profile = lemke_howson(game, initial_label)
     return int(np.argmax(profile.row_dist)), int(np.argmax(profile.col_dist))
 
 

@@ -1,9 +1,12 @@
-"""Each vectorized or tabulated solver path pinned to a slow reference.
+"""Each vectorized, tabulated or integer solver path pinned to a slow reference.
 
-The references are the original per-cell and per-step loops, kept here so
-that any change to the fast paths must reproduce them exactly.
+The references are the original per-cell and per-step loops and the original
+Fraction-arithmetic Lemke-Howson, kept here so that any change to the fast
+paths must reproduce them exactly.
 """
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rivercommons import (BimatrixGame, CprSolution, EcologyParams,
-                          IrrigationGameSpec, MixedProfile,
+                          InvalidGameError, IrrigationGameSpec, MixedProfile,
                           build_cpr_fishing_game, build_irrigation_game,
-                          enumerate_pure_ne, irrigated_fields, pair_payoffs,
-                          select_equilibrium, solve_symmetric_cpr)
+                          enumerate_pure_ne, irrigated_fields, is_epsilon_ne,
+                          lemke_howson, pair_payoffs, select_equilibrium,
+                          solve_irrigation_game, solve_symmetric_cpr)
 
 
 # -- irrigation payoff table ---------------------------------------------------
@@ -166,6 +170,153 @@ class TestPureEquilibria:
             assert chosen is fallback and expected is fallback
         else:
             assert chosen.support() == expected.support()
+
+    @settings(max_examples=200, deadline=None)
+    @given(irrigation_specs())
+    def test_selected_irrigation_cell_is_pure_equilibrium(self, spec):
+        game = build_irrigation_game(spec)
+        i, j = solve_irrigation_game(spec)
+        assert is_epsilon_ne(game, MixedProfile.pure(i, j, *game.shape), 1e-9)
+
+
+# -- Lemke-Howson ------------------------------------------------------------------
+
+class _ReferenceTableau:
+    """The original Lemke-Howson tableau, with exact Fraction entries."""
+
+    def __init__(self, rows, basis):
+        self.rows = rows
+        self.basis = basis
+
+    def pivot(self, entering):
+        candidates = [i for i, r in enumerate(self.rows) if r[entering] > 0]
+        if not candidates:
+            raise InvalidGameError("unbounded pivot ray (non-positive column)")
+
+        def ratio_key(i):
+            r = self.rows[i]
+            p = r[entering]
+            return tuple(v / p for v in [r[-1]] + r[:-1])
+
+        i = min(candidates, key=ratio_key)
+        prow = self.rows[i]
+        p = prow[entering]
+        self.rows[i] = prow = [v / p for v in prow]
+        for j, r in enumerate(self.rows):
+            if j != i and r[entering] != 0:
+                f = r[entering]
+                self.rows[j] = [a - f * b for a, b in zip(r, prow)]
+        leaving = self.basis[i]
+        self.basis[i] = entering
+        return leaving
+
+
+def reference_lemke_howson(game, initial_label=0):
+    a = game.row_payoffs
+    b = game.col_payoffs
+    m, n = a.shape
+    if not 0 <= initial_label < m + n:
+        raise InvalidGameError(f"initial label {initial_label} out of range for {m}x{n} game")
+
+    low = min(a.min(), b.min())
+    offset = Fraction(0)
+    if low <= 0:
+        offset = Fraction(1) - Fraction(low)
+    af = [[Fraction(a[i, j]) + offset for j in range(n)] for i in range(m)]
+    bf = [[Fraction(b[i, j]) + offset for j in range(n)] for i in range(m)]
+
+    zero, one = Fraction(0), Fraction(1)
+    tx = _ReferenceTableau(
+        rows=[[bf[i][j] for i in range(m)]
+              + [one if k == j else zero for k in range(n)] + [one]
+              for j in range(n)],
+        basis=[m + j for j in range(n)])
+    ty = _ReferenceTableau(
+        rows=[[one if k == i else zero for k in range(m)]
+              + [af[i][j] for j in range(n)] + [one]
+              for i in range(m)],
+        basis=list(range(m)))
+
+    entering = initial_label
+    tab = tx if initial_label < m else ty
+    while True:
+        leaving = tab.pivot(entering)
+        if leaving == initial_label:
+            break
+        entering = leaving
+        tab = ty if tab is tx else tx
+
+    x = [zero] * m
+    y = [zero] * n
+    for label, row in zip(tx.basis, tx.rows):
+        if label < m:
+            x[label] = row[-1]
+    for label, row in zip(ty.basis, ty.rows):
+        if label >= m:
+            y[label - m] = row[-1]
+    sx, sy = sum(x), sum(y)
+    if sx == 0 or sy == 0:
+        raise InvalidGameError("pivoting ended on an empty support")
+    return MixedProfile(np.array([float(v / sx) for v in x]),
+                        np.array([float(v / sy) for v in y]))
+
+
+def _solve_outcome(solver, game, label):
+    """The profile's bytes, or the InvalidGameError message."""
+    try:
+        profile = solver(game, label)
+    except InvalidGameError as err:
+        return str(err)
+    return profile.row_dist.tobytes(), profile.col_dist.tobytes()
+
+
+def assert_same_as_reference(game):
+    """Every initial label, plus one out of range on each side."""
+    for label in range(-1, sum(game.shape) + 1):
+        assert (_solve_outcome(lemke_howson, game, label)
+                == _solve_outcome(reference_lemke_howson, game, label)), label
+
+
+# Entry kinds: integers; tenths, which are not dyadic; mixed magnitudes, where
+# the common denominator is large; all-positive, where no offset is added;
+# and few values, for degenerate games with ties.
+PAYOFF_ENTRIES = [
+    st.integers(-9, 9).map(float),
+    st.integers(-50, 50).map(lambda k: k / 10),
+    st.one_of(st.sampled_from([1e-7 + 3e5, 123.456, -0.1, 1e-7, 2.5e-9, -7e4]),
+              _floats(-1e6, 1e6)),
+    st.one_of(st.integers(1, 9).map(float), _floats(0.5, 100.0)),
+    st.sampled_from([0.0, 1.0]),
+]
+
+
+@st.composite
+def bimatrix_games(draw):
+    shape = draw(st.one_of(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                           st.tuples(st.just(1), st.integers(1, 6)),
+                           st.tuples(st.integers(1, 6), st.just(1))))
+    entries = draw(st.sampled_from(PAYOFF_ENTRIES))
+    if draw(st.booleans()) and draw(st.booleans()):   # constant games
+        value = draw(entries)
+        return BimatrixGame(np.full(shape, value), np.full(shape, draw(entries)))
+    cells = st.lists(entries, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    return BimatrixGame(np.reshape(draw(cells), shape), np.reshape(draw(cells), shape))
+
+
+class TestLemkeHowson:
+    @settings(max_examples=400, deadline=None)
+    @given(bimatrix_games())
+    @example(BimatrixGame(np.array([[5e-324, 1e300], [1.0, -1e300]]),
+                          np.array([[1e300, 5e-324], [-5e-324, 2.0]])))
+    @example(BimatrixGame(np.array([[0.1, 0.3], [0.3, 0.1]]),
+                          np.array([[0.3, 0.1], [0.1, 0.3]])))
+    def test_integer_pivoting_equals_fraction_reference(self, game):
+        assert_same_as_reference(game)
+
+    @settings(max_examples=12, deadline=None)
+    @given(irrigation_specs().map(lambda spec: replace(spec, max_fields=10)))
+    def test_irrigation_games_equal_fraction_reference(self, spec):
+        assert_same_as_reference(build_irrigation_game(spec))
 
 
 # -- symmetric CPR solve -----------------------------------------------------------

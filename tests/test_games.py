@@ -115,6 +115,12 @@ class TestBuildIrrigationGame:
         with pytest.raises(ConfigurationError):
             g1_spec(tau=-0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["B_u", "T", "F_u", "y0", "c", "tau"])
+    def test_non_finite_spec_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            g1_spec(**{field: value})
+
 
 class TestCprFishingGame:
     def test_abundant_stock_maxes_out(self, params):
