@@ -76,6 +76,8 @@ class RiverYear:
         v = np.asarray(self.monthly_inflow, dtype=float)
         if v.shape != (12,):
             raise ConfigurationError(f"monthly_inflow must have 12 entries, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ConfigurationError(f"inflows must be finite, got {v.tolist()}")
         if (v < 0).any():
             raise ConfigurationError("inflows must be non-negative")
         if not self.irrigation_months:

@@ -4,6 +4,7 @@ plus a deterministic scripted stub so every pipeline runs offline.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -79,10 +80,7 @@ class Gateway:
     def __init__(self, config: GatewayConfig):
         self.config = config
         self.call_count = 0
-        self._entries = []
-        self._fp_cursor = {}
-        self._seq_pool = []
-        self._seq_cursor = 0
+        self._replies = {}       # fingerprint -> cycle of replies; None keys the pool
         self._log_file = None
         if config.backend == "stub":
             if not config.fixture_path:
@@ -97,13 +95,13 @@ class Gateway:
                     or not all(isinstance(e, dict) and "response" in e for e in entries)):
                 raise ConfigurationError("fixture must be a non-empty JSON array of "
                                          "objects with a response")
+            replies = {}
             for entry in entries:
-                fp = entry.get("fingerprint")
                 response = entry["response"]
                 if not isinstance(response, str):
                     response = json.dumps(response)
-                self._entries.append((fp, response))
-            self._seq_pool = [resp for fp, resp in self._entries if fp is None]
+                replies.setdefault(entry.get("fingerprint"), []).append(response)
+            self._replies = {fp: itertools.cycle(r) for fp, r in replies.items()}
 
     def complete(self, request: ChatRequest, tags: dict = None) -> str:
         """Send one request and return the reply text; retried on transport
@@ -118,17 +116,11 @@ class Gateway:
 
     def _complete_stub(self, request: ChatRequest) -> str:
         fp = request_fingerprint(request)
-        matching = [resp for efp, resp in self._entries if efp == fp]
-        if matching:
-            cursor = self._fp_cursor.get(fp, 0)
-            self._fp_cursor[fp] = cursor + 1
-            return matching[cursor % len(matching)]
-        if not self._seq_pool:
+        replies = self._replies.get(fp, self._replies.get(None))
+        if replies is None:
             raise TransportError("stub fixture has no sequential entries for "
                                  f"unmatched fingerprint {fp}")
-        resp = self._seq_pool[self._seq_cursor % len(self._seq_pool)]
-        self._seq_cursor += 1
-        return resp
+        return next(replies)
 
     def _complete_http(self, request: ChatRequest) -> str:
         import requests

@@ -1,5 +1,5 @@
-"""Run configuration, the annual simulation loop for all five pipelines,
-robustness sweeps, summary metrics, CSV/SVG emission, and the CLI.
+"""Run configuration, the pipeline types and the annual run loop, robustness
+sweeps, summary metrics, CSV/SVG emission, and the CLI.
 """
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import numbers
 import os
 import sys
@@ -114,7 +115,17 @@ def _build_section(cls, data, name):
         kind, label = _FIELD_KINDS[hints[key]]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigurationError(f"{name} key {key!r} must be {label}, got {value!r}")
+        if kind is numbers.Real and not _finite(value):
+            raise ConfigurationError(f"{name} key {key!r} must be finite, got {value!r}")
     return cls(**data)
+
+
+def _finite(value) -> bool:
+    """False for NaN, ±inf and an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -129,6 +140,9 @@ def config_from_dict(data: dict) -> RunConfig:
                 isinstance(v, numbers.Real) and not isinstance(v, bool) for v in fish):
             raise ConfigurationError(
                 f"config key 'initial_fish' must be a list of numbers, got {fish!r}")
+        if not all(map(_finite, fish)):
+            raise ConfigurationError(
+                f"config key 'initial_fish' must hold finite numbers, got {fish!r}")
         data["initial_fish"] = tuple(float(v) for v in fish)
     return _build_section(RunConfig, data, "config")
 
@@ -161,11 +175,10 @@ _MONTHS = np.arange(1, 13)
 
 
 def seasonal_weights(peak_month: float, shape_power: float) -> np.ndarray:
+    """Monthly inflow shares. With shape_power >= 0 the month nearest the
+    peak has a base of at least 1, so the division is safe."""
     base = (1.0 + np.cos(2.0 * np.pi * (_MONTHS - peak_month) / 12.0)) ** shape_power
-    total = base.sum()
-    if total <= 0:
-        return np.full(12, 1.0 / 12.0)
-    return base / total
+    return base / base.sum()
 
 
 class SyntheticInflow:
@@ -192,10 +205,22 @@ class CsvInflow:
     def __init__(self, path: str):
         table = {}
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                y = int(row["year"])
-                m = int(row["month"])
-                table.setdefault(y, {})[m] = float(row["inflow"])
+            reader = csv.DictReader(fh)
+            missing = {"year", "month", "inflow"} - set(reader.fieldnames or ())
+            if missing:
+                raise ConfigurationError(
+                    f"inflow CSV {path} lacks columns {', '.join(sorted(missing))}")
+            for row in reader:
+                try:
+                    y, m, inflow = int(row["year"]), int(row["month"]), float(row["inflow"])
+                except (TypeError, ValueError) as err:
+                    raise ConfigurationError(
+                        f"inflow CSV {path} line {reader.line_num}: {err}") from err
+                if not math.isfinite(inflow):
+                    raise ConfigurationError(
+                        f"inflow CSV {path} line {reader.line_num}: inflow must be "
+                        f"finite, got {inflow}")
+                table.setdefault(y, {})[m] = inflow
         self.years = sorted(table)
         if not self.years:
             raise ConfigurationError(f"inflow CSV {path} holds no rows")
@@ -252,7 +277,6 @@ class RunArtifacts:
     fallback_events: int = 0
     clamp_events: int = 0
     as_models: list = field(default_factory=list)
-    gateway_calls: int = 0
 
 
 def _initial_state(config: RunConfig, inflow) -> WorldState:
@@ -282,108 +306,143 @@ def _household_view(config: RunConfig, h: HouseholdState) -> dict:
     }
 
 
-class _Runner:
-    def __init__(self, config: RunConfig):
+class _Procedural:
+    """The procedural pipeline and the base of the other four: its rule is
+    the LLM pipelines' fallback, and its hooks do nothing."""
+
+    as_models = ()
+
+    def __init__(self, config: RunConfig, state: WorldState):
         self.config = config
-        self.inflow = make_inflow(config)
-        self.prompts = load_prompts(config.prompts_dir)
-        self.gateway = None
-        if config.pipeline in LLM_PIPELINES:
-            gw_cfg = config.gateway
-            if gw_cfg.backend == "stub" and not gw_cfg.fixture_path:
-                gw_cfg = replace(gw_cfg, fixture_path=str(
-                    resources.files("rivercommons") / "fixtures" / "stub_default.json"))
-            self.gateway = Gateway(gw_cfg)
-        self.profile = BehaviourProfile(config.behaviour, self.prompts[config.behaviour])
-        self.as_models = []
-        self.fallbacks = 0
-        self.clamps = 0
 
-    def _fish_target(self, index: int) -> int:
-        return default_fish_target(index, self.config.n_households,
-                                   self.config.fish_target_base)
-
-    def _procedural_one(self, h: HouseholdState) -> Decision:
-        return procedural_decide(
-            h, h.last_node_inflow, self.config.ecology, self.config.subsistence,
-            self.config.max_fields, self._fish_target(h.index))
-
-    def decide(self, state: WorldState, authority: AuthorityState, year: int):
+    def rule(self, h: HouseholdState) -> Decision:
         cfg = self.config
-        if cfg.pipeline == "procedural":
-            return [self._procedural_one(h) for h in state.households]
-        if cfg.pipeline == "centralized":
-            allocation = centralized_allocate(
-                authority, cfg.ecology, cfg.n_households, cfg.max_fields)
-            return [Decision(a, self._fish_target(h.index))
-                    for a, h in zip(allocation, state.households)]
-        if cfg.pipeline == "expert-egta":
-            return expert_egta_decide(
-                state, cfg.tau, cfg.ecology, cfg.pair_stress_threshold,
-                cfg.max_fields, cfg.e_max, cfg.effort_cost, state.rng)
-        if cfg.pipeline == "naive-egta" and not self.as_models:
+        return procedural_decide(
+            h, h.last_node_inflow, cfg.ecology, cfg.subsistence, cfg.max_fields,
+            default_fish_target(h.index, cfg.n_households, cfg.fish_target_base))
+
+    def decide(self, state: WorldState, year: int):
+        """(one Decision per household, "fallback" and "clamp" events)."""
+        return [self.rule(h) for h in state.households], ()
+
+    def end_year(self, river: RiverYear, year_records: list):
+        pass
+
+    def close(self):
+        pass
+
+
+class _Centralized(_Procedural):
+    """The national authority allocates fields from its inflow history and
+    budget; fish targets follow the procedural rule."""
+
+    def __init__(self, config: RunConfig, state: WorldState):
+        super().__init__(config, state)
+        self.authority = AuthorityState(config.authority_budget, [state.river.annual_total],
+                                        config.authority_window)
+
+    def decide(self, state: WorldState, year: int):
+        cfg = self.config
+        allocation = centralized_allocate(
+            self.authority, cfg.ecology, cfg.n_households, cfg.max_fields)
+        return [Decision(a, default_fish_target(h.index, cfg.n_households, cfg.fish_target_base))
+                for a, h in zip(allocation, state.households)], ()
+
+    def end_year(self, river: RiverYear, year_records: list):
+        cfg = self.config
+        self.authority.inflow_history.append(river.annual_total)
+        crop = sum(r.crop_income for r in year_records)
+        irr_cost = cfg.ecology.c * sum(r.irrigated for r in year_records)
+        consumption = cfg.ecology.kappa * cfg.n_households
+        self.authority.budget += crop - irr_cost - consumption
+
+
+class _ExpertEgta(_Procedural):
+    def decide(self, state: WorldState, year: int):
+        cfg = self.config
+        return expert_egta_decide(
+            state, cfg.tau, cfg.ecology, cfg.pair_stress_threshold,
+            cfg.max_fields, cfg.e_max, cfg.effort_cost, state.rng), ()
+
+
+class _Generative(_Procedural):
+    """The generative pipeline and the base of the naive one: the gateway,
+    prompts and profile of the LLM pipelines, asked once per household."""
+
+    def __init__(self, config: RunConfig, state: WorldState):
+        super().__init__(config, state)
+        self.prompts = load_prompts(config.prompts_dir)
+        self.profile = BehaviourProfile(config.behaviour, self.prompts[config.behaviour])
+        gw_cfg = config.gateway
+        if gw_cfg.backend == "stub" and not gw_cfg.fixture_path:
+            gw_cfg = replace(gw_cfg, fixture_path=str(
+                resources.files("rivercommons") / "fixtures" / "stub_default.json"))
+        self.gateway = Gateway(gw_cfg)
+
+    def decide(self, state: WorldState, year: int):
+        decisions, events = [], []
+        for h in state.households:
+            tags = {"year": year, "household": h.index, "pipeline": self.config.pipeline}
+            decision, household_events = self.decide_one(
+                _household_view(self.config, h), lambda h=h: self.rule(h), tags)
+            decisions.append(decision)
+            events.extend(household_events)
+        return decisions, events
+
+    def decide_one(self, view: dict, fallback, tags: dict):
+        return generative_decide(view, self.profile, self.gateway, self.prompts["role"],
+                                 self.config.max_fields, self.config.e_max, fallback, tags)
+
+    def close(self):
+        self.gateway.close()
+
+
+class _NaiveEgta(_Generative):
+    def decide(self, state: WorldState, year: int):
+        if not self.as_models:
             # Step 1 of the naive pipeline: one extraction call at run start.
             request = ChatRequest(model=self.gateway.config.model,
                                   messages=(("user", self.prompts["as_extraction"]),))
             self.as_models = parse_llm_game(
                 self.gateway.complete(request, tags={"stage": "as_extraction"}))
+        return super().decide(state, year)
 
-        decisions = []
-        for h in state.households:
-            view = _household_view(cfg, h)
-            tags = {"year": year, "household": h.index, "pipeline": cfg.pipeline}
-            fallback = lambda h=h: self._procedural_one(h)
-            if cfg.pipeline == "generative":
-                decision, events = generative_decide(
-                    view, self.profile, self.gateway, self.prompts["role"],
-                    cfg.max_fields, cfg.e_max, fallback, tags)
-            else:
-                decision, events = naive_egta_decide(
-                    self.as_models, view, self.profile, self.gateway,
-                    self.prompts["as_action"], cfg.max_fields, cfg.e_max,
-                    cfg.low_action, fallback, tags)
-            self.fallbacks += events.count("fallback")
-            self.clamps += events.count("clamp")
-            decisions.append(decision)
-        return decisions
-
-    def run(self) -> RunArtifacts:
+    def decide_one(self, view: dict, fallback, tags: dict):
         cfg = self.config
-        state = _initial_state(cfg, self.inflow)
-        authority = AuthorityState(cfg.authority_budget,
-                                   [state.river.annual_total],
-                                   cfg.authority_window)
-        records = []
-        fish_series = []
-        try:
-            for year in range(1, cfg.horizon + 1):
-                river = self.inflow.year(year)
-                state = replace(state, river=river)
-                decisions = self.decide(state, authority, year)
-                state, year_records = advance_year(state, decisions, cfg.ecology)
-                records.extend(year_records)
-                fish_series.append(state.fish.adult_total)
-                authority.inflow_history.append(river.annual_total)
-                if cfg.pipeline == "centralized":
-                    crop = sum(r.crop_income for r in year_records)
-                    irr_cost = cfg.ecology.c * sum(r.irrigated for r in year_records)
-                    consumption = cfg.ecology.kappa * cfg.n_households
-                    authority.budget += crop - irr_cost - consumption
-        finally:
-            if self.gateway is not None:
-                self.gateway.close()
-        return RunArtifacts(
-            config=cfg, records=records, fish_series=fish_series,
-            fallback_events=self.fallbacks, clamp_events=self.clamps,
-            as_models=self.as_models,
-            gateway_calls=self.gateway.call_count if self.gateway else 0)
+        return naive_egta_decide(self.as_models, view, self.profile, self.gateway,
+                                 self.prompts["as_action"], cfg.max_fields, cfg.e_max,
+                                 cfg.low_action, fallback, tags)
+
+
+PIPELINE_TYPES = {"procedural": _Procedural, "generative": _Generative,
+                  "naive-egta": _NaiveEgta, "expert-egta": _ExpertEgta,
+                  "centralized": _Centralized}
 
 
 def run_simulation(config: RunConfig) -> RunArtifacts:
     """Run one complete simulation; identical config + seed gives identical
     artifacts (and byte-identical CSV output) for every pipeline when the
     gateway uses the stub backend."""
-    return _Runner(config).run()
+    inflow = make_inflow(config)
+    state = _initial_state(config, inflow)
+    pipeline = PIPELINE_TYPES[config.pipeline](config, state)
+    records, fish_series, fallbacks, clamps = [], [], 0, 0
+    try:
+        for year in range(1, config.horizon + 1):
+            river = inflow.year(year)
+            state = replace(state, river=river)
+            decisions, events = pipeline.decide(state, year)
+            state, year_records = advance_year(state, decisions, config.ecology)
+            pipeline.end_year(river, year_records)
+            records.extend(year_records)
+            fish_series.append(state.fish.adult_total)
+            fallbacks += events.count("fallback")
+            clamps += events.count("clamp")
+    finally:
+        pipeline.close()
+    return RunArtifacts(config=config, records=records, fish_series=fish_series,
+                        fallback_events=fallbacks, clamp_events=clamps,
+                        as_models=list(pipeline.as_models))
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +526,6 @@ def _write_rows(fh, rows, columns):
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(row.get(col, "")) for col in columns])
-
-
-def write_records_csv(records, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_rows(fh, (vars(r) for r in records), RECORD_COLUMNS)
 
 
 def write_summary_csv(rows, path):
@@ -583,7 +637,8 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str) -> dict:
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
         paths["records"] = os.path.join(out_dir, "records.csv")
-        write_records_csv(artifacts.records, paths["records"])
+        with open(paths["records"], "w", newline="", encoding="utf-8") as fh:
+            _write_rows(fh, (vars(r) for r in artifacts.records), RECORD_COLUMNS)
         cell = {name: getattr(artifacts.config, name) for name in GRID_FIELDS}
         paths["summary"] = os.path.join(out_dir, "summary.csv")
         write_summary_csv([_summary_row(cell, artifacts)], paths["summary"])

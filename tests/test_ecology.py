@@ -50,6 +50,13 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             RiverYear(np.zeros(12), irrigation_months=frozenset())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_river_year_rejects_non_finite_inflow(self, bad):
+        monthly = np.full(12, 50.0)
+        monthly[6] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            RiverYear(monthly)
+
     def test_ecology_params_validation(self):
         with pytest.raises(ConfigurationError):
             EcologyParams(ys=60.0)   # stressed yield above baseline

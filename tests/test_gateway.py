@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +220,15 @@ class TestExtractStructured:
 
     def test_malformed_fence_falls_through(self):
         assert extract_structured("```\nnot json\n```\nanswer: 5") == 5
+
+
+class TestShippedFixture:
+    def test_fixture_matches_its_generator(self):
+        """The shipped stub fixture is what tools/make_fixture.py builds, so
+        its extraction fingerprint matches the packaged extraction prompt."""
+        path = Path(__file__).resolve().parent.parent / "tools" / "make_fixture.py"
+        spec = importlib.util.spec_from_file_location("make_fixture", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        shipped = json.loads(module.FIXTURE.read_text(encoding="utf-8"))
+        assert module.build_entries() == shipped

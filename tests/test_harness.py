@@ -1,12 +1,15 @@
 import csv
 import json
+import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rivercommons import (ActivityClass, ConfigurationError, RunConfig,
+from rivercommons import (ActivityClass, ConfigurationError, Gateway,
+                          GatewayConfig, RunConfig, SchemaError,
                           SimulationError, calibrate_check, config_from_dict,
                           emit_outputs, load_config, run_simulation, summarize,
                           sweep)
@@ -62,6 +65,24 @@ class TestConfig:
     ])
     def test_wrongly_typed_value_rejected(self, data, key):
         with pytest.raises(ConfigurationError) as err:
+            config_from_dict(dict(data, pipeline="procedural"))
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("data,key", [
+        ({"tau": math.nan}, "tau"),
+        ({"subsistence": math.inf}, "subsistence"),
+        ({"authority_budget": -math.inf}, "authority_budget"),
+        ({"effort_cost": 10 ** 400}, "effort_cost"),
+        ({"ecology": {"w": math.nan}}, "w"),
+        ({"ecology": {"Q_ref": math.inf}}, "Q_ref"),
+        ({"inflow": {"mean_annual": math.nan}}, "mean_annual"),
+        ({"inflow": {"peak_month": math.inf}}, "peak_month"),
+        ({"gateway": {"timeout": math.nan}}, "timeout"),
+        ({"initial_fish": [math.nan] * 13}, "initial_fish"),
+        ({"initial_fish": [250.0] * 12 + [math.inf]}, "initial_fish"),
+    ])
+    def test_non_finite_value_rejected(self, data, key):
+        with pytest.raises(ConfigurationError, match="finite") as err:
             config_from_dict(dict(data, pipeline="procedural"))
         assert key in str(err.value)
 
@@ -130,6 +151,36 @@ class TestInflow:
         with pytest.raises(ConfigurationError):
             CsvInflow(str(path))
 
+    @staticmethod
+    def write_csv(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return str(path)
+
+    @pytest.mark.parametrize("header,cell", [
+        (["year", "month", "flow"], 5.0),            # no inflow column
+        (["year", "month", "inflow"], "lots"),       # non-numeric cell
+        (["year", "month", "inflow"], ""),           # empty cell
+        (["year", "month", "inflow"], "nan"),
+        (["year", "month", "inflow"], "inf"),
+        (["year", "month", "inflow"], None),         # short row
+    ])
+    def test_csv_unusable_input_names_the_file(self, tmp_path, header, cell):
+        rows = [[2001, month, 5.0] for month in range(1, 13)]
+        rows[3] = [2001, 4] if cell is None else [2001, 4, cell]
+        path = self.write_csv(tmp_path / "inflow.csv", header, rows)
+        with pytest.raises(ConfigurationError) as err:
+            CsvInflow(path)
+        assert path in str(err.value)
+
+    def test_seasonal_overflow_rejected_by_river_year(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            inflow = SyntheticInflow(InflowConfig(shape_power=1e6), seed=0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            inflow.year(1)
+
     def test_missing_csv_falls_back_to_synthetic(self, tmp_path):
         cfg = short_config(inflow=InflowConfig(
             source="csv", csv_path=str(tmp_path / "absent.csv")))
@@ -159,6 +210,53 @@ class TestRunSimulation:
     def test_naive_pipeline_extracts_two_models(self):
         art = run_simulation(short_config(pipeline="naive-egta", horizon=2))
         assert len(art.as_models) == 2
+
+    def test_centralized_allocation_matches_reference(self):
+        """Recompute every year's allocation from the inflow series and the
+        records: equal shares of min(moving-average water / w, authority
+        budget / c), capped at max_fields, with the budget carried forward
+        from crop income, irrigation cost and consumption."""
+        cfg = short_config(pipeline="centralized", horizon=40, authority_budget=200.0,
+                           authority_window=2, max_fields=7,
+                           inflow=InflowConfig(mean_annual=700.0, noise_sigma=0.3))
+        art = run_simulation(cfg)
+        inflow, p, n = make_inflow(cfg), cfg.ecology, cfg.n_households
+        history, budget, binding = [inflow.year(0).annual_total], cfg.authority_budget, set()
+        for year in range(1, cfg.horizon + 1):
+            rows = [r for r in art.records if r.year == year]
+            tail = history[-cfg.authority_window:]
+            caps = {"water": math.floor(sum(tail) / len(tail) / p.w) // n,
+                    "budget": math.floor(max(budget, 0.0) / p.c) // n,
+                    "max_fields": cfg.max_fields}
+            share = min(caps.values())
+            binding.update(k for k, v in caps.items() if v == share)
+            assert [r.planted for r in rows] == [share] * n, year
+            history.append(inflow.year(year).annual_total)
+            budget += (sum(r.crop_income for r in rows)
+                       - p.c * sum(r.irrigated for r in rows) - p.kappa * n)
+        assert binding == {"water", "budget", "max_fields"}
+
+    def test_naive_pipeline_extracts_once_first(self, tmp_path):
+        log = tmp_path / "requests.jsonl"
+        run_simulation(short_config(pipeline="naive-egta", horizon=3,
+                                    gateway=GatewayConfig(log_path=str(log))))
+        stages = [json.loads(line)["tags"].get("stage")
+                  for line in log.read_text().splitlines()]
+        assert len(stages) > 1
+        assert stages[0] == "as_extraction"
+        assert stages.count("as_extraction") == 1
+
+    def test_unparseable_extraction_raises_with_gateway_closed(self, tmp_path, monkeypatch):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps([{"response": "no structure here"}]))
+        closed = []
+        close = Gateway.close
+        monkeypatch.setattr(Gateway, "close", lambda gw: closed.append(gw) or close(gw))
+        cfg = short_config(pipeline="naive-egta", horizon=2, gateway=GatewayConfig(
+            fixture_path=str(fixture), log_path=str(tmp_path / "requests.jsonl")))
+        with pytest.raises(SchemaError):
+            run_simulation(cfg)
+        assert len(closed) == 1 and closed[0]._log_file is None
 
     def test_centralized_authority_budget_feeds_back(self):
         cfg = short_config(pipeline="centralized", horizon=3,
@@ -365,6 +463,29 @@ class TestCli:
         cfg = self.write_config(tmp_path, **overrides)
         assert main(["run", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"ecology": {"w": math.nan}}, "w"),
+        ({"inflow": {"mean_annual": math.nan}}, "mean_annual"),
+        ({"tau": math.nan}, "tau"),
+        ({"initial_fish": [math.inf] * 13}, "initial_fish"),
+    ])
+    def test_non_finite_config_exit_code(self, tmp_path, capsys, overrides, key):
+        cfg = self.write_config(tmp_path, **overrides)
+        text = Path(cfg).read_text()
+        assert "NaN" in text or "Infinity" in text
+        assert main(["run", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["year,month\n2001,1\n",
+                                         "year,month,inflow\n2001,1,NaN\n",
+                                         "year,month,inflow\n2001,1,x\n"])
+    def test_unusable_inflow_csv_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "inflow.csv"
+        path.write_text(content)
+        cfg = self.write_config(tmp_path, inflow={"source": "csv", "csv_path": str(path)})
+        assert main(["run", "--config", cfg]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -43,18 +43,25 @@ DECISION_POOL = [
 ]
 
 
-def main():
-    prompts = load_prompts()
+FIXTURE = (pathlib.Path(__file__).resolve().parents[1] / "src" / "rivercommons"
+           / "fixtures" / "stub_default.json")
+
+
+def build_entries() -> list:
+    """The fixture's entries: the extraction reply keyed by the fingerprint
+    of the packaged extraction prompt, then the unkeyed decision pool."""
     request = ChatRequest(model="stub-model",
-                          messages=(("user", prompts["as_extraction"]),))
-    fp = request_fingerprint(request)
-    entries = [{"fingerprint": fp,
+                          messages=(("user", load_prompts()["as_extraction"]),))
+    entries = [{"fingerprint": request_fingerprint(request),
                 "response": json.dumps(AS_EXTRACTION_RESPONSE)}]
     entries.extend({"response": json.dumps(item)} for item in DECISION_POOL)
-    out = (pathlib.Path(__file__).resolve().parents[1] / "src" / "rivercommons"
-           / "fixtures" / "stub_default.json")
-    out.write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out} (extraction fingerprint {fp})")
+    return entries
+
+
+def main():
+    entries = build_entries()
+    FIXTURE.write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {FIXTURE} (extraction fingerprint {entries[0]['fingerprint']})")
 
 
 if __name__ == "__main__":
