@@ -5,12 +5,13 @@ the annual budget update that ties them together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 
 N_FISH_CLASSES = 13
 LARVA = 0
@@ -120,6 +121,7 @@ class EcologyParams:
     stress_recovery: float = 0.25  # per-year stress decay
 
     def __post_init__(self):
+        check_finite(self)
         if self.w <= 0 or self.c <= 0 or self.y0 <= 0:
             raise ConfigurationError("w, c and y0 must be positive")
         if not 0 < self.ys < self.y0:
@@ -143,8 +145,9 @@ class RoutedWater:
     node_inflow: tuple          # annual volume arriving at each node (before own withdrawal)
 
 
-@dataclass(frozen=True)
-class YearRecord:
+class YearRecord(NamedTuple):
+    """One household's outcome in one year: one row of records.csv."""
+
     year: int
     household: int
     planted: int
@@ -193,22 +196,22 @@ def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> Rout
     if any(f < 0 for f in planted_fields):
         raise ConfigurationError("planted field counts must be non-negative")
     n = len(planted_fields)
-    n_irr = len(river.irrigation_months)
+    irrigation_months = river.irrigation_months
+    n_irr = len(irrigation_months)
     monthly_demand = [params.w * f / n_irr for f in planted_fields]
     delivered = [0.0] * n
     node_inflow = [0.0] * n
-    lake = np.zeros(12)
-    for month in range(1, 13):
-        flow = float(river.monthly_inflow[month - 1])
-        irrigating = month in river.irrigation_months
+    lake = []
+    for month, flow in enumerate(river.monthly_inflow.tolist(), start=1):
+        irrigating = month in irrigation_months
         for i in range(n):
             node_inflow[i] += flow
             if irrigating and monthly_demand[i] > 0:
                 take = min(monthly_demand[i], flow)
                 delivered[i] += take
                 flow -= take
-        lake[month - 1] = flow
-    return RoutedWater(tuple(delivered), lake, tuple(node_inflow))
+        lake.append(flow)
+    return RoutedWater(tuple(delivered), np.array(lake), tuple(node_inflow))
 
 
 def _irrigated_count(planted: int, delivered: float, w: float) -> int:
@@ -250,24 +253,28 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     lake = np.asarray(lake_inflow_by_month, dtype=float)
     classes = pop.classes.copy()
     catches = [0.0] * len(harvest_targets)
+    # The adult stock, summed in numpy (its pairwise sum fixes the rounding)
+    # and summed again only after a harvest has changed the classes. After
+    # the loop it is the post-harvest stock that spawns the larvae.
+    remaining = float(classes[ADULT].sum())
     for i in household_order:
-        remaining = classes[ADULT].sum()
         take = min(float(harvest_targets[i]), remaining)
         catches[i] = take
         if take > 0:
             classes[ADULT] *= 1.0 - take / remaining
-    post_harvest_adults = classes[ADULT].sum()
+            remaining = float(classes[ADULT].sum())
 
-    new = np.zeros(N_FISH_CLASSES)
+    old = classes.tolist()
+    new = [0.0] * N_FISH_CLASSES
     for k in range(0, 5):  # larvae and juveniles: density-dependent
-        a = classes[k]
+        a = old[k]
         new[k + 1] = params.sigma_larva * a / (1.0 + a / params.K_juv)
     for k in range(5, 12):  # adults: constant survival, class 12 exits
-        new[k + 1] = params.sigma_adult * classes[k]
+        new[k + 1] = params.sigma_adult * old[k]
 
     annual_lake = float(lake.sum())
     scale = min(1.0, annual_lake / params.Q_ref)
-    new[LARVA] = params.fecundity * post_harvest_adults * scale
+    new[LARVA] = params.fecundity * remaining * scale
     if lake[may_index - 1] >= params.Q_min:
         new[LARVA] += params.M_mig
     return FishPopulation(np.maximum(new, 0.0)), tuple(catches)
@@ -308,21 +315,21 @@ def advance_year(state: WorldState, decisions, params: EcologyParams):
     year = state.year + 1
     new_households = []
     records = []
-    for i, h in enumerate(state.households):
+    for h, p, delivered, node_inflow, catch in zip(
+            state.households, planted, routed.delivered, routed.node_inflow, catches):
         income, stress_out, irr = crop_outcome(
-            planted[i], routed.delivered[i], h.stress, total_irrigated, params)
-        fish_income = params.fish_price * catches[i]
+            p, delivered, h.stress, total_irrigated, params)
+        fish_income = params.fish_price * catch
         budget = h.budget + income + fish_income - params.c * irr - params.kappa
-        new_households.append(replace(
-            h, budget=budget, stress=stress_out, last_yield_income=income,
-            last_fields=planted[i], last_catch=catches[i],
-            last_node_inflow=routed.node_inflow[i]))
+        new_households.append(HouseholdState(
+            index=h.index, budget=budget, stress=stress_out, last_yield_income=income,
+            last_fields=p, last_catch=catch, last_node_inflow=node_inflow))
         records.append(YearRecord(
-            year=year, household=h.index, planted=planted[i], irrigated=irr,
-            delivered=routed.delivered[i], node_inflow=routed.node_inflow[i],
-            stress=stress_out, crop_income=income, catch=catches[i],
-            fish_income=fish_income, budget=budget,
-            activity=classify_activity(irr, catches[i])))
+            year=year, household=h.index, planted=p, irrigated=irr,
+            delivered=delivered, node_inflow=node_inflow, stress=stress_out,
+            crop_income=income, catch=catch, fish_income=fish_income, budget=budget,
+            activity=classify_activity(irr, catch)))
 
-    state2 = replace(state, households=tuple(new_households), fish=fish2, year=year)
+    state2 = WorldState(households=tuple(new_households), fish=fish2,
+                        river=state.river, rng=state.rng, year=year)
     return state2, records

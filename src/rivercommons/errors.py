@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the finiteness rule
+every config section applies to its float fields."""
+
+import dataclasses
+import math
 
 
 class RiverCommonsError(Exception):
@@ -47,3 +51,20 @@ class SimulationError(RiverCommonsError):
                (("year", year), ("household", household), ("pair", pair))
                if v is not None]
         super().__init__(message + (f" [{', '.join(ctx)}]" if ctx else ""))
+
+
+def _finite(value) -> bool:
+    """False for NaN, ±inf and an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def check_finite(instance):
+    """Raise ConfigurationError naming the first float field of a dataclass
+    instance that holds NaN, ±inf or an integer too large for a float."""
+    for f in dataclasses.fields(instance):
+        value = getattr(instance, f.name)
+        if f.type in (float, "float") and not _finite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value!r}")

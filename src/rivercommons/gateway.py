@@ -11,7 +11,8 @@ import re
 import time
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, SchemaError, TemplateError, TransportError
+from .errors import (ConfigurationError, SchemaError, TemplateError, TransportError,
+                     check_finite)
 
 ENV_ENDPOINT = "RIVERCOMMONS_ENDPOINT"
 ENV_API_KEY = "RIVERCOMMONS_API_KEY"
@@ -48,6 +49,7 @@ class GatewayConfig:
     log_path: str = None
 
     def __post_init__(self):
+        check_finite(self)
         if self.backend not in ("stub", "http"):
             raise ConfigurationError(f"unknown gateway backend: {self.backend!r}")
         if self.max_retries < 0:

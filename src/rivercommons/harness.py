@@ -20,9 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .ecology import (ActivityClass, Decision, EcologyParams, FishPopulation,
-                      HouseholdState, RiverYear, WorldState, advance_year)
+                      HouseholdState, RiverYear, WorldState, YearRecord,
+                      advance_year)
 from .equilibrium import BimatrixGame, enumerate_pure_ne, lemke_howson
-from .errors import ConfigurationError, RiverCommonsError, SimulationError
+from .errors import (ConfigurationError, RiverCommonsError, SimulationError,
+                     _finite, check_finite)
 from .games import parse_llm_game
 from .gateway import ChatRequest, Gateway, GatewayConfig
 from .policies import (AuthorityState, BehaviourProfile, centralized_allocate,
@@ -49,6 +51,7 @@ class InflowConfig:
     shape_power: float = 2.0         # sharpness of the seasonal profile
 
     def __post_init__(self):
+        check_finite(self)
         if self.source not in ("synthetic", "csv"):
             raise ConfigurationError(f"unknown inflow source: {self.source!r}")
         if self.mean_annual < 0 or self.noise_sigma < 0 or self.shape_power < 0:
@@ -80,6 +83,7 @@ class RunConfig:
     prompts_dir: str = None
 
     def __post_init__(self):
+        check_finite(self)
         if self.pipeline not in PIPELINES:
             raise ConfigurationError(
                 f"unknown pipeline {self.pipeline!r}; valid: {', '.join(PIPELINES)}")
@@ -115,17 +119,7 @@ def _build_section(cls, data, name):
         kind, label = _FIELD_KINDS[hints[key]]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigurationError(f"{name} key {key!r} must be {label}, got {value!r}")
-        if kind is numbers.Real and not _finite(value):
-            raise ConfigurationError(f"{name} key {key!r} must be finite, got {value!r}")
     return cls(**data)
-
-
-def _finite(value) -> bool:
-    """False for NaN, ±inf and an integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -430,7 +424,8 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
     try:
         for year in range(1, config.horizon + 1):
             river = inflow.year(year)
-            state = replace(state, river=river)
+            state = WorldState(households=state.households, fish=state.fish,
+                               river=river, rng=state.rng, year=state.year)
             decisions, events = pipeline.decide(state, year)
             state, year_records = advance_year(state, decisions, config.ecology)
             pipeline.end_year(river, year_records)
@@ -515,9 +510,15 @@ def _fmt(value):
     return str(value)
 
 
-RECORD_COLUMNS = ("year", "household", "planted", "irrigated", "delivered",
-                  "node_inflow", "stress", "crop_income", "catch",
-                  "fish_income", "budget", "activity")
+RECORD_COLUMNS = YearRecord._fields
+
+
+def _record_cells(r: YearRecord) -> tuple:
+    """One records.csv row: the int columns as they are, repr of each float
+    and the activity's value."""
+    return (r.year, r.household, r.planted, r.irrigated, repr(r.delivered),
+            repr(r.node_inflow), repr(r.stress), repr(r.crop_income), repr(r.catch),
+            repr(r.fish_income), repr(r.budget), r.activity.value)
 
 
 def _write_rows(fh, rows, columns):
@@ -577,10 +578,11 @@ def budgets_svg(records) -> str:
     n = len(by_household)
     for idx, (household, points) in enumerate(sorted(by_household.items())):
         hue = int(210 * idx / max(n - 1, 1))
-        pts = " ".join(f"{sx(y):.1f},{sy(b):.1f}" for y, b in sorted(points))
+        points.sort()
+        pts = " ".join(f"{sx(y):.1f},{sy(b):.1f}" for y, b in points)
         parts.append(f'<polyline fill="none" stroke="hsl({hue},70%,45%)" '
                      f'stroke-width="1.5" points="{pts}"/>')
-        parts.append(f'<text x="{x1 + 4}" y="{sy(sorted(points)[-1][1]):.1f}" '
+        parts.append(f'<text x="{x1 + 4}" y="{sy(points[-1][1]):.1f}" '
                      f'font-size="9">{household}</text>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
@@ -638,7 +640,9 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str) -> dict:
         paths = {}
         paths["records"] = os.path.join(out_dir, "records.csv")
         with open(paths["records"], "w", newline="", encoding="utf-8") as fh:
-            _write_rows(fh, (vars(r) for r in artifacts.records), RECORD_COLUMNS)
+            writer = csv.writer(fh)
+            writer.writerow(RECORD_COLUMNS)
+            writer.writerows(map(_record_cells, artifacts.records))
         cell = {name: getattr(artifacts.config, name) for name in GRID_FIELDS}
         paths["summary"] = os.path.join(out_dir, "summary.csv")
         write_summary_csv([_summary_row(cell, artifacts)], paths["summary"])

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 from .ecology import Decision, EcologyParams, HouseholdState, WorldState
 from .equilibrium import solve_symmetric_cpr
-from .errors import ConfigurationError, SchemaError, SimulationError, TransportError
+from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
+                     SimulationError, TransportError)
 from .games import (ASKind, CprGame, IrrigationGameSpec, build_cpr_fishing_game,
                     solve_irrigation_game)
 from .gateway import ChatRequest, Gateway, extract_structured, render_prompt
@@ -133,7 +134,7 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
             F_u=fish_income, F_d=fish_income, max_fields=max_fields)
         try:
             pair_strategies.append(solve_irrigation_game(spec))
-        except Exception as err:
+        except RiverCommonsError as err:
             raise SimulationError(f"irrigation game solve failed: {err}",
                                   year=state.year + 1, pair=i + 1) from err
 

@@ -1,24 +1,36 @@
-"""Each vectorized, tabulated or integer solver path pinned to a slow reference.
+"""Each vectorized, tabulated or integer solver path, the year-step kernels
+and the output writers pinned to a slow reference.
 
-The references are the original per-cell and per-step loops and the original
-Fraction-arithmetic Lemke-Howson, kept here so that any change to the fast
-paths must reproduce them exactly.
+The references are the original per-cell and per-step loops, the original
+Fraction-arithmetic Lemke-Howson, the numpy-scalar river routing and fishery
+step, and the per-cell records.csv and budget-chart writers, kept here so that
+any change to the fast paths must reproduce them exactly.
 """
+import csv
+import io
 import math
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rivercommons import (BimatrixGame, CprSolution, EcologyParams,
-                          InvalidGameError, IrrigationGameSpec, MixedProfile,
-                          build_cpr_fishing_game, build_irrigation_game,
+from rivercommons import (ActivityClass, BimatrixGame, CprSolution,
+                          EcologyParams, FishPopulation, InvalidGameError,
+                          IrrigationGameSpec, MixedProfile, RiverYear,
+                          YearRecord, build_cpr_fishing_game,
+                          build_irrigation_game, emit_outputs,
                           enumerate_pure_ne, irrigated_fields, is_epsilon_ne,
-                          lemke_howson, pair_payoffs, select_equilibrium,
-                          solve_irrigation_game, solve_symmetric_cpr)
+                          lemke_howson, pair_payoffs, route_river,
+                          select_equilibrium, solve_irrigation_game,
+                          solve_symmetric_cpr, step_fish)
+from rivercommons.ecology import ADULT, LARVA, N_FISH_CLASSES
+from rivercommons.harness import _SVG_H, _SVG_PAD, _SVG_W, RunArtifacts, _svg_header
+from conftest import short_config
 
 
 # -- irrigation payoff table ---------------------------------------------------
@@ -377,3 +389,201 @@ class TestSymmetricCpr:
         game = build_cpr_fishing_game(stock, EcologyParams(), 9, 5)
         assert (solve_symmetric_cpr(game.payoff, 9, 5)
                 == reference_solve_symmetric_cpr(game.payoff, 9, 5))
+
+
+# -- river routing and the fishery step ------------------------------------------
+
+def reference_route_river(river, planted_fields, params):
+    n = len(planted_fields)
+    n_irr = len(river.irrigation_months)
+    monthly_demand = [params.w * f / n_irr for f in planted_fields]
+    delivered = [0.0] * n
+    node_inflow = [0.0] * n
+    lake = np.zeros(12)
+    for month in range(1, 13):
+        flow = float(river.monthly_inflow[month - 1])
+        irrigating = month in river.irrigation_months
+        for i in range(n):
+            node_inflow[i] += flow
+            if irrigating and monthly_demand[i] > 0:
+                take = min(monthly_demand[i], flow)
+                delivered[i] += take
+                flow -= take
+        lake[month - 1] = flow
+    return tuple(delivered), lake, tuple(node_inflow)
+
+
+def reference_step_fish(pop, lake_inflow_by_month, harvest_targets, household_order,
+                        params, may_index=5):
+    lake = np.asarray(lake_inflow_by_month, dtype=float)
+    classes = pop.classes.copy()
+    catches = [0.0] * len(harvest_targets)
+    for i in household_order:
+        remaining = classes[ADULT].sum()
+        take = min(float(harvest_targets[i]), remaining)
+        catches[i] = take
+        if take > 0:
+            classes[ADULT] *= 1.0 - take / remaining
+    post_harvest_adults = classes[ADULT].sum()
+
+    new = np.zeros(N_FISH_CLASSES)
+    for k in range(0, 5):
+        a = classes[k]
+        new[k + 1] = params.sigma_larva * a / (1.0 + a / params.K_juv)
+    for k in range(5, 12):
+        new[k + 1] = params.sigma_adult * classes[k]
+
+    annual_lake = float(lake.sum())
+    scale = min(1.0, annual_lake / params.Q_ref)
+    new[LARVA] = params.fecundity * post_harvest_adults * scale
+    if lake[may_index - 1] >= params.Q_min:
+        new[LARVA] += params.M_mig
+    return np.maximum(new, 0.0), tuple(catches)
+
+
+# Zeros, whole numbers and arbitrary floats, so empty months and exact
+# withdrawals occur as well as rounding.
+_volumes = st.one_of(st.just(0.0), st.integers(0, 400).map(float), _floats(0.0, 1e4))
+
+
+@st.composite
+def routing_cases(draw):
+    monthly = draw(st.lists(_volumes, min_size=12, max_size=12))
+    months = draw(st.frozensets(st.integers(1, 12), min_size=1))
+    planted = draw(st.lists(st.integers(0, 15), min_size=1, max_size=12))
+    w = draw(st.one_of(st.just(10.0), _floats(0.1, 50.0)))
+    return RiverYear(np.array(monthly), irrigation_months=months), planted, \
+        EcologyParams(w=w)
+
+
+@st.composite
+def fishery_cases(draw):
+    # Small stocks next to large targets make the adult stock cap the harvest.
+    scale = draw(st.sampled_from([0.0, 1.0, 30.0, 1e4]))
+    classes = draw(st.lists(st.one_of(st.just(0.0), _floats(0.0, 1.0).map(lambda v: v * scale)),
+                            min_size=N_FISH_CLASSES, max_size=N_FISH_CLASSES))
+    n = draw(st.integers(1, 9))
+    targets = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    lake = draw(st.lists(_volumes, min_size=12, max_size=12))
+    params = EcologyParams(K_juv=draw(st.one_of(st.just(10000.0), _floats(1.0, 1e5))),
+                           Q_min=draw(st.one_of(st.just(40.0), _floats(0.0, 500.0))))
+    return (FishPopulation(np.array(classes)), np.array(lake), targets,
+            list(range(n - 1, -1, -1)), params, draw(st.integers(1, 12)))
+
+
+class TestYearStep:
+    @settings(max_examples=200, deadline=None)
+    @given(routing_cases())
+    def test_route_river_equals_reference(self, case):
+        river, planted, params = case
+        routed = route_river(river, planted, params)
+        delivered, lake, node_inflow = reference_route_river(river, planted, params)
+        assert routed.delivered == delivered and routed.node_inflow == node_inflow
+        assert routed.lake_inflow_by_month.tobytes() == lake.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(fishery_cases())
+    def test_step_fish_equals_reference(self, case):
+        pop, lake, targets, order, params, may_index = case
+        fish, catches = step_fish(pop, lake, targets, order, params, may_index=may_index)
+        classes, ref_catches = reference_step_fish(pop, lake, targets, order, params,
+                                                   may_index=may_index)
+        assert fish.classes.tobytes() == classes.tobytes()
+        assert catches == ref_catches
+        assert {type(c) for c in catches} == {float}
+
+    def test_capped_harvest_returns_python_floats(self):
+        # The adult stock caps the second household's target.
+        classes = np.zeros(N_FISH_CLASSES)
+        classes[5:] = 1.25
+        pop, lake = FishPopulation(classes), np.full(12, 50.0)
+        fish, catches = step_fish(pop, lake, [7, 5], [1, 0], EcologyParams())
+        ref_classes, ref_catches = reference_step_fish(pop, lake, [7, 5], [1, 0],
+                                                       EcologyParams())
+        assert catches == ref_catches == (5.0, 5.0)
+        assert type(ref_catches[0]) is not float and type(catches[0]) is float
+        assert fish.classes.tobytes() == ref_classes.tobytes()
+
+
+# -- records.csv and the budget chart ---------------------------------------------
+
+def _reference_fmt(value):
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, ActivityClass):
+        return value.value
+    return str(value)
+
+
+def reference_records_csv(records):
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(YearRecord._fields)
+    for r in records:
+        row = r._asdict()
+        writer.writerow([_reference_fmt(row[col]) for col in YearRecord._fields])
+    return fh.getvalue()
+
+
+def reference_budgets_svg(records):
+    by_household = {}
+    for r in records:
+        by_household.setdefault(r.household, []).append((r.year, r.budget))
+    years = sorted({r.year for r in records})
+    budgets = [r.budget for r in records]
+    lo, hi = min(budgets + [0.0]), max(budgets + [0.0])
+    span = (hi - lo) or 1.0
+    x0, x1 = _SVG_PAD, _SVG_W - _SVG_PAD
+    y0, y1 = _SVG_H - _SVG_PAD, _SVG_PAD
+    xmax = max(years) or 1
+
+    def sx(year):
+        return x0 + (x1 - x0) * (year - years[0]) / max(xmax - years[0], 1)
+
+    def sy(v):
+        return y0 - (y0 - y1) * (v - lo) / span
+
+    parts = _svg_header("household budgets over time")
+    zero_y = sy(0.0)
+    parts.append(f'<line x1="{x0}" y1="{zero_y:.1f}" x2="{x1}" y2="{zero_y:.1f}" '
+                 'stroke="#cccccc" stroke-dasharray="4 3"/>')
+    n = len(by_household)
+    for idx, (household, points) in enumerate(sorted(by_household.items())):
+        hue = int(210 * idx / max(n - 1, 1))
+        pts = " ".join(f"{sx(y):.1f},{sy(b):.1f}" for y, b in sorted(points))
+        parts.append(f'<polyline fill="none" stroke="hsl({hue},70%,45%)" '
+                     f'stroke-width="1.5" points="{pts}"/>')
+        parts.append(f'<text x="{x1 + 4}" y="{sy(sorted(points)[-1][1]):.1f}" '
+                     f'font-size="9">{household}</text>')
+    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
+    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
+    parts.append(f'<text x="{x0}" y="{_SVG_H - 8}" font-size="10">year</text>')
+    parts.append(f'<text x="4" y="{y1}" font-size="10">budget</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+_amounts = st.one_of(st.just(0.0), st.just(-0.0), st.integers(-500, 500).map(float),
+                     _floats(-1e6, 1e6), _floats(-1e-300, 1e-300))
+
+
+_counts = st.integers(0, 12)
+record_lists = st.lists(st.builds(
+    YearRecord, st.integers(1, 6), st.integers(1, 5), _counts, _counts, _amounts, _amounts,
+    _amounts, _amounts, _amounts, _amounts, _amounts, st.sampled_from(list(ActivityClass))),
+    min_size=1, max_size=20)
+
+
+class TestOutputWriters:
+    @settings(max_examples=150, deadline=None)
+    @given(record_lists)
+    @example([YearRecord(1, 1, 3, 2, 0.1 + 0.2, 1e-310, -0.0, 1e22, 5e-324, 0.0,
+                         -123.456, ActivityClass.BOTH)])
+    def test_records_csv_and_budget_chart_equal_reference(self, records):
+        artifacts = RunArtifacts(config=short_config(), records=records, fish_series=[])
+        with tempfile.TemporaryDirectory() as out:
+            paths = emit_outputs(artifacts, out)
+            assert Path(paths["records"]).read_bytes() \
+                == reference_records_csv(records).encode("utf-8")
+            assert Path(paths["budgets"]).read_text(encoding="utf-8") \
+                == reference_budgets_svg(records)

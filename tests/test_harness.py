@@ -2,17 +2,18 @@ import csv
 import json
 import math
 import os
+import typing
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rivercommons import (ActivityClass, ConfigurationError, Gateway,
-                          GatewayConfig, RunConfig, SchemaError,
-                          SimulationError, calibrate_check, config_from_dict,
-                          emit_outputs, load_config, run_simulation, summarize,
-                          sweep)
+from rivercommons import (ActivityClass, ConfigurationError, EcologyParams,
+                          Gateway, GatewayConfig, RunConfig, SchemaError,
+                          SimulationError, advance_year, calibrate_check,
+                          config_from_dict, emit_outputs, load_config,
+                          run_simulation, summarize, sweep)
 from rivercommons.harness import (CsvInflow, InflowConfig, RunArtifacts,
                                   SyntheticInflow, load_prompts, main,
                                   make_inflow, seasonal_weights)
@@ -85,6 +86,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="finite") as err:
             config_from_dict(dict(data, pipeline="procedural"))
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("cls,kwargs", [
+        (RunConfig, {"subsistence": math.nan}),
+        (RunConfig, {"pipeline": "centralized", "authority_budget": math.nan}),
+        (RunConfig, {"tau": math.inf}),
+        (RunConfig, {"effort_cost": 10 ** 400}),
+        (EcologyParams, {"kappa": math.nan}),
+        (EcologyParams, {"fish_price": -math.inf}),
+        (InflowConfig, {"noise_sigma": math.inf}),
+        (InflowConfig, {"peak_month": math.nan}),
+        (GatewayConfig, {"backoff_base": math.nan}),
+    ])
+    def test_python_built_non_finite_rejected(self, cls, kwargs):
+        with pytest.raises(ConfigurationError, match="finite") as err:
+            cls(**kwargs)
+        assert list(kwargs)[-1] in str(err.value)
 
     def test_value_types_accepted(self):
         cfg = config_from_dict({"pipeline": "procedural", "tau": 1, "horizon": 5,
@@ -257,6 +274,29 @@ class TestRunSimulation:
         with pytest.raises(SchemaError):
             run_simulation(cfg)
         assert len(closed) == 1 and closed[0]._log_file is None
+
+    @pytest.mark.parametrize("pipeline", ["procedural", "centralized"])
+    def test_record_and_budget_floats_are_python_floats(self, monkeypatch, pipeline):
+        # At seed 1 the adult stock caps a harvest in both pipelines, the case
+        # where a catch used to come back as a numpy scalar.
+        budgets, capped = [], []
+
+        def recording_advance_year(state, decisions, params):
+            state2, records = advance_year(state, decisions, params)
+            budgets.extend(h.budget for h in state2.households)
+            capped.append(sum(r.catch for r in records)
+                          < sum(d.fish_target for d in decisions))
+            return state2, records
+
+        monkeypatch.setattr("rivercommons.harness.advance_year", recording_advance_year)
+        art = run_simulation(RunConfig(pipeline=pipeline, seed=1))
+        assert any(capped)
+        float_fields = [name for name, kind in typing.get_type_hints(YearRecord).items()
+                        if kind is float]
+        assert len(float_fields) == 7
+        assert {type(getattr(r, name)) for r in art.records for name in float_fields} \
+            == {float}
+        assert {type(b) for b in budgets} == {float}
 
     def test_centralized_authority_budget_feeds_back(self):
         cfg = short_config(pipeline="centralized", horizon=3,

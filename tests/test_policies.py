@@ -5,16 +5,17 @@ import pytest
 
 from rivercommons import (AuthorityState, BehaviourProfile, ConfigurationError,
                           Decision, EcologyParams, FishPopulation, Gateway,
-                          GatewayConfig, HouseholdState, RiverYear, WorldState,
+                          GatewayConfig, HouseholdState, InvalidGameError,
+                          RiverYear, SimulationError, WorldState,
                           build_irrigation_game, centralized_allocate,
                           enumerate_pure_ne, expert_egta_decide,
                           generative_decide, is_epsilon_ne,
                           moving_average_predict, naive_egta_decide,
-                          parse_llm_game, procedural_decide)
+                          parse_llm_game, procedural_decide, sweep)
 from rivercommons.equilibrium import MixedProfile
 from rivercommons.ecology import N_FISH_CLASSES
 from rivercommons.policies import default_fish_target, map_abstract_action
-from conftest import g1_spec
+from conftest import g1_spec, short_config
 
 
 def household(index=1, budget=1000.0, last_yield=100.0, last_fields=0,
@@ -170,6 +171,28 @@ class TestExpertEgtaDecide:
         world = make_world(n=1)
         with pytest.raises(ConfigurationError):
             expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, world.rng)
+
+    def test_game_error_becomes_simulation_error(self, monkeypatch, params):
+        def invalid(spec):
+            raise InvalidGameError("payoffs must be finite")
+
+        monkeypatch.setattr("rivercommons.policies.solve_irrigation_game", invalid)
+        world = make_world(n=3)
+        with pytest.raises(SimulationError) as err:
+            expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, world.rng)
+        assert (err.value.year, err.value.pair) == (1, 1)
+        assert isinstance(err.value.__cause__, InvalidGameError)
+        rows = sweep(short_config(pipeline="expert-egta", horizon=2))
+        assert rows[0]["error"].startswith(
+            "SimulationError: irrigation game solve failed: payoffs must be finite")
+
+    def test_programming_error_propagates_out_of_sweep(self, monkeypatch):
+        def broken(spec):
+            raise TypeError("ordinary bug")
+
+        monkeypatch.setattr("rivercommons.policies.solve_irrigation_game", broken)
+        with pytest.raises(TypeError, match="ordinary bug"):
+            sweep(short_config(pipeline="expert-egta", horizon=2))
 
 
 def stub_gateway(tmp_path, responses, max_retries=2):
