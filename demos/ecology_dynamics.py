@@ -9,7 +9,7 @@ import numpy as np
 from rivercommons import (Decision, EcologyParams, FishPopulation,
                           HouseholdState, RiverYear, WorldState, advance_year)
 from rivercommons.ecology import N_FISH_CLASSES
-from rivercommons.harness import DEFAULT_INITIAL_FISH
+from rivercommons.config import DEFAULT_INITIAL_FISH
 
 params = EcologyParams()
 n = 5

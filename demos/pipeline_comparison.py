@@ -6,7 +6,7 @@ LLM-backed pipelines run against the deterministic stub fixture, so this
 script needs no network access.
 """
 from rivercommons import RunConfig, run_simulation, summarize
-from rivercommons.harness import PIPELINES
+from rivercommons.config import PIPELINES
 
 TAU = 0.25
 SEED = 42

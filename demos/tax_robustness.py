@@ -8,7 +8,7 @@ import os
 
 from rivercommons import (RunConfig, calibrate_check, emit_outputs,
                           run_simulation, sweep)
-from rivercommons.harness import write_summary_csv
+from rivercommons.outputs import write_summary_csv
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output")
 

@@ -6,6 +6,7 @@ ecological model; the expert pipeline builds pairwise irrigation games and a
 common pool resource fishing game each year and plays their Nash equilibria.
 """
 
+from .config import RunConfig, config_from_dict, load_config
 from .ecology import (ActivityClass, Decision, EcologyParams, FishPopulation,
                       HouseholdState, RiverYear, WorldState, YearRecord,
                       advance_year, classify_activity, crop_outcome,
@@ -22,9 +23,8 @@ from .games import (ActionSituationModel, ASKind, IrrigationGameSpec,
                     solve_irrigation_game)
 from .gateway import (ChatRequest, Gateway, GatewayConfig, extract_structured,
                       render_prompt, request_fingerprint)
-from .harness import (RunArtifacts, RunConfig, calibrate_check,
-                      config_from_dict, emit_outputs, load_config,
-                      run_simulation, summarize, sweep)
+from .harness import RunArtifacts, calibrate_check, run_simulation, sweep
+from .outputs import emit_outputs, summarize
 from .policies import (AuthorityState, BehaviourProfile, centralized_allocate,
                        expert_egta_decide, generative_decide,
                        moving_average_predict, naive_egta_decide,

@@ -34,7 +34,6 @@ class HouseholdState:
     stress: float = 0.0
     last_yield_income: float = 0.0
     last_fields: int = 0
-    last_catch: float = 0.0
     last_node_inflow: float = 0.0  # annual flow that reached this node last year
 
     def __post_init__(self):
@@ -42,8 +41,8 @@ class HouseholdState:
             raise ConfigurationError(f"household index must be >= 1, got {self.index}")
         if not 0.0 <= self.stress <= 1.0:
             raise ConfigurationError(f"stress must lie in [0, 1], got {self.stress}")
-        if self.last_fields < 0 or self.last_catch < 0:
-            raise ConfigurationError("last_fields and last_catch must be non-negative")
+        if self.last_fields < 0:
+            raise ConfigurationError("last_fields must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -221,21 +220,21 @@ def _irrigated_count(planted: int, delivered: float, w: float) -> int:
     return min(planted, int(math.floor(delivered / w + 1e-9)))
 
 
-def crop_outcome(planted: int, delivered: float, stress_in: float,
+def crop_outcome(planted: int, delivered: float, irrigated: int, stress_in: float,
                  total_irrigated_in_reach: int, params: EcologyParams):
-    """Annual crop income and stress update for one household.
+    """Annual crop income and stress update for one household that could
+    irrigate `irrigated` of its `planted` fields.
 
-    Returns (income, stress_out, irrigated). Stress accumulates with the
-    water deficit and decays by `stress_recovery` per year.
+    Returns (income, stress_out). Stress accumulates with the water deficit
+    and decays by `stress_recovery` per year.
     """
     if planted < 0 or delivered < 0:
         raise ConfigurationError("planted and delivered must be non-negative")
-    irrigated = _irrigated_count(planted, delivered, params.w)
     per_field = params.y0 if total_irrigated_in_reach <= params.S else params.ys
     deficit = 0.0 if planted == 0 else max(0.0, 1.0 - delivered / (params.w * planted))
     stress_out = min(1.0, max(0.0, stress_in + deficit - params.stress_recovery))
     income = irrigated * per_field * (1.0 - stress_out)
-    return income, stress_out, irrigated
+    return income, stress_out
 
 
 def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
@@ -315,15 +314,16 @@ def advance_year(state: WorldState, decisions, params: EcologyParams):
     year = state.year + 1
     new_households = []
     records = []
-    for h, p, delivered, node_inflow, catch in zip(
-            state.households, planted, routed.delivered, routed.node_inflow, catches):
-        income, stress_out, irr = crop_outcome(
-            p, delivered, h.stress, total_irrigated, params)
+    for h, p, delivered, irr, node_inflow, catch in zip(
+            state.households, planted, routed.delivered, irrigated, routed.node_inflow,
+            catches):
+        income, stress_out = crop_outcome(
+            p, delivered, irr, h.stress, total_irrigated, params)
         fish_income = params.fish_price * catch
         budget = h.budget + income + fish_income - params.c * irr - params.kappa
         new_households.append(HouseholdState(
             index=h.index, budget=budget, stress=stress_out, last_yield_income=income,
-            last_fields=p, last_catch=catch, last_node_inflow=node_inflow))
+            last_fields=p, last_node_inflow=node_inflow))
         records.append(YearRecord(
             year=year, household=h.index, planted=p, irrigated=irr,
             delivered=delivered, node_inflow=node_inflow, stress=stress_out,

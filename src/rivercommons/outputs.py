@@ -1,0 +1,188 @@
+"""Summary metrics and a run's files: records.csv, summary.csv, two SVG charts."""
+from __future__ import annotations
+
+import csv
+import os
+from collections import Counter
+
+from .ecology import ActivityClass, YearRecord
+from .errors import SimulationError
+
+SUMMARY_FIELDS = ("min_budget_final", "max_budget_final", "pct_both",
+                  "pct_irrig_only", "pct_fish_only", "pct_none")
+GRID_FIELDS = ("pipeline", "tau", "behaviour", "seed")
+SWEEP_COLUMNS = GRID_FIELDS + SUMMARY_FIELDS + ("fallback_events", "error")
+
+
+def summarize(artifacts) -> dict:
+    """Final-year budget extremes and whole-run activity percentages."""
+    records = artifacts.records
+    final_year = max(r.year for r in records)
+    finals = [r.budget for r in records if r.year == final_year]
+    total = len(records)
+    counts = Counter(r.activity for r in records)
+    return {
+        "min_budget_final": min(finals),
+        "max_budget_final": max(finals),
+        "pct_both": 100.0 * counts[ActivityClass.BOTH] / total,
+        "pct_irrig_only": 100.0 * counts[ActivityClass.FARMING_ONLY] / total,
+        "pct_fish_only": 100.0 * counts[ActivityClass.FISHING_ONLY] / total,
+        "pct_none": 100.0 * counts[ActivityClass.NONE] / total,
+    }
+
+
+def summary_row(cell: dict, artifacts=None, error: str = "") -> dict:
+    """A SWEEP_COLUMNS row: the cell's GRID_FIELDS values, then the run's
+    summary, or blank summary fields and the error of a failed cell."""
+    row = dict(cell, fallback_events=0, error=error)
+    if artifacts is None:
+        row.update(dict.fromkeys(SUMMARY_FIELDS, ""))
+    else:
+        row.update(summarize(artifacts), fallback_events=artifacts.fallback_events)
+    return row
+
+
+def _fmt(value):
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _record_cells(r: YearRecord) -> tuple:
+    """One records.csv row: the int columns as they are, repr of each float
+    and the activity's value."""
+    return (r.year, r.household, r.planted, r.irrigated, repr(r.delivered),
+            repr(r.node_inflow), repr(r.stress), repr(r.crop_income), repr(r.catch),
+            repr(r.fish_income), repr(r.budget), r.activity.value)
+
+
+def write_rows(fh, rows, columns):
+    """CSV header plus one line per row mapping; missing cells are blank."""
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row.get(col, "")) for col in columns])
+
+
+def write_summary_csv(rows, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_rows(fh, rows, SWEEP_COLUMNS)
+
+
+# -- minimal hand-rolled SVG charts (CSV is canonical; SVG is derived) ------
+
+_SVG_W, _SVG_H, _SVG_PAD = 720, 360, 45
+
+_ACTIVITY_COLORS = {
+    ActivityClass.FARMING_ONLY: "#3b6fb5",
+    ActivityClass.FISHING_ONLY: "#c23b3b",
+    ActivityClass.BOTH: "#7b4fb5",
+    ActivityClass.NONE: "#9a9a9a",
+}
+
+
+def _svg_header(title):
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{_SVG_W}" height="{_SVG_H}">',
+            f'<title>{title}</title>',
+            f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>']
+
+
+def budgets_svg(records) -> str:
+    by_household = {}
+    for r in records:
+        by_household.setdefault(r.household, []).append((r.year, r.budget))
+    years = sorted({r.year for r in records})
+    budgets = [r.budget for r in records]
+    lo, hi = min(budgets + [0.0]), max(budgets + [0.0])
+    span = (hi - lo) or 1.0
+    x0, x1 = _SVG_PAD, _SVG_W - _SVG_PAD
+    y0, y1 = _SVG_H - _SVG_PAD, _SVG_PAD
+    xmax = max(years) or 1
+
+    def sx(year):
+        return x0 + (x1 - x0) * (year - years[0]) / max(xmax - years[0], 1)
+
+    def sy(v):
+        return y0 - (y0 - y1) * (v - lo) / span
+
+    parts = _svg_header("household budgets over time")
+    zero_y = sy(0.0)
+    parts.append(f'<line x1="{x0}" y1="{zero_y:.1f}" x2="{x1}" y2="{zero_y:.1f}" '
+                 'stroke="#cccccc" stroke-dasharray="4 3"/>')
+    n = len(by_household)
+    for idx, (household, points) in enumerate(sorted(by_household.items())):
+        hue = int(210 * idx / max(n - 1, 1))
+        points.sort()
+        pts = " ".join(f"{sx(y):.1f},{sy(b):.1f}" for y, b in points)
+        parts.append(f'<polyline fill="none" stroke="hsl({hue},70%,45%)" '
+                     f'stroke-width="1.5" points="{pts}"/>')
+        parts.append(f'<text x="{x1 + 4}" y="{sy(points[-1][1]):.1f}" '
+                     f'font-size="9">{household}</text>')
+    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
+    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
+    parts.append(f'<text x="{x0}" y="{_SVG_H - 8}" font-size="10">year</text>')
+    parts.append(f'<text x="4" y="{y1}" font-size="10">budget</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def activity_svg(records) -> str:
+    by_year = {}
+    for r in records:
+        by_year.setdefault(r.year, []).append(r.activity)
+    years = sorted(by_year)
+    x0, x1 = _SVG_PAD, _SVG_W - _SVG_PAD
+    y0, y1 = _SVG_H - _SVG_PAD, _SVG_PAD
+    bar_w = (x1 - x0) / len(years)
+    parts = _svg_header("activity shares per year")
+    order = (ActivityClass.BOTH, ActivityClass.FARMING_ONLY,
+             ActivityClass.FISHING_ONLY, ActivityClass.NONE)
+    for i, year in enumerate(years):
+        classes = by_year[year]
+        total = len(classes)
+        x = x0 + i * bar_w
+        y = y0
+        for cls in order:
+            share = classes.count(cls) / total
+            if share <= 0:
+                continue
+            h = (y0 - y1) * share
+            y -= h
+            parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
+                         f'height="{h:.2f}" fill="{_ACTIVITY_COLORS[cls]}"/>')
+    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
+    parts.append(f'<text x="{x0}" y="{_SVG_H - 8}" font-size="10">year</text>')
+    legend_x = x0
+    for cls in order:
+        parts.append(f'<rect x="{legend_x}" y="{y1 - 24}" width="10" height="10" '
+                     f'fill="{_ACTIVITY_COLORS[cls]}"/>')
+        parts.append(f'<text x="{legend_x + 14}" y="{y1 - 15}" font-size="9">'
+                     f'{cls.value}</text>')
+        legend_x += 120
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def emit_outputs(artifacts, out_dir: str) -> dict:
+    """Write records.csv, summary.csv and the two derived SVG charts.
+
+    Returns a name -> path map. Re-emission of identical artifacts produces
+    identical bytes.
+    """
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        paths = {}
+        paths["records"] = os.path.join(out_dir, "records.csv")
+        with open(paths["records"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(YearRecord._fields)
+            writer.writerows(map(_record_cells, artifacts.records))
+        cell = {name: getattr(artifacts.config, name) for name in GRID_FIELDS}
+        paths["summary"] = os.path.join(out_dir, "summary.csv")
+        write_summary_csv([summary_row(cell, artifacts)], paths["summary"])
+        for name, chart in (("budgets", budgets_svg), ("activity", activity_svg)):
+            paths[name] = os.path.join(out_dir, name + ".svg")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(chart(artifacts.records))
+        return paths
+    except OSError as err:
+        raise SimulationError(f"cannot write outputs under {out_dir}: {err}")

@@ -13,7 +13,7 @@ import pytest
 from rivercommons import (ASKind, BimatrixGame, RunConfig, calibrate_check,
                           emit_outputs, enumerate_pure_ne, is_epsilon_ne,
                           lemke_howson, run_simulation, solve_irrigation_game)
-from rivercommons.harness import PIPELINES
+from rivercommons.config import PIPELINES
 from rivercommons.ecology import ADULT
 from conftest import g1_spec
 

@@ -11,7 +11,7 @@ from rivercommons import (ActivityClass, ConfigurationError, Decision,
                           RiverYear, WorldState, advance_year,
                           classify_activity, crop_outcome, route_river,
                           step_fish)
-from rivercommons.ecology import ADULT, N_FISH_CLASSES
+from rivercommons.ecology import ADULT, N_FISH_CLASSES, _irrigated_count
 
 
 def one_month_river(volume, month=6):
@@ -136,36 +136,46 @@ class TestRouteRiver:
             assert after.delivered[i] <= base.delivered[i] + 1e-9
 
 
+class TestIrrigatedCount:
+    @pytest.mark.parametrize("planted,supplied_fields,expected", [
+        (5, 5.0, 5), (5, 0.0, 0), (0, 0.0, 0), (2, 2.0, 2),
+        (5, 3.5, 3), (3, 3.0 - 1e-13, 3)])
+    def test_cases(self, params, planted, supplied_fields, expected):
+        assert _irrigated_count(planted, supplied_fields * params.w, params.w) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10),
+           st.floats(min_value=0.0, max_value=200.0))
+    def test_bounded_by_planted(self, planted, delivered):
+        assert 0 <= _irrigated_count(planted, delivered, EcologyParams().w) <= planted
+
+
 class TestCropOutcome:
     def test_fully_supplied(self, params):
-        income, stress, irrigated = crop_outcome(5, 5 * params.w, 0.0, 5, params)
-        assert irrigated == 5
+        income, stress = crop_outcome(5, 5 * params.w, 5, 0.0, 5, params)
         assert stress == 0.0
         assert income == pytest.approx(5 * params.y0)
 
     def test_no_water(self, params):
-        income, stress, irrigated = crop_outcome(5, 0.0, 0.0, 0, params)
-        assert irrigated == 0
+        income, stress = crop_outcome(5, 0.0, 0, 0.0, 0, params)
         assert income == 0.0
         assert stress == pytest.approx(min(1.0, 1.0 - params.stress_recovery))
 
     def test_idle_recovery(self, params):
-        income, stress, irrigated = crop_outcome(0, 0.0, 0.6, 0, params)
+        income, stress = crop_outcome(0, 0.0, 0, 0.6, 0, params)
         assert income == 0.0
-        assert irrigated == 0
         assert stress == pytest.approx(max(0.0, 0.6 - params.stress_recovery))
 
     def test_stressed_reach_uses_low_yield(self, params):
         over_threshold = int(params.S) + 1
-        income, _, irrigated = crop_outcome(2, 2 * params.w, 0.0,
-                                            over_threshold, params)
-        assert income == pytest.approx(irrigated * params.ys)
+        income, _ = crop_outcome(2, 2 * params.w, 2, 0.0, over_threshold, params)
+        assert income == pytest.approx(2 * params.ys)
 
     def test_stress_returns_to_zero_under_full_supply(self, params):
         stress = 1.0
         years = math.ceil(1.0 / params.stress_recovery)
         for _ in range(years):
-            _, stress, _ = crop_outcome(3, 3 * params.w, stress, 0, params)
+            _, stress = crop_outcome(3, 3 * params.w, 3, stress, 0, params)
         assert stress == 0.0
 
     @settings(max_examples=80, deadline=None)
@@ -174,10 +184,9 @@ class TestCropOutcome:
            st.floats(min_value=0.0, max_value=1.0))
     def test_stress_stays_in_unit_interval(self, planted, delivered, stress_in):
         params = EcologyParams()
-        _, stress_out, irrigated = crop_outcome(planted, delivered, stress_in,
-                                                0, params)
+        irrigated = _irrigated_count(planted, delivered, params.w)
+        _, stress_out = crop_outcome(planted, delivered, irrigated, stress_in, 0, params)
         assert 0.0 <= stress_out <= 1.0
-        assert 0 <= irrigated <= planted
 
 
 class TestStepFish:

@@ -29,7 +29,8 @@ from rivercommons import (ActivityClass, BimatrixGame, CprSolution,
                           select_equilibrium, solve_irrigation_game,
                           solve_symmetric_cpr, step_fish)
 from rivercommons.ecology import ADULT, LARVA, N_FISH_CLASSES
-from rivercommons.harness import _SVG_H, _SVG_PAD, _SVG_W, RunArtifacts, _svg_header
+from rivercommons.harness import RunArtifacts
+from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from conftest import short_config
 
 

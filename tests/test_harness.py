@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -14,9 +15,10 @@ from rivercommons import (ActivityClass, ConfigurationError, EcologyParams,
                           SimulationError, advance_year, calibrate_check,
                           config_from_dict, emit_outputs, load_config,
                           run_simulation, summarize, sweep)
-from rivercommons.harness import (CsvInflow, InflowConfig, RunArtifacts,
-                                  SyntheticInflow, load_prompts, main,
-                                  make_inflow, seasonal_weights)
+from rivercommons.cli import main
+from rivercommons.config import PIPELINES, InflowConfig, load_prompts
+from rivercommons.harness import (PIPELINE_TYPES, CsvInflow, RunArtifacts,
+                                  SyntheticInflow, make_inflow, seasonal_weights)
 from rivercommons.ecology import YearRecord
 from conftest import short_config
 
@@ -102,6 +104,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="finite") as err:
             cls(**kwargs)
         assert list(kwargs)[-1] in str(err.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "250"])
+    def test_python_built_initial_fish_entry_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="initial_fish"):
+            RunConfig(initial_fish=(250.0,) * 12 + (value,))
+
+    def test_initial_fish_stored_as_float_tuple(self):
+        cfg = RunConfig(initial_fish=[250] * 13)
+        assert cfg.initial_fish == (250.0,) * 13
+        assert {type(v) for v in cfg.initial_fish} == {float}
 
     def test_value_types_accepted(self):
         cfg = config_from_dict({"pipeline": "procedural", "tau": 1, "horizon": 5,
@@ -205,6 +217,9 @@ class TestInflow:
 
 
 class TestRunSimulation:
+    def test_pipeline_table_matches_config_names(self):
+        assert tuple(PIPELINE_TYPES) == PIPELINES
+
     def test_record_count_identity(self):
         cfg = short_config(horizon=4, n_households=3)
         art = run_simulation(cfg)
@@ -450,6 +465,25 @@ class TestCli:
         log = os.path.join(out, "requests.jsonl")
         assert os.path.exists(log)
         assert len(open(log).read().splitlines()) > 0
+
+    def test_run_leaves_no_request_log_for_rules_pipeline(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "requests.jsonl").write_text("stale\n")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "records.csv").exists()
+        assert not (out / "requests.jsonl").exists()
+
+    def test_project_script_entry_point_runs(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        module, _, name = scripts["rivercommons"].partition(":")
+        with pytest.raises(SystemExit) as exc:
+            getattr(importlib.import_module(module), name)(["--help"])
+        assert exc.value.code == 0
+        assert "calibrate-check" in capsys.readouterr().out
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

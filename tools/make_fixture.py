@@ -7,7 +7,7 @@ import json
 import pathlib
 
 from rivercommons.gateway import ChatRequest, request_fingerprint
-from rivercommons.harness import load_prompts
+from rivercommons.config import load_prompts
 
 AS_EXTRACTION_RESPONSE = {
     "action_situations": [
