@@ -3,9 +3,11 @@ plus a deterministic scripted stub so every pipeline runs offline.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import time
@@ -32,8 +34,12 @@ class ChatRequest:
             raise ConfigurationError("a chat request needs at least one message")
         if any(r not in ("system", "user") for r, _ in msgs):
             raise ConfigurationError("message roles must be 'system' or 'user'")
-        if self.temperature < 0:
-            raise ConfigurationError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigurationError(
+                f"temperature must be finite and >= 0, got {self.temperature!r}")
+        if type(self.max_tokens) is not int or self.max_tokens < 1:
+            raise ConfigurationError(
+                f"max_tokens must be an integer >= 1, got {self.max_tokens!r}")
         object.__setattr__(self, "messages", msgs)
 
 
@@ -108,16 +114,16 @@ class Gateway:
     def complete(self, request: ChatRequest, tags: dict = None) -> str:
         """Send one request and return the reply text; retried on transport
         failure; every prompt/response pair is appended to the request log."""
+        fp = request_fingerprint(request)
         if self.config.backend == "stub":
-            text = self._complete_stub(request)
+            text = self._complete_stub(fp)
         else:
             text = self._complete_http(request)
         self.call_count += 1
-        self._log(request, text, tags)
+        self._log(request, fp, text, tags)
         return text
 
-    def _complete_stub(self, request: ChatRequest) -> str:
-        fp = request_fingerprint(request)
+    def _complete_stub(self, fp: str) -> str:
         replies = self._replies.get(fp, self._replies.get(None))
         if replies is None:
             raise TransportError("stub fixture has no sequential entries for "
@@ -152,14 +158,14 @@ class Gateway:
         raise TransportError(f"chat completion failed after "
                              f"{self.config.max_retries + 1} attempts: {last_err}")
 
-    def _log(self, request: ChatRequest, response: str, tags: dict):
+    def _log(self, request: ChatRequest, fp: str, response: str, tags: dict):
         if not self.config.log_path:
             return
         if self._log_file is None:
             self._log_file = open(self.config.log_path, "a", encoding="utf-8")
         record = {
             "tags": tags or {},
-            "fingerprint": request_fingerprint(request),
+            "fingerprint": fp,
             "messages": [{"role": r, "content": c} for r, c in request.messages],
             "response": response,
         }
@@ -175,17 +181,33 @@ class Gateway:
 _PLACEHOLDER = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
 
+@functools.lru_cache
+def _compile(template: str):
+    """(format string, placeholder names) of a template: literal braces are
+    doubled and each `{name}` becomes `{name!s}`, so one `format_map` call
+    substitutes every placeholder once and leaves all other text alone."""
+    pieces = _PLACEHOLDER.split(template)      # literal, name, literal, ..., literal
+    literals = [p.replace("{", "{{").replace("}", "}}") for p in pieces[::2]]
+    names = pieces[1::2]
+    fmt = "".join(lit + "{" + name + "!s}" for lit, name in zip(literals, names))
+    return fmt + literals[-1], frozenset(names)
+
+
 def render_prompt(template: str, variables: dict) -> str:
-    """Exact placeholder substitution; unresolved names raise TemplateError."""
-    names = set(_PLACEHOLDER.findall(template))
-    missing = names - set(variables)
+    """Exact single-pass substitution of each `{identifier}` placeholder by
+    `str` of its value; every other brace stays as it is, and unresolved names
+    raise TemplateError."""
+    fmt, names = _compile(template)
+    missing = names.difference(variables)
     if missing:
         raise TemplateError(missing)
-    return _PLACEHOLDER.sub(lambda m: str(variables[m.group(1)]), template)
+    return fmt.format_map(variables)
 
 
 _FENCED = re.compile(r"```(?:[a-zA-Z0-9_-]*)\s*\n?(.*?)```", re.S)
+_OPENER = re.compile(r"[\[{]")
 _INTEGER = re.compile(r"-?\d+")
+_DECODER = json.JSONDecoder()
 
 
 def extract_structured(text: str):
@@ -200,11 +222,9 @@ def extract_structured(text: str):
             return json.loads(block)
         except ValueError:
             continue
-    decoder = json.JSONDecoder()
-    for match in re.finditer(r"[\[{]", text):
+    for match in _OPENER.finditer(text):
         try:
-            value, _ = decoder.raw_decode(text, match.start())
-            return value
+            return _DECODER.raw_decode(text, match.start())[0]
         except ValueError:
             continue
     m = _INTEGER.search(text)

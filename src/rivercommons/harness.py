@@ -109,7 +109,6 @@ def make_inflow(config: RunConfig):
 class RunArtifacts:
     config: RunConfig
     records: list                      # YearRecord, year-major then household
-    fish_series: list                  # adult stock at the end of each year
     fallback_events: int = 0
     clamp_events: int = 0
     as_models: list = field(default_factory=list)
@@ -262,7 +261,7 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
     inflow = make_inflow(config)
     state = _initial_state(config, inflow)
     pipeline = PIPELINE_TYPES[config.pipeline](config, state)
-    records, fish_series, fallbacks, clamps = [], [], 0, 0
+    records, fallbacks, clamps = [], 0, 0
     try:
         for year in range(1, config.horizon + 1):
             river = inflow.year(year)
@@ -272,14 +271,12 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
             state, year_records = advance_year(state, decisions, config.ecology)
             pipeline.end_year(river, year_records)
             records.extend(year_records)
-            fish_series.append(state.fish.adult_total)
             fallbacks += events.count("fallback")
             clamps += events.count("clamp")
     finally:
         pipeline.close()
-    return RunArtifacts(config=config, records=records, fish_series=fish_series,
-                        fallback_events=fallbacks, clamp_events=clamps,
-                        as_models=list(pipeline.as_models))
+    return RunArtifacts(config=config, records=records, fallback_events=fallbacks,
+                        clamp_events=clamps, as_models=list(pipeline.as_models))
 
 
 def sweep(base: RunConfig, pipelines=None, taus=None, behaviours=None, seeds=None):

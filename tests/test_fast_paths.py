@@ -3,12 +3,14 @@ and the output writers pinned to a slow reference.
 
 The references are the original per-cell and per-step loops, the original
 Fraction-arithmetic Lemke-Howson, the numpy-scalar river routing and fishery
-step, and the per-cell records.csv and budget-chart writers, kept here so that
-any change to the fast paths must reproduce them exactly.
+step, the per-cell records.csv and budget-chart writers, and the regex prompt
+renderer, kept here so that any change to the fast paths must reproduce them
+exactly.
 """
 import csv
 import io
 import math
+import re
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -22,12 +24,14 @@ from hypothesis import strategies as st
 from rivercommons import (ActivityClass, BimatrixGame, CprSolution,
                           EcologyParams, FishPopulation, InvalidGameError,
                           IrrigationGameSpec, MixedProfile, RiverYear,
-                          YearRecord, build_cpr_fishing_game,
+                          TemplateError, YearRecord, build_cpr_fishing_game,
                           build_irrigation_game, emit_outputs,
                           enumerate_pure_ne, irrigated_fields, is_epsilon_ne,
-                          lemke_howson, pair_payoffs, route_river,
-                          select_equilibrium, solve_irrigation_game,
-                          solve_symmetric_cpr, step_fish)
+                          lemke_howson, pair_payoffs, render_prompt,
+                          route_river, select_equilibrium,
+                          solve_irrigation_game, solve_symmetric_cpr,
+                          step_fish)
+from rivercommons.config import load_prompts
 from rivercommons.ecology import ADULT, LARVA, N_FISH_CLASSES
 from rivercommons.harness import RunArtifacts
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
@@ -581,10 +585,83 @@ class TestOutputWriters:
     @example([YearRecord(1, 1, 3, 2, 0.1 + 0.2, 1e-310, -0.0, 1e22, 5e-324, 0.0,
                          -123.456, ActivityClass.BOTH)])
     def test_records_csv_and_budget_chart_equal_reference(self, records):
-        artifacts = RunArtifacts(config=short_config(), records=records, fish_series=[])
+        artifacts = RunArtifacts(config=short_config(), records=records)
         with tempfile.TemporaryDirectory() as out:
             paths = emit_outputs(artifacts, out)
             assert Path(paths["records"]).read_bytes() \
                 == reference_records_csv(records).encode("utf-8")
             assert Path(paths["budgets"]).read_text(encoding="utf-8") \
                 == reference_budgets_svg(records)
+
+
+# ---------------------------------------------------------------------------
+# Prompt rendering: the regex renderer as the reference
+
+
+_REFERENCE_PLACEHOLDER = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
+
+
+def reference_render_prompt(template, variables):
+    names = set(_REFERENCE_PLACEHOLDER.findall(template))
+    missing = names - set(variables)
+    if missing:
+        raise TemplateError(missing)
+    return _REFERENCE_PLACEHOLDER.sub(lambda m: str(variables[m.group(1)]), template)
+
+
+def _render_outcome(render, template, variables):
+    try:
+        return render(template, variables)
+    except TemplateError as err:
+        return TemplateError, err.missing
+
+
+PACKAGED_PROMPTS = load_prompts()
+
+
+def packaged_case(name):
+    """A packaged prompt with every placeholder bound, to values of mixed
+    types, one of which holds a placeholder of its own."""
+    template = PACKAGED_PROMPTS[name]
+    values = (0.1 + 0.2, 7, "{budget}", None, True)
+    names = sorted(set(_REFERENCE_PLACEHOLDER.findall(template)))
+    return template, {n: values[i % len(values)] for i, n in enumerate(names)}
+
+
+class _StrDiffersFromFormat:
+    def __str__(self):
+        return "by str"
+
+    def __format__(self, spec):
+        return "by format"
+
+
+_PROMPT_NAMES = ("a", "b", "w", "x", "_y1")
+_template_pieces = st.one_of(
+    st.sampled_from(('{"action": <x>}', "{{w}}", "{1}", "{}", "{", "}", "{{", "}}",
+                     "{a b}", "{-x}", "{{{a}}}")),
+    st.sampled_from(_PROMPT_NAMES).map(lambda n: "{" + n + "}"),
+    st.text(alphabet='ab_1 {}":\n', max_size=6))
+prompt_templates = st.lists(_template_pieces, max_size=10).map("".join)
+_prompt_values = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.just(_StrDiffersFromFormat()),
+    st.text(alphabet="abwx_1 {}", max_size=6),
+    st.sampled_from(_PROMPT_NAMES).map(lambda n: "{" + n + "}"))
+prompt_variables = st.dictionaries(st.sampled_from(_PROMPT_NAMES), _prompt_values,
+                                   max_size=len(_PROMPT_NAMES))
+
+
+class TestRenderPrompt:
+    @settings(max_examples=400, deadline=None)
+    @given(prompt_templates, prompt_variables)
+    @example(*packaged_case("altruistic"))
+    @example(*packaged_case("as_action"))
+    @example(*packaged_case("as_extraction"))
+    @example(*packaged_case("balanced"))
+    @example(*packaged_case("rational"))
+    @example(*packaged_case("role"))
+    @example('{"action": {x}} {{w}} {1} {} {x}', {"x": "{w}", "w": 2})
+    @example("{a} and {b} and {a}", {"a": 1})
+    def test_equals_regex_renderer(self, template, variables):
+        assert _render_outcome(render_prompt, template, variables) \
+            == _render_outcome(reference_render_prompt, template, variables)

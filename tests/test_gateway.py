@@ -37,6 +37,17 @@ class TestChatRequest:
         with pytest.raises(ConfigurationError):
             ChatRequest(model="m", messages=(("assistant", "hi"),))
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"),
+                                             float("-inf"), -0.5])
+    def test_rejects_bad_temperature(self, temperature):
+        with pytest.raises(ConfigurationError, match="temperature"):
+            ChatRequest(model="m", messages=(("user", "hi"),), temperature=temperature)
+
+    @pytest.mark.parametrize("max_tokens", [0, -5, 2.5, True])
+    def test_rejects_bad_max_tokens(self, max_tokens):
+        with pytest.raises(ConfigurationError, match="max_tokens"):
+            ChatRequest(model="m", messages=(("user", "hi"),), max_tokens=max_tokens)
+
     def test_fingerprint_stable_and_content_sensitive(self):
         a = request_fingerprint(user_request("hello"))
         b = request_fingerprint(user_request("hello"))
@@ -112,6 +123,21 @@ class TestStubBackend:
                                   "pipeline": "generative"}
         assert record["response"] == "ok"
         assert record["messages"][0]["content"] == "hello"
+
+    def test_request_log_fingerprints_and_matching(self, tmp_path):
+        special = user_request("the special prompt")
+        log_path = tmp_path / "requests.jsonl"
+        gw = stub_gateway(tmp_path, [{"response": "generic"},
+                                     {"fingerprint": request_fingerprint(special),
+                                      "response": "matched"}],
+                          log_path=str(log_path))
+        requests = [special, user_request("other"), special]
+        assert [gw.complete(r) for r in requests] == ["matched", "generic", "matched"]
+        gw.close()
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [r["fingerprint"] for r in records] == \
+            [request_fingerprint(r) for r in requests]
+        assert [r["response"] for r in records] == ["matched", "generic", "matched"]
 
 
 class _Echo(BaseHTTPRequestHandler):
@@ -217,6 +243,9 @@ class TestExtractStructured:
     def test_none_rejected(self):
         with pytest.raises(SchemaError):
             extract_structured(None)
+
+    def test_undecodable_opener_skipped(self):
+        assert extract_structured('[oops {"fields": 2}') == {"fields": 2}
 
     def test_malformed_fence_falls_through(self):
         assert extract_structured("```\nnot json\n```\nanswer: 5") == 5

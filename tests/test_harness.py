@@ -329,8 +329,7 @@ class TestSummarize:
                 year=year, household=household, planted=0, irrigated=0,
                 delivered=0.0, node_inflow=0.0, stress=0.0, crop_income=0.0,
                 catch=0.0, fish_income=0.0, budget=budget, activity=activity))
-        return RunArtifacts(config=short_config(), records=records,
-                            fish_series=[])
+        return RunArtifacts(config=short_config(), records=records)
 
     def test_all_both(self):
         art = self.make_artifacts([
