@@ -18,8 +18,7 @@ river = RiverYear(np.array([20, 20, 30, 60, 90, 120, 140, 110, 70, 40, 30, 20],
 state = WorldState(
     households=tuple(HouseholdState(index=i + 1, budget=300.0)
                      for i in range(n)),
-    fish=FishPopulation(np.array(DEFAULT_INITIAL_FISH)),
-    river=river, rng=np.random.default_rng(0))
+    fish=FishPopulation(np.array(DEFAULT_INITIAL_FISH)))
 
 print(f"river carries {river.annual_total:.0f} units/year; "
       f"{n} households each demand 100 (10 fields x {params.w:g})")
@@ -27,7 +26,7 @@ decisions = [Decision(10, 2)] * n
 
 print(f"\n{'year':>4} {'delivered':>28} {'stress':>24} {'adults':>8}")
 for _ in range(8):
-    state, records = advance_year(state, decisions, params)
+    state, records = advance_year(state, river, decisions, params)
     delivered = " ".join(f"{r.delivered:5.0f}" for r in records)
     stress = " ".join(f"{r.stress:4.2f}" for r in records)
     print(f"{state.year:>4} {delivered:>28} {stress:>24} "

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config, load_json_object
-from .equilibrium import BimatrixGame, enumerate_pure_ne, lemke_howson
+from .equilibrium import BimatrixGame, enumerate_pure_ne, lemke_howson, select_cell
 from .errors import ConfigurationError, RiverCommonsError
 from .harness import CALIBRATE_MIN_HORIZON, calibrate_check, run_simulation, sweep
 from .outputs import (SUMMARY_FIELDS, SWEEP_COLUMNS, emit_outputs, summarize,
@@ -71,6 +71,8 @@ def _cmd_solve_game(args):
     if pure:
         for i, j in pure:
             print(f"  ({game.row_actions[i]}, {game.col_actions[j]})")
+        i, j = select_cell(pure, game.row_actions, game.col_actions)
+        print(f"selected: ({game.row_actions[i]}, {game.col_actions[j]})")
     else:
         print("  (none)")
     profile = lemke_howson(game, initial_label=args.initial_label)

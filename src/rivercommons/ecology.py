@@ -16,6 +16,8 @@ from .errors import ConfigurationError, check_finite
 N_FISH_CLASSES = 13
 LARVA = 0
 ADULT = slice(5, 13)
+IRRIGATION_MONTHS = frozenset({5, 6, 7, 8, 9})  # months (1 = January) with withdrawals
+MIGRATION_MONTH = 5  # the month whose lake inflow can trigger the migration pulse
 
 
 class ActivityClass(str, Enum):
@@ -69,8 +71,6 @@ class RiverYear:
     """Monthly inflow at the head of the river for one year (index 0 = January)."""
 
     monthly_inflow: np.ndarray
-    irrigation_months: frozenset = frozenset({5, 6, 7, 8, 9})
-    may_index: int = 5
 
     def __post_init__(self):
         v = np.asarray(self.monthly_inflow, dtype=float)
@@ -80,14 +80,7 @@ class RiverYear:
             raise ConfigurationError(f"inflows must be finite, got {v.tolist()}")
         if (v < 0).any():
             raise ConfigurationError("inflows must be non-negative")
-        if not self.irrigation_months:
-            raise ConfigurationError("irrigation_months must be non-empty")
-        if not all(1 <= m <= 12 for m in self.irrigation_months):
-            raise ConfigurationError("irrigation month indices must lie in 1..12")
-        if not 1 <= self.may_index <= 12:
-            raise ConfigurationError("may_index must lie in 1..12")
         object.__setattr__(self, "monthly_inflow", v)
-        object.__setattr__(self, "irrigation_months", frozenset(self.irrigation_months))
 
     @property
     def annual_total(self) -> float:
@@ -175,10 +168,10 @@ class Decision:
 
 @dataclass(frozen=True)
 class WorldState:
+    """What the ecology carries from one year to the next."""
+
     households: tuple
     fish: FishPopulation
-    river: RiverYear
-    rng: np.random.Generator
     year: int = 0
 
     @property
@@ -189,20 +182,19 @@ class WorldState:
 def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> RoutedWater:
     """Sequential upstream-first withdrawal, month by month.
 
-    Annual demand w * planted is spread equally over the irrigation months;
+    Annual demand w * planted is spread equally over IRRIGATION_MONTHS;
     whatever is left after the last household reaches the lake.
     """
     if any(f < 0 for f in planted_fields):
         raise ConfigurationError("planted field counts must be non-negative")
     n = len(planted_fields)
-    irrigation_months = river.irrigation_months
-    n_irr = len(irrigation_months)
+    n_irr = len(IRRIGATION_MONTHS)
     monthly_demand = [params.w * f / n_irr for f in planted_fields]
     delivered = [0.0] * n
     node_inflow = [0.0] * n
     lake = []
     for month, flow in enumerate(river.monthly_inflow.tolist(), start=1):
-        irrigating = month in irrigation_months
+        irrigating = month in IRRIGATION_MONTHS
         for i in range(n):
             node_inflow[i] += flow
             if irrigating and monthly_demand[i] > 0:
@@ -238,14 +230,15 @@ def crop_outcome(planted: int, delivered: float, irrigated: int, stress_in: floa
 
 
 def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
-              household_order, params: EcologyParams, may_index: int = 5):
+              household_order, params: EcologyParams):
     """One year of the lake fishery: harvest, aging, recruitment.
 
     Households harvest in `household_order` (downstream first), each clipping
     its target to the remaining adult stock, removed proportionally across
     adult classes. Larva and juvenile transitions use Beverton-Holt
     density-dependent survival sigma * A / (1 + A / K_juv); adults survive at
-    sigma_adult and the oldest class exits.
+    sigma_adult and the oldest class exits. Lake inflow of at least Q_min in
+    MIGRATION_MONTH adds M_mig migrant larvae.
     """
     if any(t < 0 for t in harvest_targets):
         raise ConfigurationError("harvest targets must be non-negative")
@@ -274,7 +267,7 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     annual_lake = float(lake.sum())
     scale = min(1.0, annual_lake / params.Q_ref)
     new[LARVA] = params.fecundity * remaining * scale
-    if lake[may_index - 1] >= params.Q_min:
+    if lake[MIGRATION_MONTH - 1] >= params.Q_min:
         new[LARVA] += params.M_mig
     return FishPopulation(np.maximum(new, 0.0)), tuple(catches)
 
@@ -289,8 +282,8 @@ def classify_activity(irrigated: int, catch: float) -> ActivityClass:
     return ActivityClass.NONE
 
 
-def advance_year(state: WorldState, decisions, params: EcologyParams):
-    """Run one simulation year: routing, crops, fishery, budget update.
+def advance_year(state: WorldState, river: RiverYear, decisions, params: EcologyParams):
+    """Run one simulation year on `river`: routing, crops, fishery, budget update.
 
     Returns the successor WorldState and one YearRecord per household.
     Budgets may go negative (debt).
@@ -300,7 +293,7 @@ def advance_year(state: WorldState, decisions, params: EcologyParams):
         raise ConfigurationError(
             f"expected {n} decisions, got {len(decisions)}")
     planted = [d.fields_planted for d in decisions]
-    routed = route_river(state.river, planted, params)
+    routed = route_river(river, planted, params)
     irrigated = [_irrigated_count(p, d, params.w)
                  for p, d in zip(planted, routed.delivered)]
     total_irrigated = sum(irrigated)
@@ -308,8 +301,7 @@ def advance_year(state: WorldState, decisions, params: EcologyParams):
     downstream_first = list(range(n - 1, -1, -1))
     fish2, catches = step_fish(
         state.fish, routed.lake_inflow_by_month,
-        [d.fish_target for d in decisions], downstream_first, params,
-        may_index=state.river.may_index)
+        [d.fish_target for d in decisions], downstream_first, params)
 
     year = state.year + 1
     new_households = []
@@ -330,6 +322,4 @@ def advance_year(state: WorldState, decisions, params: EcologyParams):
             crop_income=income, catch=catch, fish_income=fish_income, budget=budget,
             activity=classify_activity(irr, catch)))
 
-    state2 = WorldState(households=tuple(new_households), fish=fish2,
-                        river=state.river, rng=state.rng, year=year)
-    return state2, records
+    return WorldState(households=tuple(new_households), fish=fish2, year=year), records

@@ -291,8 +291,10 @@ def solve_symmetric_cpr(payoff, n_players: int, e_max: int) -> CprSolution:
     """Smallest symmetric pure equilibrium of u(e_own, sum_others).
 
     Scans e* in 0..e_max for the smallest level no player wants to deviate
-    from when everyone else plays it. If none exists, runs best-response
-    iteration from 0 (at most 1000 steps) and flags the result.
+    from when everyone else plays it. If none exists, walks the symmetric
+    best responses (ties to the smaller level) from 0 until a level repeats,
+    and returns the least extraction level in the cycle it reached, flagged
+    as no equilibrium.
     """
     if e_max < 0:
         raise InvalidGameError("e_max must be non-negative")
@@ -308,7 +310,8 @@ def solve_symmetric_cpr(payoff, n_players: int, e_max: int) -> CprSolution:
             return CprSolution(e_star, True)
 
     best = [min(levels, key=lambda d: (-column[d], d)) for column in by_others]
-    e = 0
-    for _ in range(1000):
+    walk, e = [], 0
+    while e not in walk:
+        walk.append(e)
         e = best[e]
-    return CprSolution(e, False)
+    return CprSolution(min(walk[walk.index(e):]), False)

@@ -1,7 +1,6 @@
 """Exception hierarchy shared across the package, and the finiteness rule
-every config section applies to its float fields."""
+every config section and game spec applies to its float fields."""
 
-import dataclasses
 import math
 
 
@@ -64,7 +63,7 @@ def _finite(value) -> bool:
 def check_finite(instance):
     """Raise ConfigurationError naming the first float field of a dataclass
     instance that holds NaN, ±inf or an integer too large for a float."""
-    for f in dataclasses.fields(instance):
+    for f in instance.__dataclass_fields__.values():
         value = getattr(instance, f.name)
         if f.type in (float, "float") and not _finite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value!r}")

@@ -4,7 +4,6 @@ resource fishing game, plus parsing of LLM-proposed game models.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -14,7 +13,7 @@ import numpy as np
 # perfbench/tracing.py wraps it at this name.
 from .equilibrium import (BimatrixGame, enumerate_pure_ne, lemke_howson,  # noqa: F401
                           select_cell, select_equilibrium)
-from .errors import ConfigurationError, SchemaError
+from .errors import ConfigurationError, SchemaError, check_finite
 from .gateway import extract_structured
 
 
@@ -37,9 +36,7 @@ class IrrigationGameSpec:
     max_fields: int = 10
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+        check_finite(self)
         if self.c <= 0 or self.w <= 0:
             raise ConfigurationError("c and w must be positive")
         if self.ys >= self.y0:
@@ -105,18 +102,9 @@ def solve_irrigation_game(spec: IrrigationGameSpec, initial_label: int = 0):
     return int(np.argmax(profile.row_dist)), int(np.argmax(profile.col_dist))
 
 
-@dataclass(frozen=True)
-class CprGame:
-    """Symmetric fishing game handed to the equilibrium solver."""
-
-    payoff: object            # callable u(e_own, sum_others) -> money
-    n_players: int
-    e_max: int
-
-
-def build_cpr_fishing_game(adult_stock_estimate: float, params, n_players: int,
-                           e_max: int, effort_cost: float = 1.0) -> CprGame:
-    """Payoff u(e, O) = price * e * min(1, stock / (e + O)) - effort cost.
+def build_cpr_fishing_game(adult_stock_estimate: float, params, effort_cost: float = 1.0):
+    """The symmetric fishing game's payoff callable
+    u(e, O) = price * e * min(1, stock / (e + O)) - effort cost * e.
 
     The stock term shares the estimated adult stock proportionally to effort
     once total demand exceeds it.
@@ -131,7 +119,7 @@ def build_cpr_fishing_game(adult_stock_estimate: float, params, n_players: int,
         share = min(1.0, stock / total) if total > 0 else min(1.0, stock)
         return price * e * share - effort_cost * e
 
-    return CprGame(payoff, n_players, e_max)
+    return payoff
 
 
 class ASKind(str, Enum):

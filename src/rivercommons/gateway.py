@@ -29,18 +29,20 @@ class ChatRequest:
     max_tokens: int = 256
 
     def __post_init__(self):
-        msgs = tuple((str(r), str(c)) for r, c in self.messages)
-        if not msgs:
+        if not self.messages:
             raise ConfigurationError("a chat request needs at least one message")
-        if any(r not in ("system", "user") for r, _ in msgs):
-            raise ConfigurationError("message roles must be 'system' or 'user'")
+        for role, content in self.messages:
+            if role not in ("system", "user"):
+                raise ConfigurationError(
+                    f"message roles must be 'system' or 'user', got {role!r}")
+            if not isinstance(content, str):
+                raise ConfigurationError(f"message content must be a str, got {content!r}")
         if not 0 <= self.temperature < math.inf:
             raise ConfigurationError(
                 f"temperature must be finite and >= 0, got {self.temperature!r}")
         if type(self.max_tokens) is not int or self.max_tokens < 1:
             raise ConfigurationError(
                 f"max_tokens must be an integer >= 1, got {self.max_tokens!r}")
-        object.__setattr__(self, "messages", msgs)
 
 
 @dataclass(frozen=True)

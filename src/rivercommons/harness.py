@@ -114,16 +114,13 @@ class RunArtifacts:
     as_models: list = field(default_factory=list)
 
 
-def _initial_state(config: RunConfig, inflow) -> WorldState:
-    year0 = inflow.year(0)
+def _initial_state(config: RunConfig, year0: RiverYear) -> WorldState:
     households = tuple(
         HouseholdState(index=i + 1, budget=config.initial_budget,
                        last_yield_income=config.subsistence,
                        last_node_inflow=year0.annual_total)
         for i in range(config.n_households))
-    fish = FishPopulation(config.initial_fish)
-    rng = np.random.default_rng(config.seed)
-    return WorldState(households=households, fish=fish, river=year0, rng=rng)
+    return WorldState(households=households, fish=FishPopulation(config.initial_fish))
 
 
 def _household_view(config: RunConfig, h: HouseholdState) -> dict:
@@ -147,7 +144,7 @@ class _Procedural:
 
     as_models = ()
 
-    def __init__(self, config: RunConfig, state: WorldState):
+    def __init__(self, config: RunConfig, year0: RiverYear):
         self.config = config
 
     def rule(self, h: HouseholdState) -> Decision:
@@ -171,9 +168,9 @@ class _Centralized(_Procedural):
     """The national authority allocates fields from its inflow history and
     budget; fish targets follow the procedural rule."""
 
-    def __init__(self, config: RunConfig, state: WorldState):
-        super().__init__(config, state)
-        self.authority = AuthorityState(config.authority_budget, [state.river.annual_total],
+    def __init__(self, config: RunConfig, year0: RiverYear):
+        super().__init__(config, year0)
+        self.authority = AuthorityState(config.authority_budget, [year0.annual_total],
                                         config.authority_window)
 
     def decide(self, state: WorldState, year: int):
@@ -193,19 +190,26 @@ class _Centralized(_Procedural):
 
 
 class _ExpertEgta(_Procedural):
+    """The expert pipeline; its own generator draws each middle household's
+    choice between its two pair strategies."""
+
+    def __init__(self, config: RunConfig, year0: RiverYear):
+        super().__init__(config, year0)
+        self.rng = np.random.default_rng(config.seed)
+
     def decide(self, state: WorldState, year: int):
         cfg = self.config
         return expert_egta_decide(
             state, cfg.tau, cfg.ecology, cfg.pair_stress_threshold,
-            cfg.max_fields, cfg.e_max, cfg.effort_cost, state.rng), ()
+            cfg.max_fields, cfg.e_max, cfg.effort_cost, self.rng), ()
 
 
 class _Generative(_Procedural):
     """The generative pipeline and the base of the naive one: the gateway,
     prompts and profile of the LLM pipelines, asked once per household."""
 
-    def __init__(self, config: RunConfig, state: WorldState):
-        super().__init__(config, state)
+    def __init__(self, config: RunConfig, year0: RiverYear):
+        super().__init__(config, year0)
         self.prompts = load_prompts(config.prompts_dir)
         self.profile = BehaviourProfile(config.behaviour, self.prompts[config.behaviour])
         gw_cfg = config.gateway
@@ -259,16 +263,15 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
     artifacts (and byte-identical CSV output) for every pipeline when the
     gateway uses the stub backend."""
     inflow = make_inflow(config)
-    state = _initial_state(config, inflow)
-    pipeline = PIPELINE_TYPES[config.pipeline](config, state)
+    year0 = inflow.year(0)
+    state = _initial_state(config, year0)
+    pipeline = PIPELINE_TYPES[config.pipeline](config, year0)
     records, fallbacks, clamps = [], 0, 0
     try:
         for year in range(1, config.horizon + 1):
             river = inflow.year(year)
-            state = WorldState(households=state.households, fish=state.fish,
-                               river=river, rng=state.rng, year=state.year)
             decisions, events = pipeline.decide(state, year)
-            state, year_records = advance_year(state, decisions, config.ecology)
+            state, year_records = advance_year(state, river, decisions, config.ecology)
             pipeline.end_year(river, year_records)
             records.extend(year_records)
             fallbacks += events.count("fallback")

@@ -11,7 +11,7 @@ from .ecology import Decision, EcologyParams, HouseholdState, WorldState
 from .equilibrium import solve_symmetric_cpr
 from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
                      SimulationError, TransportError)
-from .games import (ASKind, CprGame, IrrigationGameSpec, build_cpr_fishing_game,
+from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game,
                     solve_irrigation_game)
 from .gateway import ChatRequest, Gateway, extract_structured, render_prompt
 
@@ -101,8 +101,8 @@ def solve_fishing_game(state: WorldState, params: EcologyParams,
     """
     n = state.n_households
     stock = state.fish.adult_total
-    game: CprGame = build_cpr_fishing_game(stock, params, n, e_max, effort_cost)
-    sol = solve_symmetric_cpr(game.payoff, n, e_max)
+    payoff = build_cpr_fishing_game(stock, params, effort_cost)
+    sol = solve_symmetric_cpr(payoff, n, e_max)
     e_star = sol.extraction
     if e_star > 0:
         share = min(1.0, stock / (n * e_star))

@@ -68,12 +68,12 @@ class TestAcceptance:
 
         def checked_route(river, planted, params):
             routed = original_route(river, planted, params)
-            n_irr = len(river.irrigation_months)
+            n_irr = len(ecology.IRRIGATION_MONTHS)
             demands = [params.w * f / n_irr for f in planted]
             for month in range(1, 13):
                 inflow = float(river.monthly_inflow[month - 1])
                 withdrawn = 0.0
-                if month in river.irrigation_months:
+                if month in ecology.IRRIGATION_MONTHS:
                     flow = inflow
                     for d in demands:
                         take = min(d, flow)
@@ -84,10 +84,9 @@ class TestAcceptance:
                     violations.append(("water", month))
             return routed
 
-        def checked_step(pop, lake, targets, order, params, may_index=5):
+        def checked_step(pop, lake, targets, order, params):
             pre_adults = float(pop.classes[ADULT].sum())
-            pop2, catches = original_step(pop, lake, targets, order, params,
-                                          may_index)
+            pop2, catches = original_step(pop, lake, targets, order, params)
             if sum(catches) > pre_adults + 1e-9:
                 violations.append(("harvest", sum(catches)))
             if (pop2.classes < 0).any():

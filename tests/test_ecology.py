@@ -11,7 +11,8 @@ from rivercommons import (ActivityClass, ConfigurationError, Decision,
                           RiverYear, WorldState, advance_year,
                           classify_activity, crop_outcome, route_river,
                           step_fish)
-from rivercommons.ecology import ADULT, N_FISH_CLASSES, _irrigated_count
+from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, N_FISH_CLASSES,
+                                  _irrigated_count)
 
 
 def one_month_river(volume, month=6):
@@ -20,15 +21,15 @@ def one_month_river(volume, month=6):
     return RiverYear(monthly)
 
 
-def make_state(n=2, budget=100.0, fish=None, inflow=1000.0, seed=0):
-    monthly = np.full(12, inflow / 12.0)
-    river = RiverYear(monthly)
+def even_river(inflow=1000.0):
+    return RiverYear(np.full(12, inflow / 12.0))
+
+
+def make_state(n=2, budget=100.0, fish=None):
     households = tuple(HouseholdState(index=i + 1, budget=budget)
                        for i in range(n))
     classes = np.zeros(N_FISH_CLASSES) if fish is None else np.asarray(fish, float)
-    return WorldState(households=households, fish=FishPopulation(classes),
-                      river=river,
-                      rng=np.random.default_rng(seed))
+    return WorldState(households=households, fish=FishPopulation(classes))
 
 
 class TestTypes:
@@ -47,8 +48,6 @@ class TestTypes:
     def test_river_year_validation(self):
         with pytest.raises(ConfigurationError):
             RiverYear(np.zeros(11))
-        with pytest.raises(ConfigurationError):
-            RiverYear(np.zeros(12), irrigation_months=frozenset())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_river_year_rejects_non_finite_inflow(self, bad):
@@ -105,10 +104,10 @@ class TestRouteRiver:
         river = RiverYear(rng.uniform(0, 200, size=12))
         planted = rng.integers(0, 11, size=n).tolist()
         routed = route_river(river, planted, params)
-        n_irr = len(river.irrigation_months)
+        n_irr = len(IRRIGATION_MONTHS)
         for month in range(1, 13):
             inflow = river.monthly_inflow[month - 1]
-            if month in river.irrigation_months:
+            if month in IRRIGATION_MONTHS:
                 withdrawn = sum(
                     min(params.w * p / n_irr, 1e18) for p in planted)
             # Conservation holds regardless: total delivered + lake = inflow.
@@ -274,46 +273,46 @@ class TestAdvanceYear:
     def test_consumption_only(self, params):
         state = make_state(n=3, budget=100.0)
         decisions = [Decision(0, 0)] * 3
-        state2, records = advance_year(state, decisions, params)
+        state2, records = advance_year(state, even_river(), decisions, params)
         for h, r in zip(state2.households, records):
             assert h.budget == pytest.approx(100.0 - params.kappa)
             assert r.activity is ActivityClass.NONE
         assert state2.year == 1
 
     def test_single_household_arithmetic(self, params):
-        state = make_state(n=1, budget=1000.0, inflow=10000.0)
-        _, records = advance_year(state, [Decision(5, 0)], params)
+        state = make_state(n=1, budget=1000.0)
+        _, records = advance_year(state, even_river(10000.0), [Decision(5, 0)], params)
         r = records[0]
         assert r.irrigated == 5
         expected = 5 * params.y0 - 5 * params.c - params.kappa
         assert r.budget - 1000.0 == pytest.approx(expected)
 
     def test_symmetry(self, params):
-        state = make_state(n=2, budget=500.0, inflow=10000.0)
-        _, records = advance_year(state, [Decision(3, 0), Decision(3, 0)],
-                                  params)
+        state = make_state(n=2, budget=500.0)
+        _, records = advance_year(state, even_river(10000.0),
+                                  [Decision(3, 0), Decision(3, 0)], params)
         a, b = records
         assert (a.planted, a.irrigated, a.crop_income, a.catch, a.budget) == \
                (b.planted, b.irrigated, b.crop_income, b.catch, b.budget)
 
     def test_decision_count_mismatch(self, params):
         with pytest.raises(ConfigurationError):
-            advance_year(make_state(n=2), [Decision(0, 0)], params)
+            advance_year(make_state(n=2), even_river(), [Decision(0, 0)], params)
 
     def test_budget_identity(self, params):
         fish = np.full(N_FISH_CLASSES, 50.0)
-        state = make_state(n=3, budget=200.0, fish=fish, inflow=3000.0)
+        state = make_state(n=3, budget=200.0, fish=fish)
         decisions = [Decision(4, 2), Decision(6, 1), Decision(2, 3)]
-        state2, records = advance_year(state, decisions, params)
+        state2, records = advance_year(state, even_river(3000.0), decisions, params)
         for before, r in zip(state.households, records):
             delta = r.crop_income + r.fish_income - params.c * r.irrigated \
                 - params.kappa
             assert r.budget - before.budget == pytest.approx(delta, abs=1e-9)
 
     def test_records_capture_water_accounting(self, params):
-        state = make_state(n=2, inflow=500.0)
-        _, records = advance_year(state, [Decision(5, 0), Decision(5, 0)],
-                                  params)
+        state = make_state(n=2)
+        _, records = advance_year(state, even_river(500.0),
+                                  [Decision(5, 0), Decision(5, 0)], params)
         for r in records:
             assert r.delivered <= params.w * r.planted + 1e-9
             assert r.node_inflow >= r.delivered - 1e-9

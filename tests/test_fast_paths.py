@@ -32,7 +32,8 @@ from rivercommons import (ActivityClass, BimatrixGame, CprSolution,
                           solve_irrigation_game, solve_symmetric_cpr,
                           step_fish)
 from rivercommons.config import load_prompts
-from rivercommons.ecology import ADULT, LARVA, N_FISH_CLASSES
+from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
+                                  N_FISH_CLASSES)
 from rivercommons.harness import RunArtifacts
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from conftest import short_config
@@ -347,11 +348,12 @@ def reference_solve_symmetric_cpr(payoff, n_players, e_max):
         if all(payoff(e, others) <= u_star + tol for e in levels):
             return CprSolution(e_star, True)
 
-    e = 0
-    for _ in range(1000):
+    walk, e = [], 0
+    while e not in walk:
+        walk.append(e)
         others = (n_players - 1) * e
         e = min(levels, key=lambda d: (-payoff(d, others), d))
-    return CprSolution(e, False)
+    return CprSolution(min(walk[walk.index(e):]), False)
 
 
 def tabular(values, n_players):
@@ -388,26 +390,59 @@ class TestSymmetricCpr:
         assert not sol.is_equilibrium
         assert sol == reference_solve_symmetric_cpr(payoff, 2, e_max)
 
+    @pytest.mark.parametrize("successor, least", [([1, 0], 0), ([3, 3, 0, 0, 0, 0], 0),
+                                                   ([1, 2, 0], 0), ([2, 2, 3, 2], 2)])
+    def test_cycle_returns_its_least_level(self, successor, least):
+        # 0->1->2->0 and 0->2->3->2: an odd cycle and a cycle entered after a
+        # step, where a fixed-length walk would stop elsewhere in the cycle.
+        sol = solve_symmetric_cpr(tabular(_cycle(successor), 2), 2, len(successor) - 1)
+        assert sol == CprSolution(least, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 5), st.integers(0, 6))
+    def test_result_is_equilibrium_or_least_cycle_level(self, data, n_players, e_max):
+        row = st.lists(PAYOFF_VALUES, min_size=e_max + 1, max_size=e_max + 1)
+        values = data.draw(st.lists(row, min_size=e_max + 1, max_size=e_max + 1))
+        payoff = tabular(values, n_players)
+        levels = range(e_max + 1)
+
+        def is_symmetric_equilibrium(e_star):
+            others = (n_players - 1) * e_star
+            return all(payoff(e, others) <= payoff(e_star, others) + 1e-12 for e in levels)
+
+        sol = solve_symmetric_cpr(payoff, n_players, e_max)
+        if sol.is_equilibrium:
+            assert is_symmetric_equilibrium(sol.extraction)
+            assert not any(map(is_symmetric_equilibrium, range(sol.extraction)))
+            return
+        assert not any(map(is_symmetric_equilibrium, levels))
+        seen, e = [], 0
+        while e not in seen:
+            seen.append(e)
+            others = (n_players - 1) * e
+            e = max(levels, key=lambda d: (payoff(d, others), -d))
+        assert sol.extraction == min(seen[seen.index(e):])
+
     @pytest.mark.parametrize("stock", [0.6, 3.0, 40.0, 500.0])
     def test_fishing_game_equals_reference(self, stock):
         # At stocks 0.6 and 3.0 the best response from 0 cycles 0<->1 and 0<->3.
-        game = build_cpr_fishing_game(stock, EcologyParams(), 9, 5)
-        assert (solve_symmetric_cpr(game.payoff, 9, 5)
-                == reference_solve_symmetric_cpr(game.payoff, 9, 5))
+        payoff = build_cpr_fishing_game(stock, EcologyParams())
+        assert (solve_symmetric_cpr(payoff, 9, 5)
+                == reference_solve_symmetric_cpr(payoff, 9, 5))
 
 
 # -- river routing and the fishery step ------------------------------------------
 
 def reference_route_river(river, planted_fields, params):
     n = len(planted_fields)
-    n_irr = len(river.irrigation_months)
+    n_irr = len(IRRIGATION_MONTHS)
     monthly_demand = [params.w * f / n_irr for f in planted_fields]
     delivered = [0.0] * n
     node_inflow = [0.0] * n
     lake = np.zeros(12)
     for month in range(1, 13):
         flow = float(river.monthly_inflow[month - 1])
-        irrigating = month in river.irrigation_months
+        irrigating = month in IRRIGATION_MONTHS
         for i in range(n):
             node_inflow[i] += flow
             if irrigating and monthly_demand[i] > 0:
@@ -419,7 +454,7 @@ def reference_route_river(river, planted_fields, params):
 
 
 def reference_step_fish(pop, lake_inflow_by_month, harvest_targets, household_order,
-                        params, may_index=5):
+                        params):
     lake = np.asarray(lake_inflow_by_month, dtype=float)
     classes = pop.classes.copy()
     catches = [0.0] * len(harvest_targets)
@@ -441,7 +476,7 @@ def reference_step_fish(pop, lake_inflow_by_month, harvest_targets, household_or
     annual_lake = float(lake.sum())
     scale = min(1.0, annual_lake / params.Q_ref)
     new[LARVA] = params.fecundity * post_harvest_adults * scale
-    if lake[may_index - 1] >= params.Q_min:
+    if lake[MIGRATION_MONTH - 1] >= params.Q_min:
         new[LARVA] += params.M_mig
     return np.maximum(new, 0.0), tuple(catches)
 
@@ -454,11 +489,9 @@ _volumes = st.one_of(st.just(0.0), st.integers(0, 400).map(float), _floats(0.0, 
 @st.composite
 def routing_cases(draw):
     monthly = draw(st.lists(_volumes, min_size=12, max_size=12))
-    months = draw(st.frozensets(st.integers(1, 12), min_size=1))
     planted = draw(st.lists(st.integers(0, 15), min_size=1, max_size=12))
     w = draw(st.one_of(st.just(10.0), _floats(0.1, 50.0)))
-    return RiverYear(np.array(monthly), irrigation_months=months), planted, \
-        EcologyParams(w=w)
+    return RiverYear(np.array(monthly)), planted, EcologyParams(w=w)
 
 
 @st.composite
@@ -473,7 +506,7 @@ def fishery_cases(draw):
     params = EcologyParams(K_juv=draw(st.one_of(st.just(10000.0), _floats(1.0, 1e5))),
                            Q_min=draw(st.one_of(st.just(40.0), _floats(0.0, 500.0))))
     return (FishPopulation(np.array(classes)), np.array(lake), targets,
-            list(range(n - 1, -1, -1)), params, draw(st.integers(1, 12)))
+            list(range(n - 1, -1, -1)), params)
 
 
 class TestYearStep:
@@ -489,10 +522,9 @@ class TestYearStep:
     @settings(max_examples=200, deadline=None)
     @given(fishery_cases())
     def test_step_fish_equals_reference(self, case):
-        pop, lake, targets, order, params, may_index = case
-        fish, catches = step_fish(pop, lake, targets, order, params, may_index=may_index)
-        classes, ref_catches = reference_step_fish(pop, lake, targets, order, params,
-                                                   may_index=may_index)
+        pop, lake, targets, order, params = case
+        fish, catches = step_fish(pop, lake, targets, order, params)
+        classes, ref_catches = reference_step_fish(pop, lake, targets, order, params)
         assert fish.classes.tobytes() == classes.tobytes()
         assert catches == ref_catches
         assert {type(c) for c in catches} == {float}

@@ -115,7 +115,8 @@ class TestBuildIrrigationGame:
         with pytest.raises(ConfigurationError):
             g1_spec(tau=-0.5)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10 ** 400, id="huge_int")])
     @pytest.mark.parametrize("field", ["B_u", "T", "F_u", "y0", "c", "tau"])
     def test_non_finite_spec_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
@@ -124,32 +125,33 @@ class TestBuildIrrigationGame:
 
 class TestCprFishingGame:
     def test_abundant_stock_maxes_out(self, params):
-        game = build_cpr_fishing_game(1e6, params, 9, 5, effort_cost=0.0)
-        sol = solve_symmetric_cpr(game.payoff, game.n_players, game.e_max)
+        payoff = build_cpr_fishing_game(1e6, params, effort_cost=0.0)
+        sol = solve_symmetric_cpr(payoff, 9, 5)
         assert sol.extraction == 5 and sol.is_equilibrium
 
     def test_empty_stock_zero_effort(self, params):
-        game = build_cpr_fishing_game(0.0, params, 9, 5, effort_cost=1.0)
-        sol = solve_symmetric_cpr(game.payoff, game.n_players, game.e_max)
+        payoff = build_cpr_fishing_game(0.0, params, effort_cost=1.0)
+        sol = solve_symmetric_cpr(payoff, 9, 5)
         assert sol.extraction == 0 and sol.is_equilibrium
 
     def test_scarce_stock_interior(self):
         params = EcologyParams(fish_price=1.0)
-        game = build_cpr_fishing_game(10.0, params, 2, 10, effort_cost=0.4)
-        sol = solve_symmetric_cpr(game.payoff, game.n_players, game.e_max)
+        n_players, e_max = 2, 10
+        payoff = build_cpr_fishing_game(10.0, params, effort_cost=0.4)
+        sol = solve_symmetric_cpr(payoff, n_players, e_max)
         # Oracle: exhaustive deviation check at the returned point.
-        others = (game.n_players - 1) * sol.extraction
-        best = max(game.payoff(e, others) for e in range(game.e_max + 1))
-        assert game.payoff(sol.extraction, others) == pytest.approx(best)
+        others = (n_players - 1) * sol.extraction
+        best = max(payoff(e, others) for e in range(e_max + 1))
+        assert payoff(sol.extraction, others) == pytest.approx(best)
         assert sol.is_equilibrium
 
     def test_share_never_exceeds_one(self, params):
-        game = build_cpr_fishing_game(30.0, params, 3, 5)
-        assert game.payoff(5, 0) <= params.fish_price * 5
+        payoff = build_cpr_fishing_game(30.0, params)
+        assert payoff(5, 0) <= params.fish_price * 5
 
     def test_negative_stock_rejected(self, params):
         with pytest.raises(ConfigurationError):
-            build_cpr_fishing_game(-1.0, params, 2, 5)
+            build_cpr_fishing_game(-1.0, params)
 
 
 EXTRACTION_REPLY = json.dumps({

@@ -37,6 +37,17 @@ class TestChatRequest:
         with pytest.raises(ConfigurationError):
             ChatRequest(model="m", messages=(("assistant", "hi"),))
 
+    @pytest.mark.parametrize("role", [None, 5, b"user"])
+    def test_rejects_non_str_role(self, role):
+        with pytest.raises(ConfigurationError, match="roles"):
+            ChatRequest(model="m", messages=((role, "hi"),))
+
+    @pytest.mark.parametrize("content", [None, 5])
+    def test_rejects_non_str_content(self, content):
+        # Once sent as the text "None" or "5".
+        with pytest.raises(ConfigurationError, match="content must be a str"):
+            ChatRequest(model="m", messages=(("system", "be brief"), ("user", content)))
+
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf"),
                                              float("-inf"), -0.5])
     def test_rejects_bad_temperature(self, temperature):

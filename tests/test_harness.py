@@ -296,8 +296,8 @@ class TestRunSimulation:
         # where a catch used to come back as a numpy scalar.
         budgets, capped = [], []
 
-        def recording_advance_year(state, decisions, params):
-            state2, records = advance_year(state, decisions, params)
+        def recording_advance_year(state, river, decisions, params):
+            state2, records = advance_year(state, river, decisions, params)
             budgets.extend(h.budget for h in state2.households)
             capped.append(sum(r.catch for r in records)
                           < sum(d.fish_target for d in decisions))
@@ -500,6 +500,7 @@ class TestCli:
         assert main(["solve-game", "--game", str(game)]) == 0
         out = capsys.readouterr().out
         assert "(H, L)" in out and "(L, H)" in out
+        assert "selected: (H, L)" in out
 
     def test_solve_game_mismatched_shapes_exit_code(self, tmp_path, capsys):
         game = tmp_path / "game.json"

@@ -6,7 +6,7 @@ import pytest
 from rivercommons import (AuthorityState, BehaviourProfile, ConfigurationError,
                           Decision, EcologyParams, FishPopulation, Gateway,
                           GatewayConfig, HouseholdState, InvalidGameError,
-                          RiverYear, SimulationError, WorldState,
+                          SimulationError, WorldState,
                           build_irrigation_game, centralized_allocate,
                           enumerate_pure_ne, expert_egta_decide,
                           generative_decide, is_epsilon_ne,
@@ -26,16 +26,13 @@ def household(index=1, budget=1000.0, last_yield=100.0, last_fields=0,
                           last_node_inflow=last_node_inflow)
 
 
-def make_world(n=2, budget=1000.0, adults=1000.0, node_inflow=10000.0, seed=0):
+def make_world(n=2, budget=1000.0, adults=1000.0, node_inflow=10000.0):
     classes = np.zeros(N_FISH_CLASSES)
     classes[5:] = adults / 8.0
     households = tuple(
         household(index=i + 1, budget=budget, last_node_inflow=node_inflow)
         for i in range(n))
-    return WorldState(households=households,
-                      fish=FishPopulation(classes),
-                      river=RiverYear(np.full(12, node_inflow / 12.0)),
-                      rng=np.random.default_rng(seed))
+    return WorldState(households=households, fish=FishPopulation(classes))
 
 
 class TestMovingAverage:
@@ -127,29 +124,29 @@ class TestExpertEgtaDecide:
         world = make_world(n=2, adults=0.0, node_inflow=60.0)
         spec = EcologyParams(ys=25.0)
         decisions = expert_egta_decide(world, 0.0, spec, 6.0, 10, 5, 1.0,
-                                       world.rng)
+                                       np.random.default_rng(0))
         assert [d.fields_planted for d in decisions] == [6, 0]
         assert all(d.fish_target == 0 for d in decisions)
 
     def test_fishing_game_solved_first(self, params):
         world = make_world(n=2, adults=1e6)
         decisions = expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0,
-                                       world.rng)
+                                       np.random.default_rng(0))
         assert all(d.fish_target == 5 for d in decisions)
 
     def test_middle_household_coin_flip_reproducible(self, params):
         results = []
         for _ in range(2):
-            world = make_world(n=5, seed=99)
+            world = make_world(n=5)
             decisions = expert_egta_decide(world, 0.25, params, 6.0, 10, 5,
-                                           1.0, world.rng)
+                                           1.0, np.random.default_rng(99))
             results.append([d.fields_planted for d in decisions])
         assert results[0] == results[1]
 
     def test_middle_options_come_from_adjacent_games(self, params):
         world = make_world(n=3, node_inflow=10000.0)
         decisions = expert_egta_decide(world, 1.0, params, 6.0, 10, 5, 1.0,
-                                       world.rng)
+                                       np.random.default_rng(0))
         # tau=1 pair equilibrium is (1, 5): ends fixed, middle picks either.
         assert decisions[0].fields_planted == 1
         assert decisions[2].fields_planted == 5
@@ -161,7 +158,7 @@ class TestExpertEgtaDecide:
         pure = enumerate_pure_ne(game)
         world = make_world(n=2, adults=0.0, node_inflow=60.0)
         decisions = expert_egta_decide(world, 0.0, EcologyParams(ys=25.0),
-                                       6.0, 10, 5, 1.0, world.rng)
+                                       6.0, 10, 5, 1.0, np.random.default_rng(0))
         cell = (decisions[0].fields_planted, decisions[1].fields_planted)
         assert cell in pure
         profile = MixedProfile.pure(cell[0], cell[1], 11, 11)
@@ -170,7 +167,7 @@ class TestExpertEgtaDecide:
     def test_single_household_rejected(self, params):
         world = make_world(n=1)
         with pytest.raises(ConfigurationError):
-            expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, world.rng)
+            expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, np.random.default_rng(0))
 
     def test_game_error_becomes_simulation_error(self, monkeypatch, params):
         def invalid(spec):
@@ -179,7 +176,7 @@ class TestExpertEgtaDecide:
         monkeypatch.setattr("rivercommons.policies.solve_irrigation_game", invalid)
         world = make_world(n=3)
         with pytest.raises(SimulationError) as err:
-            expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, world.rng)
+            expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, np.random.default_rng(0))
         assert (err.value.year, err.value.pair) == (1, 1)
         assert isinstance(err.value.__cause__, InvalidGameError)
         rows = sweep(short_config(pipeline="expert-egta", horizon=2))
