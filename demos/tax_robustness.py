@@ -1,16 +1,15 @@
 """The tax grid experiment: tragedy without the levy, sustainability with it.
 
 Sweeps the expert pipeline over the extraction tax and several seeds, prints
-the summary grid, and writes the CSV/SVG artifacts for the tau=0 run so the
-collapse is visible household by household.
+the summary grid, and writes the CSV/SVG artifacts for the tau=0 run into a
+fresh temporary directory so the collapse is visible household by household.
 """
 import os
+import tempfile
 
 from rivercommons import (RunConfig, calibrate_check, emit_outputs,
                           run_simulation, sweep)
 from rivercommons.outputs import write_summary_csv
-
-OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output")
 
 base = RunConfig(pipeline="expert-egta", seed=42)
 rows = sweep(base, taus=[0.0, 0.25, 1.0], seeds=[0, 1, 2])
@@ -26,9 +25,11 @@ for check in report["checks"]:
     status = "PASS" if check["passed"] else "FAIL"
     print(f"  [{status}] {check['name']} ({check['detail']})")
 
-os.makedirs(OUT, exist_ok=True)
+OUT = tempfile.mkdtemp(prefix="tax_robustness_")
 write_summary_csv(rows, os.path.join(OUT, "tax_grid.csv"))
 paths = emit_outputs(run_simulation(RunConfig(pipeline="expert-egta",
                                               tau=0.0, seed=42)), OUT)
 print(f"\nwrote {os.path.join(OUT, 'tax_grid.csv')}")
-print(f"wrote {paths['budgets']} (tau=0 collapse, one line per household)")
+for path in paths.values():
+    print(f"wrote {path}")
+print("(budgets.svg: the tau=0 collapse, one line per household)")

@@ -36,19 +36,16 @@ class TemplateError(RiverCommonsError):
 
 
 class TransportError(RiverCommonsError):
-    """Chat-completion backend failed after all retries."""
+    """One chat-completion send failed (no stub reply, or a failed POST)."""
 
 
 class SimulationError(RiverCommonsError):
     """Fatal error inside a simulation run, annotated with context."""
 
-    def __init__(self, message, year=None, household=None, pair=None):
+    def __init__(self, message, year=None, pair=None):
         self.year = year
-        self.household = household
         self.pair = pair
-        ctx = [f"{k}={v}" for k, v in
-               (("year", year), ("household", household), ("pair", pair))
-               if v is not None]
+        ctx = [f"{k}={v}" for k, v in (("year", year), ("pair", pair)) if v is not None]
         super().__init__(message + (f" [{', '.join(ctx)}]" if ctx else ""))
 
 

@@ -87,7 +87,7 @@ def build_irrigation_game(spec: IrrigationGameSpec) -> BimatrixGame:
     return BimatrixGame(row, col, actions, actions)
 
 
-def solve_irrigation_game(spec: IrrigationGameSpec, initial_label: int = 0):
+def solve_irrigation_game(spec: IrrigationGameSpec):
     """Selected equilibrium strategies (s_u, s_d) for one pair.
 
     Pure equilibria are enumerated and the min-total rule picks one cell; the
@@ -98,7 +98,7 @@ def solve_irrigation_game(spec: IrrigationGameSpec, initial_label: int = 0):
     pure = enumerate_pure_ne(game)
     if pure:
         return select_cell(pure, game.row_actions, game.col_actions)
-    profile = lemke_howson(game, initial_label)
+    profile = lemke_howson(game)
     return int(np.argmax(profile.row_dist)), int(np.argmax(profile.col_dist))
 
 
@@ -136,7 +136,6 @@ class ActionSituationModel:
     kind: ASKind
     participants: int
     actions: tuple
-    payoffs: tuple = None   # optional row-major cells for abstract 2x2 games
 
     def __post_init__(self):
         if self.participants < 2:
@@ -167,18 +166,6 @@ def _coerce_participants(value):
     raise SchemaError(f"cannot interpret participants: {value!r}")
 
 
-def _coerce_payoffs(value):
-    if value is None:
-        return None
-    cells = []
-    for row in value:
-        for cell in row:
-            if not isinstance(cell, (list, tuple)) or len(cell) != 2:
-                raise SchemaError(f"payoff cell must be a pair, got {cell!r}")
-            cells.append((float(cell[0]), float(cell[1])))
-    return tuple(cells)
-
-
 def _parse_one(item) -> ActionSituationModel:
     if not isinstance(item, dict):
         raise SchemaError(f"action situation entry must be an object, got {type(item).__name__}")
@@ -188,19 +175,19 @@ def _parse_one(item) -> ActionSituationModel:
     actions = item.get("actions", [])
     if isinstance(actions, dict):  # per-participant action lists; take the first
         actions = next(iter(actions.values()), [])
-    return ActionSituationModel(
-        name=name, kind=kind, participants=participants,
-        actions=tuple(str(a) for a in actions),
-        payoffs=_coerce_payoffs(item.get("payoffs")))
+    if not isinstance(actions, list):
+        raise SchemaError(f"actions of '{name}' must be a list, got {actions!r}")
+    return ActionSituationModel(name=name, kind=kind, participants=participants,
+                                actions=tuple(str(a) for a in actions))
 
 
 def parse_llm_game(text: str):
     """Parse the gateway reply describing action situations.
 
     Returns a list of ActionSituationModel. Abstract action labels such as
-    "high"/"low" are preserved verbatim; optional payoff cells are stored in
-    row-major order. Raises SchemaError (carrying the text) when the reply
-    has no usable structure.
+    "high"/"low" are preserved verbatim; keys other than name, kind,
+    participants and actions are ignored. Raises SchemaError (carrying the
+    text) when the reply has no usable structure.
     """
     if text is None or not text.strip():
         raise SchemaError("empty gateway reply", text=text)
@@ -210,10 +197,10 @@ def parse_llm_game(text: str):
         raise SchemaError("no structured game description found", text=text) from err
     if isinstance(value, dict):
         items = value.get("action_situations") or value.get("games") or [value]
-    elif isinstance(value, list):
-        items = value
     else:
-        raise SchemaError("reply carries no game structure", text=text)
+        items = value
+    if not isinstance(items, list):
+        raise SchemaError("reply carries no list of action situations", text=text)
     try:
         models = [_parse_one(item) for item in items]
     except SchemaError as err:

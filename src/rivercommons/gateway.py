@@ -12,6 +12,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
+from importlib import resources
 
 from .errors import (ConfigurationError, SchemaError, TemplateError, TransportError,
                      check_finite)
@@ -19,6 +20,7 @@ from .errors import (ConfigurationError, SchemaError, TemplateError, TransportEr
 ENV_ENDPOINT = "RIVERCOMMONS_ENDPOINT"
 ENV_API_KEY = "RIVERCOMMONS_API_KEY"
 ENV_MODEL = "RIVERCOMMONS_MODEL"
+DEFAULT_FIXTURE = str(resources.files(__package__) / "fixtures" / "stub_default.json")
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,16 @@ class GatewayConfig:
             raise ConfigurationError(f"unknown gateway backend: {self.backend!r}")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
+        if self.timeout <= 0:
+            raise ConfigurationError(f"timeout must be > 0, got {self.timeout!r}")
+        if self.backoff_base < 0:
+            raise ConfigurationError(f"backoff_base must be >= 0, got {self.backoff_base!r}")
         if self.endpoint is None:
             object.__setattr__(self, "endpoint", os.environ.get(ENV_ENDPOINT))
         if self.model is None:
             object.__setattr__(self, "model", os.environ.get(ENV_MODEL, "stub-model"))
+        if self.backend == "stub" and not self.fixture_path:
+            object.__setattr__(self, "fixture_path", DEFAULT_FIXTURE)
         if self.backend == "http" and not self.endpoint:
             raise ConfigurationError("http backend requires an endpoint "
                                      f"(set {ENV_ENDPOINT} or config)")
@@ -78,7 +86,7 @@ def request_fingerprint(request: ChatRequest) -> str:
 
 
 class Gateway:
-    """Chat-completion client with retries, request logging and a stub mode.
+    """Chat-completion client with one retry loop, request logging and a stub mode.
 
     The stub replays a fixture: a JSON array of {fingerprint (optional),
     response} entries. A request is answered by the next unused entry whose
@@ -93,8 +101,6 @@ class Gateway:
         self._replies = {}       # fingerprint -> cycle of replies; None keys the pool
         self._log_file = None
         if config.backend == "stub":
-            if not config.fixture_path:
-                raise ConfigurationError("stub backend requires fixture_path")
             try:
                 with open(config.fixture_path, "r", encoding="utf-8") as fh:
                     entries = json.load(fh)
@@ -113,9 +119,27 @@ class Gateway:
                 replies.setdefault(entry.get("fingerprint"), []).append(response)
             self._replies = {fp: itertools.cycle(r) for fp, r in replies.items()}
 
+    def ask(self, messages: tuple, parse, tags: dict = None):
+        """`parse` of the reply to `messages`, sent at most `max_retries + 1`
+        times. A SchemaError from `parse` and a TransportError each use up one
+        send; after an HTTP transport failure the next send waits
+        `backoff_base * 2**attempt` seconds. When the sends run out, the last
+        error is raised."""
+        request = ChatRequest(model=self.config.model, messages=messages)
+        for attempt in range(self.config.max_retries + 1):
+            try:
+                return parse(self.complete(request, tags))
+            except SchemaError as err:
+                last_err = err
+            except TransportError as err:
+                last_err = err
+                if self.config.backend == "http" and attempt < self.config.max_retries:
+                    time.sleep(self.config.backoff_base * 2 ** attempt)
+        raise last_err
+
     def complete(self, request: ChatRequest, tags: dict = None) -> str:
-        """Send one request and return the reply text; retried on transport
-        failure; every prompt/response pair is appended to the request log."""
+        """One send: a stub lookup or one POST. The reply is counted and the
+        prompt/response pair appended to the request log."""
         fp = request_fingerprint(request)
         if self.config.backend == "stub":
             text = self._complete_stub(fp)
@@ -145,20 +169,14 @@ class Gateway:
         api_key = os.environ.get(ENV_API_KEY)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        last_err = None
-        for attempt in range(self.config.max_retries + 1):
-            try:
-                resp = requests.post(self.config.endpoint, json=body,
-                                     headers=headers, timeout=self.config.timeout)
-                resp.raise_for_status()
-                payload = resp.json()
-                return payload["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as err:
-                last_err = err
-                if attempt < self.config.max_retries:
-                    time.sleep(self.config.backoff_base * (2 ** attempt))
-        raise TransportError(f"chat completion failed after "
-                             f"{self.config.max_retries + 1} attempts: {last_err}")
+        try:
+            resp = requests.post(self.config.endpoint, json=body,
+                                 headers=headers, timeout=self.config.timeout)
+            resp.raise_for_status()
+            return resp.json()["choices"][0]["message"]["content"]
+        except (requests.RequestException, KeyError, IndexError, TypeError,
+                ValueError) as err:
+            raise TransportError(f"chat completion failed: {err}") from err
 
     def _log(self, request: ChatRequest, fp: str, response: str, tags: dict):
         if not self.config.log_path:

@@ -8,7 +8,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
-from importlib import resources
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .ecology import (Decision, FishPopulation, HouseholdState, RiverYear,
                       WorldState, advance_year)
 from .errors import ConfigurationError, RiverCommonsError
 from .games import parse_llm_game
-from .gateway import ChatRequest, Gateway
+from .gateway import Gateway
 from .outputs import GRID_FIELDS, summarize, summary_row
 from .policies import (AuthorityState, BehaviourProfile, centralized_allocate,
                        default_fish_target, expert_egta_decide,
@@ -212,11 +211,7 @@ class _Generative(_Procedural):
         super().__init__(config, year0)
         self.prompts = load_prompts(config.prompts_dir)
         self.profile = BehaviourProfile(config.behaviour, self.prompts[config.behaviour])
-        gw_cfg = config.gateway
-        if gw_cfg.backend == "stub" and not gw_cfg.fixture_path:
-            gw_cfg = replace(gw_cfg, fixture_path=str(
-                resources.files("rivercommons") / "fixtures" / "stub_default.json"))
-        self.gateway = Gateway(gw_cfg)
+        self.gateway = Gateway(config.gateway)
 
     def decide(self, state: WorldState, year: int):
         decisions, events = [], []
@@ -239,11 +234,9 @@ class _Generative(_Procedural):
 class _NaiveEgta(_Generative):
     def decide(self, state: WorldState, year: int):
         if not self.as_models:
-            # Step 1 of the naive pipeline: one extraction call at run start.
-            request = ChatRequest(model=self.gateway.config.model,
-                                  messages=(("user", self.prompts["as_extraction"]),))
-            self.as_models = parse_llm_game(
-                self.gateway.complete(request, tags={"stage": "as_extraction"}))
+            # Step 1 of the naive pipeline: one extraction question at run start.
+            self.as_models = self.gateway.ask((("user", self.prompts["as_extraction"]),),
+                                              parse_llm_game, {"stage": "as_extraction"})
         return super().decide(state, year)
 
     def decide_one(self, view: dict, fallback, tags: dict):

@@ -13,7 +13,7 @@ from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
                      SimulationError, TransportError)
 from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game,
                     solve_irrigation_game)
-from .gateway import ChatRequest, Gateway, extract_structured, render_prompt
+from .gateway import Gateway, extract_structured, render_prompt
 
 
 @dataclass
@@ -76,21 +76,18 @@ def procedural_decide(household: HouseholdState, last_inflow: float,
 
 
 def centralized_allocate(authority: AuthorityState, params: EcologyParams,
-                         n_households: int, max_fields: int = None):
+                         n_households: int, max_fields: int):
     """Equal per-household field allocation under prediction and budget caps.
 
     Total supportable fields = min(predicted water / w, budget / c); each
-    household receives the floor of an equal share, the remainder stays
-    unallocated.
+    household receives the floor of an equal share, at most max_fields; the
+    remainder stays unallocated.
     """
     predicted = moving_average_predict(authority.inflow_history, authority.window)
     by_water = int(math.floor(predicted / params.w))
     by_budget = int(math.floor(max(authority.budget, 0.0) / params.c))
     total = max(0, min(by_water, by_budget))
-    per_household = total // n_households
-    if max_fields is not None:
-        per_household = min(per_household, max_fields)
-    return [per_household] * n_households
+    return [min(total // n_households, max_fields)] * n_households
 
 
 def solve_fishing_game(state: WorldState, params: EcologyParams,
@@ -177,20 +174,13 @@ def _reply_to_fields_and_fish(value):
 
 
 def _ask(gateway: Gateway, profile: BehaviourProfile, prompt: str, parse, tags):
-    """`parse(reply)` for the profile's system prompt plus `prompt`, asked again
-    while `parse` raises SchemaError; None once the configured retries run out
-    or on transport failure."""
-    request = ChatRequest(
-        model=gateway.config.model,
-        messages=(("system", profile.system_prompt), ("user", prompt)))
-    for _ in range(gateway.config.max_retries + 1):
-        try:
-            return parse(gateway.complete(request, tags=tags))
-        except SchemaError:
-            continue
-        except TransportError:
-            return None
-    return None
+    """`gateway.ask` of the profile's system prompt plus `prompt`; None once
+    its sends run out, so the caller falls back."""
+    try:
+        return gateway.ask((("system", profile.system_prompt), ("user", prompt)),
+                           parse, tags)
+    except (SchemaError, TransportError):
+        return None
 
 
 def generative_decide(view: dict, profile: BehaviourProfile, gateway: Gateway,
@@ -200,8 +190,8 @@ def generative_decide(view: dict, profile: BehaviourProfile, gateway: Gateway,
 
     Renders the role prompt with the household's view of the world, parses an
     integer field count (and optional fish target) from the reply, clamps
-    out-of-range values, and falls back to `fallback()` after the configured
-    number of parse retries or on transport failure.
+    out-of-range values, and falls back to `fallback()` when the gateway's
+    sends run out without a usable reply.
 
     Returns (Decision, events) where events is a list of strings among
     {"clamp", "fallback"}.

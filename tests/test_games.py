@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rivercommons import (ASKind, ConfigurationError, EcologyParams,
-                          SchemaError, build_cpr_fishing_game,
+from rivercommons import (ActionSituationModel, ASKind, ConfigurationError,
+                          EcologyParams, SchemaError, build_cpr_fishing_game,
                           build_irrigation_game, enumerate_pure_ne,
                           irrigated_fields, pair_payoffs, parse_llm_game,
                           solve_irrigation_game, solve_symmetric_cpr)
@@ -180,11 +180,6 @@ class TestParseLlmGame:
         assert second.kind is ASKind.COMMON_POOL_RESOURCE
         assert second.participants == 9
 
-    def test_payoff_cells_row_major(self):
-        models = parse_llm_game(EXTRACTION_REPLY)
-        assert models[0].payoffs == ((6.0, 6.0), (5.0, 7.0),
-                                     (9.0, 3.0), (5.0, 2.0))
-
     def test_empty_text_rejected(self):
         with pytest.raises(SchemaError):
             parse_llm_game("")
@@ -217,3 +212,36 @@ class TestParseLlmGame:
                             "participants": 1, "actions": ["x"]}])
         with pytest.raises(SchemaError):
             parse_llm_game(text)
+
+    @pytest.mark.parametrize("actions", [5, {"a": 7}])
+    def test_actions_must_be_a_list(self, actions):
+        with pytest.raises(SchemaError):
+            parse_llm_game(json.dumps([{"name": "w", "kind": "cpr", "participants": 2,
+                                        "actions": actions}]))
+
+    @pytest.mark.parametrize("reply", [{"action_situations": 3}, "7"])
+    def test_situations_must_be_a_list(self, reply):
+        with pytest.raises(SchemaError):
+            parse_llm_game(json.dumps(reply))
+
+    @pytest.mark.parametrize("payoffs", [5, [[["a", "b"]]]])
+    def test_payoffs_key_ignored(self, payoffs):
+        (model,) = parse_llm_game(json.dumps([{"name": "w", "kind": "cpr",
+                                               "participants": 2, "actions": ["x"],
+                                               "payoffs": payoffs}]))
+        assert model.actions == ("x",)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(
+            st.sampled_from(["action_situations", "games", "name", "kind",
+                             "participants", "actions", "payoffs"]) | st.text(max_size=4),
+            children, max_size=5),
+        max_leaves=20))
+    def test_any_json_value_parses_or_raises_schema_error(self, value):
+        try:
+            models = parse_llm_game(json.dumps(value))
+        except SchemaError:
+            return
+        assert models and all(isinstance(m, ActionSituationModel) for m in models)

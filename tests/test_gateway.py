@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from rivercommons import (ChatRequest, ConfigurationError, Gateway,
-                          GatewayConfig, SchemaError, TemplateError,
-                          TransportError, extract_structured, render_prompt,
-                          request_fingerprint)
+import rivercommons
+from rivercommons import (BehaviourProfile, ChatRequest, ConfigurationError,
+                          Decision, Gateway, GatewayConfig, RunConfig,
+                          SchemaError, TemplateError, TransportError,
+                          extract_structured, generative_decide, render_prompt,
+                          request_fingerprint, run_simulation)
+from rivercommons.config import load_prompts
 
 
 def write_fixture(tmp_path, entries, name="fixture.json"):
@@ -95,9 +98,11 @@ class TestStubBackend:
         with pytest.raises(ConfigurationError):
             stub_gateway(tmp_path, [])
 
-    def test_missing_fixture_path_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Gateway(GatewayConfig(backend="stub"))
+    def test_default_fixture_is_the_packaged_one(self):
+        cfg = GatewayConfig(backend="stub")
+        packaged = Path(rivercommons.__file__).parent / "fixtures" / "stub_default.json"
+        assert Path(cfg.fixture_path) == packaged
+        assert Gateway(cfg).complete(user_request("any")) != ""
 
     @pytest.mark.parametrize("content", [None, "{not json", '[{"text": "7"}]'])
     def test_unusable_fixture_file_rejected(self, tmp_path, content):
@@ -185,6 +190,15 @@ class TestGatewayConfig:
         from rivercommons import RunConfig
         assert hash(RunConfig()) == hash(RunConfig())
 
+    def test_negative_backoff_rejected(self):
+        with pytest.raises(ConfigurationError, match="backoff_base"):
+            GatewayConfig(backoff_base=-0.5)
+
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ConfigurationError, match="timeout"):
+            GatewayConfig(backend="http", endpoint="http://127.0.0.1:9/", timeout=timeout)
+
     def test_model_from_environment(self, monkeypatch):
         monkeypatch.setenv("RIVERCOMMONS_MODEL", "env-model")
         assert GatewayConfig().model == "env-model"
@@ -210,6 +224,135 @@ class TestHttpBackend:
         monkeypatch.delenv("RIVERCOMMONS_ENDPOINT", raising=False)
         with pytest.raises(ConfigurationError):
             GatewayConfig(backend="http")
+
+
+class _Scripted(BaseHTTPRequestHandler):
+    """Answers the n-th POST with script[n % len(script)]: an int is an error
+    status, bytes the whole response body, a str the reply content. `posts`
+    counts the POSTs received."""
+    script = ()
+    posts = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        step = self.script[type(self).posts % len(self.script)]
+        type(self).posts += 1
+        if isinstance(step, int):
+            self.send_error(step)
+            return
+        data = step if isinstance(step, bytes) else json.dumps(
+            {"choices": [{"message": {"content": step}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def scripted_server():
+    """start(*script) -> (handler class, endpoint URL) of a fresh server."""
+    running = []
+
+    def start(*script):
+        handler = type("Handler", (_Scripted,), {"script": script, "posts": 0})
+        server = HTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        running.append((server, thread))
+        return handler, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+
+    yield start
+    for server, thread in running:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def http_gateway(endpoint, **cfg):
+    return Gateway(GatewayConfig(backend="http", endpoint=endpoint, model="m",
+                                 backoff_base=0.0, **cfg))
+
+
+QUESTION = (("user", "How many fields?"),)
+
+
+class TestAsk:
+    """Gateway.ask is the one retry loop: each question gets at most
+    max_retries + 1 sends, whatever mix of failures it meets."""
+
+    def test_alternating_server_error_and_prose_falls_back(self, scripted_server):
+        handler, endpoint = scripted_server(500, "no numbers here")
+        gw = http_gateway(endpoint, max_retries=2)
+        decision, events = generative_decide(
+            {}, BehaviourProfile("balanced", "You are a farmer."), gw,
+            "Reply with a field count.", 10, 5, lambda: Decision(1, 1))
+        assert (decision, events) == (Decision(1, 1), ["fallback"])
+        assert handler.posts == 3
+        assert gw.call_count == 1      # only the prose reply arrived
+
+    @pytest.mark.parametrize("failure", [500, b"[]", b'{"choices": []}', b"not json"])
+    def test_failed_send_then_parseable_reply(self, scripted_server, failure):
+        handler, endpoint = scripted_server(failure, "7")
+        gw = http_gateway(endpoint, max_retries=2)
+        assert gw.ask(QUESTION, extract_structured) == 7
+        assert handler.posts == 2
+
+    def test_http_backoff_between_sends_only(self, scripted_server, monkeypatch):
+        waits = []
+        monkeypatch.setattr("rivercommons.gateway.time.sleep", waits.append)
+        handler, endpoint = scripted_server(503)
+        gw = Gateway(GatewayConfig(backend="http", endpoint=endpoint, model="m",
+                                   max_retries=2, backoff_base=0.25))
+        with pytest.raises(TransportError):
+            gw.ask(QUESTION, extract_structured)
+        assert handler.posts == 3
+        assert waits == [0.25, 0.5]
+
+    def test_stub_pool_consumed_and_logged_once_per_send(self, tmp_path, monkeypatch):
+        waits = []
+        monkeypatch.setattr("rivercommons.gateway.time.sleep", waits.append)
+        log_path = tmp_path / "requests.jsonl"
+        gw = stub_gateway(tmp_path, [{"response": "no"}, {"response": "nope"},
+                                     {"response": "none"}],
+                          max_retries=3, log_path=str(log_path))
+        with pytest.raises(SchemaError):
+            gw.ask(QUESTION, extract_structured, {"stage": "test"})
+        gw.close()
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [r["response"] for r in records] == ["no", "nope", "none", "no"]
+        assert gw.call_count == 4
+        assert gw.complete(user_request("next")) == "nope"
+        assert waits == []
+
+    def test_unmatched_stub_fingerprint_counts_and_logs_nothing(self, tmp_path):
+        log_path = tmp_path / "requests.jsonl"
+        gw = stub_gateway(tmp_path, [{"fingerprint": "0" * 16, "response": "7"}],
+                          log_path=str(log_path))
+        with pytest.raises(TransportError):
+            gw.ask(QUESTION, extract_structured)
+        gw.close()
+        assert gw.call_count == 0
+        assert not log_path.exists()
+
+    def test_unparseable_extraction_raises_after_all_sends(self, tmp_path):
+        extraction = ChatRequest(model="stub-model",
+                                 messages=(("user", load_prompts()["as_extraction"]),))
+        fixture = write_fixture(tmp_path, [
+            {"fingerprint": request_fingerprint(extraction), "response": "no structure"},
+            {"response": "7"}])
+        log_path = tmp_path / "requests.jsonl"
+        cfg = RunConfig(pipeline="naive-egta", horizon=2, gateway=GatewayConfig(
+            model="stub-model", max_retries=2, fixture_path=fixture,
+            log_path=str(log_path)))
+        with pytest.raises(SchemaError):
+            run_simulation(cfg)
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [r["tags"] for r in records] == [{"stage": "as_extraction"}] * 3
+        assert {r["response"] for r in records} == {"no structure"}
 
 
 class TestRenderPrompt:

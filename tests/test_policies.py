@@ -102,16 +102,16 @@ class TestDefaultFishTarget:
 class TestCentralizedAllocate:
     def test_equal_shares_with_remainder(self, params):
         authority = AuthorityState(400.0, [540.0], 20)
-        allocation = centralized_allocate(authority, params, 9)
+        allocation = centralized_allocate(authority, params, 9, 10)
         assert allocation == [4] * 9  # 40 supportable, 4 unallocated
 
     def test_zero_budget(self, params):
         authority = AuthorityState(0.0, [540.0], 20)
-        assert centralized_allocate(authority, params, 9) == [0] * 9
+        assert centralized_allocate(authority, params, 9, 10) == [0] * 9
 
     def test_zero_prediction(self, params):
         authority = AuthorityState(1000.0, [0.0], 20)
-        assert centralized_allocate(authority, params, 9) == [0] * 9
+        assert centralized_allocate(authority, params, 9, 10) == [0] * 9
 
     def test_max_fields_cap(self, params):
         authority = AuthorityState(1e9, [1e6], 20)
