@@ -12,7 +12,7 @@ import numpy as np
 from .config import load_config, load_json_object
 from .equilibrium import BimatrixGame, enumerate_pure_ne, lemke_howson, select_cell
 from .errors import ConfigurationError, RiverCommonsError
-from .harness import CALIBRATE_MIN_HORIZON, calibrate_check, run_simulation, sweep
+from .harness import CALIBRATE_MIN_HORIZON, CALIBRATE_TAUS, calibrate_check, run_simulation, sweep
 from .outputs import (SUMMARY_FIELDS, SWEEP_COLUMNS, emit_outputs, summarize,
                       write_rows, write_summary_csv)
 
@@ -38,11 +38,8 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     base = load_config(args.config)
-    rows = sweep(base,
-                 pipelines=args.pipelines or None,
-                 taus=args.taus or None,
-                 behaviours=args.profiles or None,
-                 seeds=args.seeds or None)
+    rows = sweep(base, pipelines=args.pipelines, taus=args.taus,
+                 behaviours=args.profiles, seeds=args.seeds)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sweep.csv")
@@ -84,7 +81,7 @@ def _cmd_solve_game(args):
 
 def _cmd_calibrate_check(args):
     config = load_config(args.config)
-    report = calibrate_check(config, taus=args.taus or (0.0, 0.25, 1.0))
+    report = calibrate_check(config, taus=args.taus or CALIBRATE_TAUS)
     if report["insufficient_horizon"]:
         print(f"warning: horizon {config.horizon} is below "
               f"{CALIBRATE_MIN_HORIZON}; pattern checks are unreliable")

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, check_finite
+from .errors import ConfigurationError, check_fields
 
 N_FISH_CLASSES = 13
 LARVA = 0
@@ -113,7 +113,7 @@ class EcologyParams:
     stress_recovery: float = 0.25  # per-year stress decay
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.w <= 0 or self.c <= 0 or self.y0 <= 0:
             raise ConfigurationError("w, c and y0 must be positive")
         if not 0 < self.ys < self.y0:

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package, and the finiteness rule
-every config section and game spec applies to its float fields."""
+"""Exception hierarchy shared across the package, and `check_fields`, the one
+rule for the field values of every config section and game spec."""
 
+import functools
 import math
+import numbers
+import typing
 
 
 class RiverCommonsError(Exception):
@@ -57,10 +60,38 @@ def _finite(value) -> bool:
         return False
 
 
-def check_finite(instance):
-    """Raise ConfigurationError naming the first float field of a dataclass
-    instance that holds NaN, ±inf or an integer too large for a float."""
-    for f in instance.__dataclass_fields__.values():
-        value = getattr(instance, f.name)
-        if f.type in (float, "float") and not _finite(value):
-            raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+def _real(value) -> bool:
+    # bool is a number to Python but never a valid count or coefficient.
+    return type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool
+
+
+@functools.cache
+def _field_rules(cls) -> tuple:
+    """(name, annotation, default) for each field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((name, hints[name], f.default) for name, f in cls.__dataclass_fields__.items())
+
+
+_LABELS = {int: "an integer", float: "a number", str: "a string",
+           tuple[float, ...]: "a list of finite numbers"}
+
+
+def check_fields(instance):
+    """Raise ConfigurationError naming the first field of a dataclass instance
+    whose value does not fit its annotation: an int is integral and a float real
+    and finite, neither a bool; None fits only a field whose default is None."""
+    for name, kind, default in _field_rules(type(instance)):
+        value = getattr(instance, name)
+        if kind is float:
+            ok = type(value) is float or _real(value)
+            if ok and not _finite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        elif kind is int:
+            ok = type(value) is int or _real(value) and isinstance(value, numbers.Integral)
+        elif kind == tuple[float, ...]:
+            ok = isinstance(value, (list, tuple)) and all(_real(v) and _finite(v) for v in value)
+        else:
+            ok = isinstance(value, kind)
+        if not ok and not (value is None and default is None):
+            label = _LABELS.get(kind, kind.__name__)
+            raise ConfigurationError(f"{name} must be {label}, got {value!r}")

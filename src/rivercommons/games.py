@@ -13,7 +13,7 @@ import numpy as np
 # perfbench/tracing.py wraps it at this name.
 from .equilibrium import (BimatrixGame, enumerate_pure_ne, lemke_howson,  # noqa: F401
                           select_cell, select_equilibrium)
-from .errors import ConfigurationError, SchemaError, check_finite
+from .errors import ConfigurationError, SchemaError, check_fields
 from .gateway import extract_structured
 
 
@@ -36,7 +36,7 @@ class IrrigationGameSpec:
     max_fields: int = 10
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.c <= 0 or self.w <= 0:
             raise ConfigurationError("c and w must be positive")
         if self.ys >= self.y0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import (ConfigurationError, SchemaError, TemplateError, TransportError,
-                     check_finite)
+                     check_fields)
 
 ENV_ENDPOINT = "RIVERCOMMONS_ENDPOINT"
 ENV_API_KEY = "RIVERCOMMONS_API_KEY"
@@ -59,7 +59,7 @@ class GatewayConfig:
     log_path: str = None
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.backend not in ("stub", "http"):
             raise ConfigurationError(f"unknown gateway backend: {self.backend!r}")
         if self.max_retries < 0:

@@ -276,15 +276,14 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
 
 
 def sweep(base: RunConfig, pipelines=None, taus=None, behaviours=None, seeds=None):
-    """One summary row per grid cell. A cell that fails with a package error
-    (RiverCommonsError) is recorded in its row's `error` column and does not
-    stop the remaining cells; any other exception propagates."""
-    pipelines = list(pipelines or [base.pipeline])
-    taus = list(taus if taus is not None else [base.tau])
-    behaviours = list(behaviours or [base.behaviour])
-    seeds = list(seeds if seeds is not None else [base.seed])
+    """One summary row per grid cell; an axis that is None or empty takes the
+    base config's value. A cell that fails with a package error (a
+    RiverCommonsError) is recorded in its row's `error` column and the rest
+    still run; any other exception propagates."""
+    axes = [list(values if values is not None else ()) or [getattr(base, name)]
+            for name, values in zip(GRID_FIELDS, (pipelines, taus, behaviours, seeds))]
     rows = []
-    for values in itertools.product(pipelines, taus, behaviours, seeds):
+    for values in itertools.product(*axes):
         cell = dict(zip(GRID_FIELDS, values))
         try:
             artifacts = run_simulation(replace(base, **cell))
@@ -296,14 +295,18 @@ def sweep(base: RunConfig, pipelines=None, taus=None, behaviours=None, seeds=Non
 
 
 CALIBRATE_MIN_HORIZON = 30
+CALIBRATE_TAUS = (0.0, 0.25, 1.0)
 
 
-def calibrate_check(config: RunConfig, taus=(0.0, 0.25, 1.0)) -> dict:
+def calibrate_check(config: RunConfig, taus=CALIBRATE_TAUS) -> dict:
     """Run the expert pipeline over the tax grid and check the qualitative
     outcome pattern: tragedy without the tax, full sustainability with it.
 
-    Failures are report content, not exceptions.
+    Failed checks are report content; an empty tax grid is a ConfigurationError.
     """
+    taus = tuple(taus)
+    if not taus:
+        raise ConfigurationError("calibrate_check needs at least one tax level")
     config = replace(config, pipeline="expert-egta")
     report = {"checks": [], "passed": True,
               "insufficient_horizon": config.horizon < CALIBRATE_MIN_HORIZON}

@@ -33,11 +33,9 @@ def summarize(artifacts) -> dict:
 
 def summary_row(cell: dict, artifacts=None, error: str = "") -> dict:
     """A SWEEP_COLUMNS row: the cell's GRID_FIELDS values, then the run's
-    summary, or blank summary fields and the error of a failed cell."""
-    row = dict(cell, fallback_events=0, error=error)
-    if artifacts is None:
-        row.update(dict.fromkeys(SUMMARY_FIELDS, ""))
-    else:
+    summary and fallback count, or blank ones and the error of a failed cell."""
+    row = dict(cell, error=error, fallback_events="", **dict.fromkeys(SUMMARY_FIELDS, ""))
+    if artifacts is not None:
         row.update(summarize(artifacts), fallback_events=artifacts.fallback_events)
     return row
 

@@ -20,7 +20,7 @@ from rivercommons.config import PIPELINES, InflowConfig, load_prompts
 from rivercommons.harness import (PIPELINE_TYPES, CsvInflow, RunArtifacts,
                                   SyntheticInflow, make_inflow, seasonal_weights)
 from rivercommons.ecology import YearRecord
-from conftest import short_config
+from conftest import g1_spec, short_config
 
 
 class TestConfig:
@@ -104,6 +104,24 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="finite") as err:
             cls(**kwargs)
         assert list(kwargs)[-1] in str(err.value)
+
+    @pytest.mark.parametrize("cls,kwargs", [
+        (RunConfig, {"seed": "3"}),
+        (RunConfig, {"n_households": True}),
+        (RunConfig, {"horizon": 2.5}),
+        (RunConfig, {"ecology": {}}),
+        (RunConfig, {"prompts_dir": 1}),
+        (GatewayConfig, {"max_retries": 1.5}),
+        (GatewayConfig, {"timeout": "5"}),
+        (InflowConfig, {"csv_path": 3}),
+        (EcologyParams, {"w": None}),
+        (g1_spec, {"max_fields": True}),
+        (g1_spec, {"B_u": "1000"}),
+    ])
+    def test_python_built_wrongly_typed_rejected(self, cls, kwargs):
+        field = list(kwargs)[-1]
+        with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+            cls(**kwargs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "250"])
     def test_python_built_initial_fish_entry_rejected(self, value):
@@ -365,6 +383,20 @@ class TestSweep:
         assert {(r["tau"], r["seed"]) for r in rows} == \
             {(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)}
 
+    @pytest.mark.parametrize("axis,field", [("pipelines", "pipeline"), ("taus", "tau"),
+                                            ("behaviours", "behaviour"), ("seeds", "seed")])
+    @pytest.mark.parametrize("values", [None, []])
+    def test_unset_axis_takes_base_value(self, axis, field, values):
+        base = short_config(horizon=2, tau=0.25, behaviour="rational")
+        (row,) = sweep(base, **{axis: values})
+        assert row[field] == getattr(base, field)
+        assert row["error"] == ""
+
+    def test_wrongly_typed_cell_recorded_as_configuration_error(self):
+        (row,) = sweep(short_config(pipeline="expert-egta", horizon=2), seeds=["3"])
+        assert row["error"].startswith("ConfigurationError: seed")
+        assert row["fallback_events"] == row["min_budget_final"] == ""
+
     def test_failing_cell_recorded_in_row(self, tmp_path):
         from rivercommons import GatewayConfig
         bad_fixture = tmp_path / "empty.json"
@@ -435,6 +467,10 @@ class TestCalibrateCheck:
         names = [c["name"] for c in report["checks"]]
         assert len(names) == 2
         assert all("tau=0.0" in n for n in names)
+
+    def test_empty_tax_grid_rejected(self):
+        with pytest.raises(ConfigurationError, match="tax level"):
+            calibrate_check(short_config(pipeline="expert-egta"), taus=())
 
     def test_forces_expert_pipeline(self):
         report = calibrate_check(RunConfig(pipeline="procedural", seed=42),
