@@ -18,10 +18,10 @@ DEFAULT_INITIAL_FISH = (3000.0, 1500.0, 1200.0, 1000.0, 800.0) + (250.0,) * 8
 
 @dataclass(frozen=True)
 class InflowConfig:
-    """Synthetic seasonal generator (seeded sinusoid + lognormal noise) or a
-    CSV series with columns year, month, inflow."""
+    """The river's inflow: a CSV series with columns year, month, inflow when
+    `csv_path` names an existing file, else the synthetic seasonal generator
+    (seeded sinusoid + lognormal noise) set by the remaining fields."""
 
-    source: str = "synthetic"        # "synthetic" or "csv"
     csv_path: str = None
     mean_annual: float = 800.0
     noise_sigma: float = 0.1
@@ -30,8 +30,6 @@ class InflowConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.source not in ("synthetic", "csv"):
-            raise ConfigurationError(f"unknown inflow source: {self.source!r}")
         if self.mean_annual < 0 or self.noise_sigma < 0 or self.shape_power < 0:
             raise ConfigurationError("inflow parameters must be non-negative")
 

@@ -20,14 +20,7 @@ class InvalidGameError(RiverCommonsError):
 
 
 class SchemaError(RiverCommonsError):
-    """Text that should carry structured content could not be parsed.
-
-    Carries the offending text so the caller can decide whether to retry.
-    """
-
-    def __init__(self, message, text=None):
-        super().__init__(message)
-        self.text = text
+    """Text that should carry structured content could not be parsed."""
 
 
 class TemplateError(RiverCommonsError):

@@ -186,25 +186,22 @@ def parse_llm_game(text: str):
 
     Returns a list of ActionSituationModel. Abstract action labels such as
     "high"/"low" are preserved verbatim; keys other than name, kind,
-    participants and actions are ignored. Raises SchemaError (carrying the
-    text) when the reply has no usable structure.
+    participants and actions are ignored. Raises SchemaError when the reply
+    has no usable structure.
     """
     if text is None or not text.strip():
-        raise SchemaError("empty gateway reply", text=text)
+        raise SchemaError("empty gateway reply")
     try:
         value = extract_structured(text)
     except SchemaError as err:
-        raise SchemaError("no structured game description found", text=text) from err
+        raise SchemaError("no structured game description found") from err
     if isinstance(value, dict):
         items = value.get("action_situations") or value.get("games") or [value]
     else:
         items = value
     if not isinstance(items, list):
-        raise SchemaError("reply carries no list of action situations", text=text)
-    try:
-        models = [_parse_one(item) for item in items]
-    except SchemaError as err:
-        raise SchemaError(str(err), text=text) from err
+        raise SchemaError("reply carries no list of action situations")
+    models = [_parse_one(item) for item in items]
     if not models:
-        raise SchemaError("reply describes no action situations", text=text)
+        raise SchemaError("reply describes no action situations")
     return models

@@ -7,7 +7,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import os
 import re
 import time
@@ -27,8 +26,6 @@ DEFAULT_FIXTURE = str(resources.files(__package__) / "fixtures" / "stub_default.
 class ChatRequest:
     model: str
     messages: tuple          # ordered (role, content) pairs; role in {system, user}
-    temperature: float = 0.0
-    max_tokens: int = 256
 
     def __post_init__(self):
         if not self.messages:
@@ -39,12 +36,6 @@ class ChatRequest:
                     f"message roles must be 'system' or 'user', got {role!r}")
             if not isinstance(content, str):
                 raise ConfigurationError(f"message content must be a str, got {content!r}")
-        if not 0 <= self.temperature < math.inf:
-            raise ConfigurationError(
-                f"temperature must be finite and >= 0, got {self.temperature!r}")
-        if type(self.max_tokens) is not int or self.max_tokens < 1:
-            raise ConfigurationError(
-                f"max_tokens must be an integer >= 1, got {self.max_tokens!r}")
 
 
 @dataclass(frozen=True)
@@ -160,10 +151,10 @@ class Gateway:
         import requests
 
         body = {
-            "model": request.model or self.config.model,
+            "model": request.model,
             "messages": [{"role": r, "content": c} for r, c in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": 0.0,
+            "max_tokens": 256,
         }
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(ENV_API_KEY)
@@ -236,7 +227,7 @@ def extract_structured(text: str):
     Raises SchemaError when nothing extractable is present.
     """
     if text is None:
-        raise SchemaError("no text to parse", text=text)
+        raise SchemaError("no text to parse")
     for block in _FENCED.findall(text):
         try:
             return json.loads(block)
@@ -250,4 +241,4 @@ def extract_structured(text: str):
     m = _INTEGER.search(text)
     if m:
         return int(m.group(0))
-    raise SchemaError("nothing extractable in reply", text=text)
+    raise SchemaError("nothing extractable in reply")

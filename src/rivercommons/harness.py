@@ -73,28 +73,26 @@ class CsvInflow:
                 except (TypeError, ValueError) as err:
                     raise ConfigurationError(
                         f"inflow CSV {path} line {reader.line_num}: {err}") from err
-                if not math.isfinite(inflow):
+                if not 0 <= inflow < math.inf:
                     raise ConfigurationError(
                         f"inflow CSV {path} line {reader.line_num}: inflow must be "
-                        f"finite, got {inflow}")
+                        f"finite and non-negative, got {inflow}")
                 table.setdefault(y, {})[m] = inflow
-        self.years = sorted(table)
-        if not self.years:
+        if not table:
             raise ConfigurationError(f"inflow CSV {path} holds no rows")
-        for y in self.years:
-            if sorted(table[y]) != list(range(1, 13)):
+        for y, months in table.items():
+            if sorted(months) != list(range(1, 13)):
                 raise ConfigurationError(f"inflow CSV year {y} must have 12 months")
-        self.table = table
+        self.years = [RiverYear(np.array([table[y][m] for m in range(1, 13)]))
+                      for y in sorted(table)]
 
     def year(self, t: int) -> RiverYear:
-        y = self.years[t % len(self.years)]
-        monthly = np.array([self.table[y][m] for m in range(1, 13)])
-        return RiverYear(monthly)
+        return self.years[t % len(self.years)]
 
 
 def make_inflow(config: RunConfig):
     cfg = config.inflow
-    if cfg.source == "csv" and cfg.csv_path and os.path.exists(cfg.csv_path):
+    if cfg.csv_path and os.path.exists(cfg.csv_path):
         return CsvInflow(cfg.csv_path)
     # Missing CSV falls back to the documented synthetic generator.
     return SyntheticInflow(cfg, config.seed)
@@ -210,7 +208,7 @@ class _Generative(_Procedural):
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.prompts = load_prompts(config.prompts_dir)
-        self.profile = BehaviourProfile(config.behaviour, self.prompts[config.behaviour])
+        self.profile = BehaviourProfile(self.prompts[config.behaviour])
         self.gateway = Gateway(config.gateway)
 
     def decide(self, state: WorldState, year: int):

@@ -31,7 +31,6 @@ class AuthorityState:
 
 @dataclass(frozen=True)
 class BehaviourProfile:
-    kind: str                    # altruistic | balanced | rational
     system_prompt: str
 
     def __post_init__(self):

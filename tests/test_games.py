@@ -187,9 +187,8 @@ class TestParseLlmGame:
             parse_llm_game("   \n ")
 
     def test_prose_without_structure_rejected(self):
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(SchemaError):
             parse_llm_game("the farmers should cooperate, probably")
-        assert err.value.text is not None
 
     def test_fenced_json_accepted(self):
         text = "Here is my analysis:\n```json\n" + EXTRACTION_REPLY + "\n```"

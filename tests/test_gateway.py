@@ -51,17 +51,6 @@ class TestChatRequest:
         with pytest.raises(ConfigurationError, match="content must be a str"):
             ChatRequest(model="m", messages=(("system", "be brief"), ("user", content)))
 
-    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"),
-                                             float("-inf"), -0.5])
-    def test_rejects_bad_temperature(self, temperature):
-        with pytest.raises(ConfigurationError, match="temperature"):
-            ChatRequest(model="m", messages=(("user", "hi"),), temperature=temperature)
-
-    @pytest.mark.parametrize("max_tokens", [0, -5, 2.5, True])
-    def test_rejects_bad_max_tokens(self, max_tokens):
-        with pytest.raises(ConfigurationError, match="max_tokens"):
-            ChatRequest(model="m", messages=(("user", "hi"),), max_tokens=max_tokens)
-
     def test_fingerprint_stable_and_content_sensitive(self):
         a = request_fingerprint(user_request("hello"))
         b = request_fingerprint(user_request("hello"))
@@ -229,12 +218,14 @@ class TestHttpBackend:
 class _Scripted(BaseHTTPRequestHandler):
     """Answers the n-th POST with script[n % len(script)]: an int is an error
     status, bytes the whole response body, a str the reply content. `posts`
-    counts the POSTs received."""
+    counts the POSTs received and `bodies` holds each decoded request body."""
     script = ()
     posts = 0
+    bodies = None
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).bodies.append(json.loads(body))
         step = self.script[type(self).posts % len(self.script)]
         type(self).posts += 1
         if isinstance(step, int):
@@ -258,7 +249,7 @@ def scripted_server():
     running = []
 
     def start(*script):
-        handler = type("Handler", (_Scripted,), {"script": script, "posts": 0})
+        handler = type("Handler", (_Scripted,), {"script": script, "posts": 0, "bodies": []})
         server = HTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -288,7 +279,7 @@ class TestAsk:
         handler, endpoint = scripted_server(500, "no numbers here")
         gw = http_gateway(endpoint, max_retries=2)
         decision, events = generative_decide(
-            {}, BehaviourProfile("balanced", "You are a farmer."), gw,
+            {}, BehaviourProfile("You are a farmer."), gw,
             "Reply with a field count.", 10, 5, lambda: Decision(1, 1))
         assert (decision, events) == (Decision(1, 1), ["fallback"])
         assert handler.posts == 3
@@ -300,6 +291,13 @@ class TestAsk:
         gw = http_gateway(endpoint, max_retries=2)
         assert gw.ask(QUESTION, extract_structured) == 7
         assert handler.posts == 2
+
+    def test_http_request_body(self, scripted_server):
+        handler, endpoint = scripted_server("7")
+        assert http_gateway(endpoint).ask(QUESTION, extract_structured) == 7
+        assert handler.bodies == [{"model": "m",
+                                   "messages": [{"role": "user", "content": "How many fields?"}],
+                                   "temperature": 0.0, "max_tokens": 256}]
 
     def test_http_backoff_between_sends_only(self, scripted_server, monkeypatch):
         waits = []

@@ -40,9 +40,12 @@ class TestConfig:
         assert "procedural" in str(err.value)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError) as err:
-            config_from_dict({"pipeline": "procedural", "horizont": 5})
-        assert "horizont" in str(err.value)
+        # "source" was an inflow key once; a config still holding it fails.
+        for data, key in (({"horizont": 5}, "horizont"),
+                          ({"inflow": {"source": "csv"}}, "source")):
+            with pytest.raises(ConfigurationError) as err:
+                config_from_dict(dict(data, pipeline="procedural"))
+            assert key in str(err.value)
 
     def test_nested_sections(self):
         cfg = config_from_dict({
@@ -213,6 +216,7 @@ class TestInflow:
         (["year", "month", "inflow"], "nan"),
         (["year", "month", "inflow"], "inf"),
         (["year", "month", "inflow"], None),         # short row
+        (["year", "month", "inflow"], -5.0),
     ])
     def test_csv_unusable_input_names_the_file(self, tmp_path, header, cell):
         rows = [[2001, month, 5.0] for month in range(1, 13)]
@@ -229,8 +233,7 @@ class TestInflow:
             inflow.year(1)
 
     def test_missing_csv_falls_back_to_synthetic(self, tmp_path):
-        cfg = short_config(inflow=InflowConfig(
-            source="csv", csv_path=str(tmp_path / "absent.csv")))
+        cfg = short_config(inflow=InflowConfig(csv_path=str(tmp_path / "absent.csv")))
         assert isinstance(make_inflow(cfg), SyntheticInflow)
 
 
@@ -593,7 +596,7 @@ class TestCli:
     def test_unusable_inflow_csv_exit_code(self, tmp_path, capsys, content):
         path = tmp_path / "inflow.csv"
         path.write_text(content)
-        cfg = self.write_config(tmp_path, inflow={"source": "csv", "csv_path": str(path)})
+        cfg = self.write_config(tmp_path, inflow={"csv_path": str(path)})
         assert main(["run", "--config", cfg]) == 2
         assert str(path) in capsys.readouterr().err
 

@@ -207,7 +207,7 @@ def unmatched_gateway(tmp_path):
     return Gateway(GatewayConfig(backend="stub", fixture_path=str(path)))
 
 
-PROFILE = BehaviourProfile("balanced", "You are a farmer.")
+PROFILE = BehaviourProfile("You are a farmer.")
 ROLE_TEMPLATE = ("Water {predicted_water}, budget {budget}. "
                  "Reply with a field count.")
 

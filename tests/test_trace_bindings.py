@@ -4,12 +4,16 @@ cell of every pipeline under that tracer, so moving a traced callee out of the
 namespace its caller looks it up in fails here, not only in the benchmark.
 """
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rivercommons
 from conftest import short_config
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 PIPELINES = ("procedural", "generative", "naive-egta", "expert-egta", "centralized")
 
@@ -40,3 +44,12 @@ def test_traced_bindings_record_calls(tmp_path):
     assert [name for name in EXPECTED_SPANS if not calls.get(name)] == []
     assert calls["harness.run_simulation"] == len(PIPELINES)
     assert calls["harness.emit_outputs"] == 1
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's own checks (binding resolution, failed-operation
+    counting, the golden gate) run with the unit tests."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RIVERCOMMONS_")}
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
