@@ -6,8 +6,8 @@ farms, and the fishery's response to lost lake inflow.
 """
 import numpy as np
 
-from rivercommons import (Decision, EcologyParams, FishPopulation,
-                          HouseholdState, RiverYear, WorldState, advance_year)
+from rivercommons import (Decision, EcologyParams, FishPopulation, RiverYear,
+                          WorldState, YearRecord, advance_year)
 from rivercommons.ecology import N_FISH_CLASSES
 from rivercommons.config import DEFAULT_INITIAL_FISH
 
@@ -16,7 +16,7 @@ n = 5
 river = RiverYear(np.array([20, 20, 30, 60, 90, 120, 140, 110, 70, 40, 30, 20],
                            dtype=float))
 state = WorldState(
-    households=tuple(HouseholdState(index=i + 1, budget=300.0)
+    households=tuple(YearRecord(year=0, household=i + 1, budget=300.0)
                      for i in range(n)),
     fish=FishPopulation(np.array(DEFAULT_INITIAL_FISH)))
 

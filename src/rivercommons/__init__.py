@@ -8,9 +8,8 @@ common pool resource fishing game each year and plays their Nash equilibria.
 
 from .config import RunConfig, config_from_dict, load_config
 from .ecology import (ActivityClass, Decision, EcologyParams, FishPopulation,
-                      HouseholdState, RiverYear, WorldState, YearRecord,
-                      advance_year, classify_activity, crop_outcome,
-                      route_river, step_fish)
+                      RiverYear, WorldState, YearRecord, advance_year,
+                      classify_activity, crop_outcome, route_river, step_fish)
 from .equilibrium import (BimatrixGame, CprSolution, MixedProfile,
                           enumerate_pure_ne, is_epsilon_ne, lemke_howson,
                           select_equilibrium, solve_symmetric_cpr)

@@ -28,26 +28,6 @@ class ActivityClass(str, Enum):
 
 
 @dataclass(frozen=True)
-class HouseholdState:
-    """One farming household; index 1 is the most upstream position."""
-
-    index: int
-    budget: float
-    stress: float = 0.0
-    last_yield_income: float = 0.0
-    last_fields: int = 0
-    last_node_inflow: float = 0.0  # annual flow that reached this node last year
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ConfigurationError(f"household index must be >= 1, got {self.index}")
-        if not 0.0 <= self.stress <= 1.0:
-            raise ConfigurationError(f"stress must lie in [0, 1], got {self.stress}")
-        if self.last_fields < 0:
-            raise ConfigurationError("last_fields must be non-negative")
-
-
-@dataclass(frozen=True)
 class FishPopulation:
     """13 age classes: 0 = larvae, 1-4 = juveniles, 5-12 = adults."""
 
@@ -138,20 +118,22 @@ class RoutedWater:
 
 
 class YearRecord(NamedTuple):
-    """One household's outcome in one year: one row of records.csv."""
+    """One household's outcome in one year: one row of records.csv.
+    Household 1 is the most upstream. The fields after `household` default
+    to a year in which nothing happened (0, 0.0 and ActivityClass.NONE)."""
 
     year: int
     household: int
-    planted: int
-    irrigated: int
-    delivered: float
-    node_inflow: float
-    stress: float
-    crop_income: float
-    catch: float
-    fish_income: float
-    budget: float
-    activity: ActivityClass
+    planted: int = 0
+    irrigated: int = 0
+    delivered: float = 0.0
+    node_inflow: float = 0.0
+    stress: float = 0.0
+    crop_income: float = 0.0
+    catch: float = 0.0
+    fish_income: float = 0.0
+    budget: float = 0.0
+    activity: ActivityClass = ActivityClass.NONE
 
 
 @dataclass(frozen=True)
@@ -168,11 +150,22 @@ class Decision:
 
 @dataclass(frozen=True)
 class WorldState:
-    """What the ecology carries from one year to the next."""
+    """What the ecology carries from one year to the next: each household's
+    YearRecord of the year just ended, and the fish. In year 0 the records
+    hold the initial conditions."""
 
     households: tuple
     fish: FishPopulation
     year: int = 0
+
+    def __post_init__(self):
+        for h in self.households:
+            if h.household < 1:
+                raise ConfigurationError(f"household must be >= 1, got {h.household}")
+            if not 0.0 <= h.stress <= 1.0:
+                raise ConfigurationError(f"stress must lie in [0, 1], got {h.stress}")
+            if h.planted < 0:
+                raise ConfigurationError(f"planted must be non-negative, got {h.planted}")
 
     @property
     def n_households(self) -> int:
@@ -285,8 +278,8 @@ def classify_activity(irrigated: int, catch: float) -> ActivityClass:
 def advance_year(state: WorldState, river: RiverYear, decisions, params: EcologyParams):
     """Run one simulation year on `river`: routing, crops, fishery, budget update.
 
-    Returns the successor WorldState and one YearRecord per household.
-    Budgets may go negative (debt).
+    Returns the successor WorldState and one YearRecord per household; the
+    successor holds those same records. Budgets may go negative (debt).
     """
     n = state.n_households
     if len(decisions) != n:
@@ -304,7 +297,6 @@ def advance_year(state: WorldState, river: RiverYear, decisions, params: Ecology
         [d.fish_target for d in decisions], downstream_first, params)
 
     year = state.year + 1
-    new_households = []
     records = []
     for h, p, delivered, irr, node_inflow, catch in zip(
             state.households, planted, routed.delivered, irrigated, routed.node_inflow,
@@ -313,13 +305,10 @@ def advance_year(state: WorldState, river: RiverYear, decisions, params: Ecology
             p, delivered, irr, h.stress, total_irrigated, params)
         fish_income = params.fish_price * catch
         budget = h.budget + income + fish_income - params.c * irr - params.kappa
-        new_households.append(HouseholdState(
-            index=h.index, budget=budget, stress=stress_out, last_yield_income=income,
-            last_fields=p, last_node_inflow=node_inflow))
         records.append(YearRecord(
-            year=year, household=h.index, planted=p, irrigated=irr,
+            year=year, household=h.household, planted=p, irrigated=irr,
             delivered=delivered, node_inflow=node_inflow, stress=stress_out,
             crop_income=income, catch=catch, fish_income=fish_income, budget=budget,
             activity=classify_activity(irr, catch)))
 
-    return WorldState(households=tuple(new_households), fish=fish2, year=year), records
+    return WorldState(households=tuple(records), fish=fish2, year=year), records

@@ -102,12 +102,17 @@ def solve_irrigation_game(spec: IrrigationGameSpec):
     return int(np.argmax(profile.row_dist)), int(np.argmax(profile.col_dist))
 
 
+def fishing_income(e, others, stock: float, price: float) -> float:
+    """price * e * min(1, stock / (e + others)): the stock is shared in
+    proportion to effort once total demand exceeds it."""
+    total = e + others
+    share = min(1.0, stock / total) if total > 0 else min(1.0, stock)
+    return price * e * share
+
+
 def build_cpr_fishing_game(adult_stock_estimate: float, params, effort_cost: float = 1.0):
     """The symmetric fishing game's payoff callable
-    u(e, O) = price * e * min(1, stock / (e + O)) - effort cost * e.
-
-    The stock term shares the estimated adult stock proportionally to effort
-    once total demand exceeds it.
+    u(e, O) = fishing_income(e, O, stock, price) - effort cost * e.
     """
     if adult_stock_estimate < 0:
         raise ConfigurationError("stock estimate must be non-negative")
@@ -115,9 +120,7 @@ def build_cpr_fishing_game(adult_stock_estimate: float, params, effort_cost: flo
     stock = adult_stock_estimate
 
     def payoff(e, others):
-        total = e + others
-        share = min(1.0, stock / total) if total > 0 else min(1.0, stock)
-        return price * e * share - effort_cost * e
+        return fishing_income(e, others, stock, price) - effort_cost * e
 
     return payoff
 

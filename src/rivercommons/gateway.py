@@ -28,6 +28,8 @@ class ChatRequest:
     messages: tuple          # ordered (role, content) pairs; role in {system, user}
 
     def __post_init__(self):
+        if not isinstance(self.model, str):
+            raise ConfigurationError(f"model must be a str, got {self.model!r}")
         if not self.messages:
             raise ConfigurationError("a chat request needs at least one message")
         for role, content in self.messages:

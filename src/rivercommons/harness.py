@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import InflowConfig, RunConfig, load_prompts
-from .ecology import (Decision, FishPopulation, HouseholdState, RiverYear,
-                      WorldState, advance_year)
+from .ecology import (Decision, FishPopulation, RiverYear, WorldState,
+                      YearRecord, advance_year)
 from .errors import ConfigurationError, RiverCommonsError
 from .games import parse_llm_game
 from .gateway import Gateway
@@ -113,25 +113,24 @@ class RunArtifacts:
 
 def _initial_state(config: RunConfig, year0: RiverYear) -> WorldState:
     households = tuple(
-        HouseholdState(index=i + 1, budget=config.initial_budget,
-                       last_yield_income=config.subsistence,
-                       last_node_inflow=year0.annual_total)
+        YearRecord(year=0, household=i + 1, node_inflow=year0.annual_total,
+                   crop_income=config.subsistence, budget=config.initial_budget)
         for i in range(config.n_households))
     return WorldState(households=households, fish=FishPopulation(config.initial_fish))
 
 
-def _household_view(config: RunConfig, h: HouseholdState) -> dict:
+def _household_view(config: RunConfig, h: YearRecord) -> dict:
     return {
-        "predicted_water": round(h.last_node_inflow, 2),
+        "predicted_water": round(h.node_inflow, 2),
         "water_per_field": config.ecology.w,
         "irrigation_cost": config.ecology.c,
-        "past_yield": round(h.last_yield_income, 2),
+        "past_yield": round(h.crop_income, 2),
         "subsistence": config.subsistence,
         "budget": round(h.budget, 2),
         "max_fields": config.max_fields,
         "e_max": config.e_max,
         "default_fish_target": default_fish_target(
-            h.index, config.n_households, config.fish_target_base),
+            h.household, config.n_households, config.fish_target_base),
     }
 
 
@@ -144,13 +143,13 @@ class _Procedural:
     def __init__(self, config: RunConfig, year0: RiverYear):
         self.config = config
 
-    def rule(self, h: HouseholdState) -> Decision:
+    def rule(self, h: YearRecord) -> Decision:
         cfg = self.config
         return procedural_decide(
-            h, h.last_node_inflow, cfg.ecology, cfg.subsistence, cfg.max_fields,
-            default_fish_target(h.index, cfg.n_households, cfg.fish_target_base))
+            h, cfg.ecology, cfg.subsistence, cfg.max_fields,
+            default_fish_target(h.household, cfg.n_households, cfg.fish_target_base))
 
-    def decide(self, state: WorldState, year: int):
+    def decide(self, state: WorldState):
         """(one Decision per household, "fallback" and "clamp" events)."""
         return [self.rule(h) for h in state.households], ()
 
@@ -170,11 +169,12 @@ class _Centralized(_Procedural):
         self.authority = AuthorityState(config.authority_budget, [year0.annual_total],
                                         config.authority_window)
 
-    def decide(self, state: WorldState, year: int):
+    def decide(self, state: WorldState):
         cfg = self.config
         allocation = centralized_allocate(
             self.authority, cfg.ecology, cfg.n_households, cfg.max_fields)
-        return [Decision(a, default_fish_target(h.index, cfg.n_households, cfg.fish_target_base))
+        return [Decision(a, default_fish_target(h.household, cfg.n_households,
+                                                cfg.fish_target_base))
                 for a, h in zip(allocation, state.households)], ()
 
     def end_year(self, river: RiverYear, year_records: list):
@@ -194,7 +194,7 @@ class _ExpertEgta(_Procedural):
         super().__init__(config, year0)
         self.rng = np.random.default_rng(config.seed)
 
-    def decide(self, state: WorldState, year: int):
+    def decide(self, state: WorldState):
         cfg = self.config
         return expert_egta_decide(
             state, cfg.tau, cfg.ecology, cfg.pair_stress_threshold,
@@ -211,10 +211,11 @@ class _Generative(_Procedural):
         self.profile = BehaviourProfile(self.prompts[config.behaviour])
         self.gateway = Gateway(config.gateway)
 
-    def decide(self, state: WorldState, year: int):
+    def decide(self, state: WorldState):
         decisions, events = [], []
         for h in state.households:
-            tags = {"year": year, "household": h.index, "pipeline": self.config.pipeline}
+            tags = {"year": state.year + 1, "household": h.household,
+                    "pipeline": self.config.pipeline}
             decision, household_events = self.decide_one(
                 _household_view(self.config, h), lambda h=h: self.rule(h), tags)
             decisions.append(decision)
@@ -230,12 +231,12 @@ class _Generative(_Procedural):
 
 
 class _NaiveEgta(_Generative):
-    def decide(self, state: WorldState, year: int):
+    def decide(self, state: WorldState):
         if not self.as_models:
             # Step 1 of the naive pipeline: one extraction question at run start.
             self.as_models = self.gateway.ask((("user", self.prompts["as_extraction"]),),
                                               parse_llm_game, {"stage": "as_extraction"})
-        return super().decide(state, year)
+        return super().decide(state)
 
     def decide_one(self, view: dict, fallback, tags: dict):
         cfg = self.config
@@ -261,7 +262,7 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
     try:
         for year in range(1, config.horizon + 1):
             river = inflow.year(year)
-            decisions, events = pipeline.decide(state, year)
+            decisions, events = pipeline.decide(state)
             state, year_records = advance_year(state, river, decisions, config.ecology)
             pipeline.end_year(river, year_records)
             records.extend(year_records)

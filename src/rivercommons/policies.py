@@ -7,12 +7,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .ecology import Decision, EcologyParams, HouseholdState, WorldState
+from .ecology import Decision, EcologyParams, WorldState, YearRecord
 from .equilibrium import solve_symmetric_cpr
 from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
                      SimulationError, TransportError)
 from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game,
-                    solve_irrigation_game)
+                    fishing_income, solve_irrigation_game)
 from .gateway import Gateway, extract_structured, render_prompt
 
 
@@ -52,24 +52,23 @@ def default_fish_target(index: int, n_households: int, base: int) -> int:
     return max(0, int(math.floor(base * index / n_households + 0.5)))
 
 
-def procedural_decide(household: HouseholdState, last_inflow: float,
-                      params: EcologyParams, subsistence: float,
+def procedural_decide(household: YearRecord, params: EcologyParams, subsistence: float,
                       max_fields: int, fish_target: int = 0) -> Decision:
-    """Rule-based annual choice with bounded memory.
+    """Rule-based annual choice from the household's record of last year.
 
-    Below-subsistence yield: expand by one field if affordable, otherwise
-    plant what the budget allows. Otherwise plant what last year's water at
-    this node would support.
+    Negative budget: plant nothing. Crop income below subsistence: plant one
+    field more than last year if affordable, otherwise what the budget
+    allows. Otherwise plant what the water that reached this node supports.
     """
     if household.budget < 0:
         fields = 0
-    elif household.last_yield_income < subsistence:
-        if household.budget >= (household.last_fields + 1) * params.c:
-            fields = household.last_fields + 1
+    elif household.crop_income < subsistence:
+        if household.budget >= (household.planted + 1) * params.c:
+            fields = household.planted + 1
         else:
             fields = int(math.floor(household.budget / params.c))
     else:
-        fields = int(math.floor(last_inflow / params.w))
+        fields = int(math.floor(household.node_inflow / params.w))
     fields = max(0, min(fields, max_fields))
     return Decision(fields, max(0, fish_target))
 
@@ -98,14 +97,8 @@ def solve_fishing_game(state: WorldState, params: EcologyParams,
     n = state.n_households
     stock = state.fish.adult_total
     payoff = build_cpr_fishing_game(stock, params, effort_cost)
-    sol = solve_symmetric_cpr(payoff, n, e_max)
-    e_star = sol.extraction
-    if e_star > 0:
-        share = min(1.0, stock / (n * e_star))
-        income = params.fish_price * e_star * share
-    else:
-        income = 0.0
-    return e_star, income
+    e_star = solve_symmetric_cpr(payoff, n, e_max).extraction
+    return e_star, fishing_income(e_star, (n - 1) * e_star, stock, params.fish_price)
 
 
 def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
@@ -125,7 +118,7 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
         down = state.households[i + 1]
         spec = IrrigationGameSpec(
             B_u=up.budget, B_d=down.budget, c=params.c,
-            T=up.last_node_inflow, w=params.w, y0=params.y0, ys=params.ys,
+            T=up.node_inflow, w=params.w, y0=params.y0, ys=params.ys,
             S=pair_stress_threshold, kappa=params.kappa, tau=tau,
             F_u=fish_income, F_d=fish_income, max_fields=max_fields)
         try:

@@ -6,6 +6,7 @@ prints a single PASS/FAIL line (run pytest with -s to see them inline).
 import csv
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,8 +139,8 @@ class TestAcceptance:
             cfg = RunConfig(pipeline=pipeline, seed=9, tau=0.25)
             p1 = emit_outputs(run_simulation(cfg), str(tmp_path / pipeline / "a"))
             p2 = emit_outputs(run_simulation(cfg), str(tmp_path / pipeline / "b"))
-            b1 = open(p1["records"], "rb").read()
-            b2 = open(p2["records"], "rb").read()
+            b1 = Path(p1["records"]).read_bytes()
+            b2 = Path(p2["records"]).read_bytes()
             identical = identical and b1 == b2 and len(b1) > 0
         report("criterion 7: records.csv byte-identical across repeated "
                "runs for all five pipelines", identical)
@@ -156,17 +157,17 @@ class TestAcceptance:
                single < 5.0 and full < 20.0)
 
     def test_9_procedural_rules_and_moving_average(self, params):
-        from rivercommons import HouseholdState, moving_average_predict, procedural_decide
+        from rivercommons import YearRecord, moving_average_predict, procedural_decide
 
         a = procedural_decide(
-            HouseholdState(index=1, budget=1000.0, last_yield_income=100.0),
-            45.0, params, 50.0, 10).fields_planted
+            YearRecord(year=0, household=1, budget=1000.0, crop_income=100.0,
+                       node_inflow=45.0), params, 50.0, 10).fields_planted
         b = procedural_decide(
-            HouseholdState(index=1, budget=200.0, last_yield_income=10.0,
-                           last_fields=3), 45.0, params, 50.0, 10).fields_planted
+            YearRecord(year=0, household=1, budget=200.0, crop_income=10.0, planted=3,
+                       node_inflow=45.0), params, 50.0, 10).fields_planted
         c = procedural_decide(
-            HouseholdState(index=1, budget=25.0, last_yield_income=10.0,
-                           last_fields=9), 45.0, params, 50.0, 10).fields_planted
+            YearRecord(year=0, household=1, budget=25.0, crop_income=10.0, planted=9,
+                       node_inflow=45.0), params, 50.0, 10).fields_planted
         ma = moving_average_predict([100.0] * 25, 20)
         report(f"criterion 9: procedural examples give fields {a}/{b}/{c} "
                "(expect 4/4/2); constant-series moving average exact",

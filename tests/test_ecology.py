@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rivercommons import (ActivityClass, ConfigurationError, Decision,
-                          EcologyParams, FishPopulation, HouseholdState,
-                          RiverYear, WorldState, advance_year,
+                          EcologyParams, FishPopulation, RiverYear,
+                          WorldState, YearRecord, advance_year,
                           classify_activity, crop_outcome, route_river,
                           step_fish)
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, N_FISH_CLASSES,
@@ -26,7 +26,7 @@ def even_river(inflow=1000.0):
 
 
 def make_state(n=2, budget=100.0, fish=None):
-    households = tuple(HouseholdState(index=i + 1, budget=budget)
+    households = tuple(YearRecord(year=0, household=i + 1, budget=budget)
                        for i in range(n))
     classes = np.zeros(N_FISH_CLASSES) if fish is None else np.asarray(fish, float)
     return WorldState(households=households, fish=FishPopulation(classes))
@@ -34,10 +34,13 @@ def make_state(n=2, budget=100.0, fish=None):
 
 class TestTypes:
     def test_household_validation(self):
+        fish = FishPopulation(np.zeros(N_FISH_CLASSES))
         with pytest.raises(ConfigurationError):
-            HouseholdState(index=0, budget=0.0)
+            WorldState(households=(YearRecord(year=0, household=0),), fish=fish)
         with pytest.raises(ConfigurationError):
-            HouseholdState(index=1, budget=0.0, stress=1.5)
+            WorldState(households=(YearRecord(year=0, household=1, stress=1.5),), fish=fish)
+        with pytest.raises(ConfigurationError, match="planted"):
+            WorldState(households=(YearRecord(year=0, household=1, planted=-1),), fish=fish)
 
     def test_fish_population_shape(self):
         with pytest.raises(ConfigurationError):
@@ -294,6 +297,12 @@ class TestAdvanceYear:
         a, b = records
         assert (a.planted, a.irrigated, a.crop_income, a.catch, a.budget) == \
                (b.planted, b.irrigated, b.crop_income, b.catch, b.budget)
+
+    def test_next_state_holds_the_records(self, params):
+        state = make_state(n=3, budget=200.0, fish=np.full(N_FISH_CLASSES, 50.0))
+        decisions = [Decision(4, 2), Decision(6, 1), Decision(2, 3)]
+        state2, records = advance_year(state, even_river(3000.0), decisions, params)
+        assert state2.households == tuple(records)
 
     def test_decision_count_mismatch(self, params):
         with pytest.raises(ConfigurationError):

@@ -45,6 +45,12 @@ class TestChatRequest:
         with pytest.raises(ConfigurationError, match="roles"):
             ChatRequest(model="m", messages=((role, "hi"),))
 
+    @pytest.mark.parametrize("model", [None, 5])
+    def test_rejects_non_str_model(self, model):
+        # Once sent as "model": null or "model": 5.
+        with pytest.raises(ConfigurationError, match="model"):
+            ChatRequest(model=model, messages=(("user", "hi"),))
+
     @pytest.mark.parametrize("content", [None, 5])
     def test_rejects_non_str_content(self, content):
         # Once sent as the text "None" or "5".
@@ -171,6 +177,7 @@ def echo_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -325,6 +332,7 @@ class TestAsk:
         assert gw.call_count == 4
         assert gw.complete(user_request("next")) == "nope"
         assert waits == []
+        gw.close()
 
     def test_unmatched_stub_fingerprint_counts_and_logs_nothing(self, tmp_path):
         log_path = tmp_path / "requests.jsonl"

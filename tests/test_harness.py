@@ -334,6 +334,23 @@ class TestRunSimulation:
             == {float}
         assert {type(b) for b in budgets} == {float}
 
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_first_decide_sees_year0_records(self, monkeypatch, pipeline):
+        cfg = short_config(pipeline=pipeline, horizon=2)
+        pipeline_type = PIPELINE_TYPES[pipeline]
+        decide = pipeline_type.decide
+        seen = []
+        monkeypatch.setattr(pipeline_type, "decide",
+                            lambda self, state: seen.append(state) or decide(self, state))
+        run_simulation(cfg)
+        first = seen[0]
+        assert first.year == 0 and len(seen) == 2
+        inflow0 = make_inflow(cfg).year(0).annual_total
+        assert first.households == tuple(
+            YearRecord(year=0, household=i + 1, node_inflow=inflow0,
+                       crop_income=cfg.subsistence, budget=cfg.initial_budget)
+            for i in range(cfg.n_households))
+
     def test_centralized_authority_budget_feeds_back(self):
         cfg = short_config(pipeline="centralized", horizon=3,
                            authority_budget=0.0)
@@ -440,7 +457,7 @@ class TestEmitOutputs:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 2  # header + one year of two households
         assert rows[0][0] == "year"
-        svg = open(paths["budgets"]).read()
+        svg = Path(paths["budgets"]).read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
     def test_reemission_identical_bytes(self, tmp_path):
@@ -448,7 +465,7 @@ class TestEmitOutputs:
         p1 = emit_outputs(art, str(tmp_path / "a"))
         p2 = emit_outputs(art, str(tmp_path / "b"))
         for key in p1:
-            assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+            assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
     def test_unwritable_dir_raises_simulation_error(self, tmp_path):
         blocker = tmp_path / "file"
@@ -502,7 +519,7 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out", out]) == 0
         log = os.path.join(out, "requests.jsonl")
         assert os.path.exists(log)
-        assert len(open(log).read().splitlines()) > 0
+        assert len(Path(log).read_text().splitlines()) > 0
 
     def test_run_leaves_no_request_log_for_rules_pipeline(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -5,8 +5,8 @@ import pytest
 
 from rivercommons import (AuthorityState, BehaviourProfile, ConfigurationError,
                           Decision, EcologyParams, FishPopulation, Gateway,
-                          GatewayConfig, HouseholdState, InvalidGameError,
-                          SimulationError, WorldState,
+                          GatewayConfig, InvalidGameError, SimulationError,
+                          WorldState, YearRecord,
                           build_irrigation_game, centralized_allocate,
                           enumerate_pure_ne, expert_egta_decide,
                           generative_decide, is_epsilon_ne,
@@ -18,19 +18,16 @@ from rivercommons.policies import default_fish_target, map_abstract_action
 from conftest import g1_spec, short_config
 
 
-def household(index=1, budget=1000.0, last_yield=100.0, last_fields=0,
-              last_node_inflow=0.0):
-    return HouseholdState(index=index, budget=budget,
-                          last_yield_income=last_yield,
-                          last_fields=last_fields,
-                          last_node_inflow=last_node_inflow)
+def household(index=1, budget=1000.0, crop_income=100.0, planted=0, node_inflow=0.0):
+    return YearRecord(year=0, household=index, budget=budget, crop_income=crop_income,
+                      planted=planted, node_inflow=node_inflow)
 
 
 def make_world(n=2, budget=1000.0, adults=1000.0, node_inflow=10000.0):
     classes = np.zeros(N_FISH_CLASSES)
     classes[5:] = adults / 8.0
     households = tuple(
-        household(index=i + 1, budget=budget, last_node_inflow=node_inflow)
+        household(index=i + 1, budget=budget, node_inflow=node_inflow)
         for i in range(n))
     return WorldState(households=households, fish=FishPopulation(classes))
 
@@ -53,39 +50,40 @@ class TestMovingAverage:
 
 class TestProceduralDecide:
     def test_inflow_rule_above_subsistence(self, params):
-        h = household(last_yield=100.0)
-        d = procedural_decide(h, 45.0, params, 50.0, 10)
+        h = household(crop_income=100.0, node_inflow=45.0)
+        d = procedural_decide(h, params, 50.0, 10)
         assert d.fields_planted == 4
 
     def test_expand_by_one_when_affordable(self, params):
-        h = household(budget=200.0, last_yield=10.0, last_fields=3)
-        d = procedural_decide(h, 45.0, params, 50.0, 10)
+        h = household(budget=200.0, crop_income=10.0, planted=3, node_inflow=45.0)
+        d = procedural_decide(h, params, 50.0, 10)
         assert d.fields_planted == 4
 
     def test_budget_floor_when_expansion_unaffordable(self, params):
-        h = household(budget=25.0, last_yield=10.0, last_fields=9)
-        d = procedural_decide(h, 45.0, params, 50.0, 10)
+        h = household(budget=25.0, crop_income=10.0, planted=9, node_inflow=45.0)
+        d = procedural_decide(h, params, 50.0, 10)
         assert d.fields_planted == 2
 
     def test_negative_budget_plants_nothing(self, params):
-        h = HouseholdState(index=1, budget=-5.0, last_yield_income=100.0)
-        d = procedural_decide(h, 500.0, params, 50.0, 10)
+        h = YearRecord(year=0, household=1, budget=-5.0, crop_income=100.0,
+                       node_inflow=500.0)
+        d = procedural_decide(h, params, 50.0, 10)
         assert d.fields_planted == 0
 
     def test_clamped_to_max_fields(self, params):
-        h = household(last_yield=100.0)
-        d = procedural_decide(h, 5000.0, params, 50.0, 10)
+        h = household(crop_income=100.0, node_inflow=5000.0)
+        d = procedural_decide(h, params, 50.0, 10)
         assert d.fields_planted == 10
 
     def test_fish_target_passthrough(self, params):
-        d = procedural_decide(household(), 45.0, params, 50.0, 10,
+        d = procedural_decide(household(node_inflow=45.0), params, 50.0, 10,
                               fish_target=3)
         assert d.fish_target == 3
 
     def test_deterministic(self, params):
-        h = household(budget=123.0, last_yield=10.0, last_fields=2)
-        a = procedural_decide(h, 77.0, params, 50.0, 10, 2)
-        b = procedural_decide(h, 77.0, params, 50.0, 10, 2)
+        h = household(budget=123.0, crop_income=10.0, planted=2, node_inflow=77.0)
+        a = procedural_decide(h, params, 50.0, 10, 2)
+        b = procedural_decide(h, params, 50.0, 10, 2)
         assert a == b
 
 
