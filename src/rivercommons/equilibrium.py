@@ -221,9 +221,8 @@ def enumerate_pure_ne(game: BimatrixGame) -> frozenset:
     """All pure-strategy equilibria as (row, col) index pairs; ties count."""
     a = game.row_payoffs
     b = game.col_payoffs
-    row_best = a >= a.max(axis=0, keepdims=True)
-    col_best = b >= b.max(axis=1, keepdims=True)
-    return frozenset(map(tuple, np.argwhere(row_best & col_best).tolist()))
+    rows, cols = ((a >= a.max(axis=0)) & (b >= b.max(axis=1)[:, None])).nonzero()
+    return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
 def is_epsilon_ne(game: BimatrixGame, profile: MixedProfile, eps: float) -> bool:

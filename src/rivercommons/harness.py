@@ -77,7 +77,11 @@ class CsvInflow:
                     raise ConfigurationError(
                         f"inflow CSV {path} line {reader.line_num}: inflow must be "
                         f"finite and non-negative, got {inflow}")
-                table.setdefault(y, {})[m] = inflow
+                months = table.setdefault(y, {})
+                if m in months:
+                    raise ConfigurationError(
+                        f"inflow CSV {path} line {reader.line_num}: repeats year {y} month {m}")
+                months[m] = inflow
         if not table:
             raise ConfigurationError(f"inflow CSV {path} holds no rows")
         for y, months in table.items():
@@ -188,7 +192,8 @@ class _Centralized(_Procedural):
 
 class _ExpertEgta(_Procedural):
     """The expert pipeline; its own generator draws each middle household's
-    choice between its two pair strategies."""
+    pair role first, and only the pair games some household plays are
+    solved."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)

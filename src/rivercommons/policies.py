@@ -105,40 +105,34 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
                        pair_stress_threshold: float, max_fields: int,
                        e_max: int, effort_cost: float, rng) -> list:
     """Expert-guided pipeline: fishing game first, then one irrigation game
-    per consecutive pair; middle households pick one of their two equilibrium
-    strategies uniformly at random from the seeded run RNG."""
+    per consecutive pair. Each middle household's role is drawn uniformly
+    from the seeded run RNG, in household order: 1 plays upstream in its own
+    pair, 0 downstream in the pair above. Household 1 is always upstream and
+    the last always downstream. Every pair's spec is built, so every input is
+    checked, but a pair's game is solved only when some household plays it."""
     n = state.n_households
     if n < 2:
         raise ConfigurationError("expert pipeline needs at least 2 households")
     e_star, fish_income = solve_fishing_game(state, params, e_max, effort_cost)
+    upstream = [1] + [int(rng.integers(2)) for _ in range(n - 2)] + [0]
+    specs = [IrrigationGameSpec(
+        B_u=up.budget, B_d=down.budget, c=params.c,
+        T=up.node_inflow, w=params.w, y0=params.y0, ys=params.ys,
+        S=pair_stress_threshold, kappa=params.kappa, tau=tau,
+        F_u=fish_income, F_d=fish_income, max_fields=max_fields)
+        for up, down in zip(state.households, state.households[1:])]
 
-    pair_strategies = []
-    for i in range(n - 1):
-        up = state.households[i]
-        down = state.households[i + 1]
-        spec = IrrigationGameSpec(
-            B_u=up.budget, B_d=down.budget, c=params.c,
-            T=up.node_inflow, w=params.w, y0=params.y0, ys=params.ys,
-            S=pair_stress_threshold, kappa=params.kappa, tau=tau,
-            F_u=fish_income, F_d=fish_income, max_fields=max_fields)
-        try:
-            pair_strategies.append(solve_irrigation_game(spec))
-        except RiverCommonsError as err:
-            raise SimulationError(f"irrigation game solve failed: {err}",
-                                  year=state.year + 1, pair=i + 1) from err
-
+    solved = {}
     decisions = []
-    for i in range(n):
-        options = []
-        if i > 0:
-            options.append(pair_strategies[i - 1][1])   # downstream role
-        if i < n - 1:
-            options.append(pair_strategies[i][0])       # upstream role
-        if len(options) == 1:
-            fields = options[0]
-        else:
-            fields = options[int(rng.integers(2))]
-        decisions.append(Decision(fields, e_star))
+    for i, role in enumerate(upstream):
+        pair = i if role else i - 1
+        if pair not in solved:
+            try:
+                solved[pair] = solve_irrigation_game(specs[pair])
+            except RiverCommonsError as err:
+                raise SimulationError(f"irrigation game solve failed: {err}",
+                                      year=state.year + 1, pair=pair + 1) from err
+        decisions.append(Decision(solved[pair][1 - role], e_star))  # cells are (s_u, s_d)
     return decisions
 
 

@@ -2,8 +2,9 @@
 and the output writers pinned to a slow reference.
 
 The references are the original per-cell and per-step loops, the original
-Fraction-arithmetic Lemke-Howson, the numpy-scalar river routing and fishery
-step, the per-cell records.csv and budget-chart writers, and the regex prompt
+Fraction-arithmetic Lemke-Howson, the expert year that solves every pair game
+before it draws the roles, the numpy-scalar river routing and fishery step,
+the per-cell records.csv and budget-chart writers, and the regex prompt
 renderer, kept here so that any change to the fast paths must reproduce them
 exactly.
 """
@@ -21,21 +22,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rivercommons import (ActivityClass, BimatrixGame, CprSolution,
+from rivercommons import (ActivityClass, BimatrixGame, CprSolution, Decision,
                           EcologyParams, FishPopulation, InvalidGameError,
                           IrrigationGameSpec, MixedProfile, RiverYear,
                           TemplateError, YearRecord, build_cpr_fishing_game,
                           build_irrigation_game, emit_outputs,
-                          enumerate_pure_ne, irrigated_fields, is_epsilon_ne,
+                          enumerate_pure_ne, expert_egta_decide,
+                          irrigated_fields, is_epsilon_ne,
                           lemke_howson, pair_payoffs, render_prompt,
                           route_river, select_equilibrium,
                           solve_irrigation_game, solve_symmetric_cpr,
-                          step_fish)
+                          step_fish, WorldState)
 from rivercommons.config import load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
 from rivercommons.harness import RunArtifacts
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
+from rivercommons.policies import solve_fishing_game
 from conftest import short_config
 
 
@@ -162,15 +165,23 @@ LABELS = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -1.25, 2.0, 0.1, 0.
 
 
 class TestPureEquilibria:
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 6))
-    def test_enumeration_equals_reference(self, seed, m, n):
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([5, 2, 1]))
+    @example(seed=0, m=1, n=1, levels=5)
+    @example(seed=0, m=11, n=11, levels=1)
+    @example(seed=3, m=11, n=11, levels=2)
+    def test_enumeration_equals_reference(self, seed, m, n, levels):
+        """Integer payoffs from `levels` values: 2 ties heavily, and 1 gives
+        constant matrices, where every cell is an equilibrium."""
         rng = np.random.default_rng(seed)
-        game = BimatrixGame(rng.integers(-2, 3, size=(m, n)).astype(float),
-                            rng.integers(-2, 3, size=(m, n)).astype(float))
+        game = BimatrixGame(rng.integers(-2, levels - 2, size=(m, n)).astype(float),
+                            rng.integers(-2, levels - 2, size=(m, n)).astype(float))
         pure = enumerate_pure_ne(game)
         assert pure == reference_enumerate_pure_ne(game)
         assert all(type(i) is int and type(j) is int for i, j in pure)
+        if levels == 1:
+            assert len(pure) == m * n
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(1, 6), st.integers(1, 6), st.booleans())
@@ -195,6 +206,82 @@ class TestPureEquilibria:
         game = build_irrigation_game(spec)
         i, j = solve_irrigation_game(spec)
         assert is_epsilon_ne(game, MixedProfile.pure(i, j, *game.shape), 1e-9)
+
+
+# -- the expert year's pair solves -----------------------------------------------
+
+def reference_expert_egta_decide(state, tau, params, pair_stress_threshold, max_fields,
+                                 e_max, effort_cost, rng):
+    """Solve every pair game, then draw each middle household's role."""
+    n = state.n_households
+    e_star, fish_income = solve_fishing_game(state, params, e_max, effort_cost)
+    strategies = [solve_irrigation_game(IrrigationGameSpec(
+        B_u=up.budget, B_d=down.budget, c=params.c, T=up.node_inflow, w=params.w,
+        y0=params.y0, ys=params.ys, S=pair_stress_threshold, kappa=params.kappa, tau=tau,
+        F_u=fish_income, F_d=fish_income, max_fields=max_fields))
+        for up, down in zip(state.households, state.households[1:])]
+    decisions = []
+    for i in range(n):
+        options = []
+        if i > 0:
+            options.append(strategies[i - 1][1])
+        if i < n - 1:
+            options.append(strategies[i][0])
+        fields = options[0] if len(options) == 1 else options[int(rng.integers(2))]
+        decisions.append(Decision(fields, e_star))
+    return decisions
+
+
+@st.composite
+def expert_worlds(draw):
+    """A world of 2 to 9 households whose budgets are negative, below the
+    cost of one field, or large, with random node inflows and adult stock."""
+    n = draw(st.integers(2, 9))
+    budget = st.one_of(_floats(-500.0, -0.01), _floats(0.0, 9.99), _floats(10.0, 5000.0))
+    households = tuple(
+        YearRecord(year=0, household=i + 1, budget=draw(budget),
+                   node_inflow=draw(_amount(0.0, 300.0)))
+        for i in range(n))
+    classes = np.zeros(N_FISH_CLASSES)
+    classes[ADULT] = draw(_floats(0.0, 1e5)) / classes[ADULT].size
+    return WorldState(households=households, fish=FishPopulation(classes))
+
+
+class TestExpertYear:
+    @settings(max_examples=150, deadline=None)
+    @given(expert_worlds(), st.sampled_from([0.0, 0.25, 1.0]), st.integers(0, 2 ** 32 - 1))
+    def test_lazy_decide_equals_solve_all_reference(self, world, tau, seed):
+        params = EcologyParams()
+        rng = np.random.default_rng(seed)
+        expected_rng = np.random.default_rng(seed)
+        got = expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0, rng)
+        expected = reference_expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0,
+                                                expected_rng)
+        assert got == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
+    def test_each_played_pair_is_solved_once(self, n, seed):
+        """Household i's budget marks pair i, whose upstream it is."""
+        world = WorldState(households=tuple(
+            YearRecord(year=0, household=i + 1, budget=100.0 + i, node_inflow=60.0)
+            for i in range(n)), fish=FishPopulation(np.zeros(N_FISH_CLASSES)))
+        solved = []
+
+        def counting(spec):
+            solved.append(int(spec.B_u - 100.0))
+            return solve_irrigation_game(spec)
+
+        roles = np.random.default_rng(seed)
+        upstream = [1] + [int(roles.integers(2)) for _ in range(n - 2)] + [0]
+        played = {i if role else i - 1 for i, role in enumerate(upstream)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
+            expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
+                               np.random.default_rng(seed))
+        assert sorted(solved) == sorted(set(solved)) == sorted(played)
+        assert {0, n - 2} <= set(solved)
 
 
 # -- Lemke-Howson ------------------------------------------------------------------

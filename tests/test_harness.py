@@ -226,6 +226,13 @@ class TestInflow:
             CsvInflow(path)
         assert path in str(err.value)
 
+    def test_csv_duplicate_month_rejected(self, tmp_path):
+        rows = [[2000, month, 50.0] for month in range(1, 13)] + [[2000, 5, 999.0]]
+        path = self.write_csv(tmp_path / "inflow.csv", ["year", "month", "inflow"], rows)
+        with pytest.raises(ConfigurationError, match="line 14: repeats year 2000 month 5") as err:
+            CsvInflow(path)
+        assert path in str(err.value)
+
     def test_seasonal_overflow_rejected_by_river_year(self):
         with np.errstate(over="ignore", invalid="ignore"):
             inflow = SyntheticInflow(InflowConfig(shape_power=1e6), seed=0)

@@ -1,19 +1,27 @@
 """The benchmark's traced run wraps layer functions at the names their callers
-resolve at call time (perfbench/tracing.py BINDINGS). This test runs a short
-cell of every pipeline under that tracer, so moving a traced callee out of the
-namespace its caller looks it up in fails here, not only in the benchmark.
+resolve at call time (perfbench/tracing.py BINDINGS). These tests run a short
+cell of every pipeline, and one short batch of every benchmark workload, under
+that tracer, so moving a traced callee out of the namespace its caller looks
+it up in, or bypassing a layer a workload names as dominant, fails here, not
+only in the benchmark.
 """
 import importlib.util
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import rivercommons
 from conftest import short_config
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+DEFAULT_CONFIG = ROOT / "configs" / "default.json"
 
 PIPELINES = ("procedural", "generative", "naive-egta", "expert-egta", "centralized")
 
@@ -23,11 +31,18 @@ EXPECTED_SPANS = ("ecology.advance_year", "harness.inflow_year",
                   "policies.naive_egta_decide", "games.parse_llm_game")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_module("perfbench_tracing", TRACING)
+
+
+BENCH_WORKLOADS = load_module("perfbench_workloads", WORKLOADS).WORKLOADS
 
 
 def test_traced_bindings_record_calls(tmp_path):
@@ -53,3 +68,28 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_workload_dominant_layers_record_calls(name, tmp_path, monkeypatch):
+    """One short batch of each benchmark workload under the tracer: no
+    operation fails, spans nest, and every layer the workload names as
+    dominant records calls, as the benchmark's traced run requires."""
+    for key in [k for k in os.environ if k.startswith("RIVERCOMMONS_")]:
+        monkeypatch.delenv(key)
+    base = replace(rivercommons.load_config(str(DEFAULT_CONFIG)), horizon=3)
+    wl = BENCH_WORKLOADS[name](rivercommons, base, 0, tmp_path)
+    inputs = wl.inputs(0)
+    tracer = load_tracing().Tracer()
+    wl.op = tracer.op
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        attempted, failed = wl.run(inputs)
+        wall = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert attempted > 0 and failed == 0, wl.failures
+    assert tracer.check(wall)[0] == []
+    spans = tracer.by_name()
+    assert [layer for layer in wl.dominant_layers if not spans.get(layer)] == []
