@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config, load_json_object
-from .equilibrium import BimatrixGame, enumerate_pure_ne, lemke_howson, select_cell
+from .equilibrium import BimatrixGame, enumerate_pure_ne, lemke_howson, select_equilibrium
 from .errors import ConfigurationError, RiverCommonsError
 from .harness import CALIBRATE_MIN_HORIZON, CALIBRATE_TAUS, calibrate_check, run_simulation, sweep
 from .outputs import (SUMMARY_FIELDS, SWEEP_COLUMNS, emit_outputs, summarize,
@@ -61,14 +61,17 @@ def _cmd_solve_game(args):
     except (TypeError, ValueError) as err:
         raise ConfigurationError(
             f"game file {args.game} payoffs must be rectangular numeric matrices: {err}") from err
-    game = BimatrixGame(row, col, tuple(data.get("row_actions", ())),
-                        tuple(data.get("col_actions", ())))
+    labels = [data.get(key, []) for key in ("row_actions", "col_actions")]
+    if not all(isinstance(v, list) for v in labels):
+        raise ConfigurationError(
+            f"game file {args.game} row_actions and col_actions must be JSON lists")
+    game = BimatrixGame(row, col, *map(tuple, labels))
     pure = sorted(enumerate_pure_ne(game))
     print("pure equilibria:")
     if pure:
         for i, j in pure:
             print(f"  ({game.row_actions[i]}, {game.col_actions[j]})")
-        i, j = select_cell(pure, game.row_actions, game.col_actions)
+        i, j = select_equilibrium(pure, game.row_actions, game.col_actions)
         print(f"selected: ({game.row_actions[i]}, {game.col_actions[j]})")
     else:
         print("  (none)")

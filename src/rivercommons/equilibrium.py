@@ -68,18 +68,6 @@ class MixedProfile:
         object.__setattr__(self, "row_dist", r)
         object.__setattr__(self, "col_dist", c)
 
-    @classmethod
-    def pure(cls, i, j, m, n):
-        r = np.zeros(m)
-        c = np.zeros(n)
-        r[i] = 1.0
-        c[j] = 1.0
-        return cls(r, c)
-
-    def support(self):
-        return (tuple(np.flatnonzero(self.row_dist > 0)),
-                tuple(np.flatnonzero(self.col_dist > 0)))
-
 
 class _Tableau:
     """One of the two Lemke-Howson tableaux, pivoted in exact integers.
@@ -242,14 +230,16 @@ def _action_values(actions):
             for i, label in enumerate(actions)]
 
 
-def select_cell(candidates, row_actions, col_actions):
+def select_equilibrium(candidates, row_actions, col_actions):
     """The (row, col) cell the selection rule picks among pure equilibria.
 
     Picks the candidate minimizing total action value, then the smaller row
     action value, then the smaller (row, col) index pair. Action labels are
-    used as values when numeric, indices otherwise. `candidates` must not be
-    empty.
+    used as values when numeric, indices otherwise. Raises InvalidGameError
+    when `candidates` is empty.
     """
+    if not candidates:
+        raise InvalidGameError("no pure equilibrium to select from")
     row_value = _action_values(row_actions)
     col_value = _action_values(col_actions)
 
@@ -258,24 +248,6 @@ def select_cell(candidates, row_actions, col_actions):
         return (ru + col_value[cell[1]], ru, cell)
 
     return min(candidates, key=key)
-
-
-def select_equilibrium(candidates, fallback: MixedProfile,
-                       row_actions=None, col_actions=None) -> MixedProfile:
-    """Deterministic selection among pure equilibria.
-
-    Returns the pure profile on the cell `select_cell` picks; falls back to
-    the supplied profile when no pure candidate exists. Without labels the
-    action values are the indices.
-    """
-    if not candidates:
-        return fallback
-    m = len(fallback.row_dist)
-    n = len(fallback.col_dist)
-    rows = row_actions if row_actions is not None else tuple(range(m))
-    cols = col_actions if col_actions is not None else tuple(range(n))
-    i, j = select_cell(candidates, rows, cols)
-    return MixedProfile.pure(i, j, m, n)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,8 @@ from enum import Enum
 
 import numpy as np
 
-# select_equilibrium is not called here; it stays in this namespace because
-# perfbench/tracing.py wraps it at this name.
-from .equilibrium import (BimatrixGame, enumerate_pure_ne, lemke_howson,  # noqa: F401
-                          select_cell, select_equilibrium)
+from .equilibrium import (BimatrixGame, enumerate_pure_ne, lemke_howson,
+                          select_equilibrium)
 from .errors import ConfigurationError, SchemaError, check_fields
 from .gateway import extract_structured
 
@@ -83,8 +81,7 @@ def build_irrigation_game(spec: IrrigationGameSpec) -> BimatrixGame:
     k = spec.max_fields + 1
     s = np.arange(k, dtype=float)
     _, _, row, col = _payoff_rule(s[:, None], s[None, :], spec)
-    actions = tuple(range(k))
-    return BimatrixGame(row, col, actions, actions)
+    return BimatrixGame(row, col)
 
 
 def solve_irrigation_game(spec: IrrigationGameSpec):
@@ -97,7 +94,7 @@ def solve_irrigation_game(spec: IrrigationGameSpec):
     game = build_irrigation_game(spec)
     pure = enumerate_pure_ne(game)
     if pure:
-        return select_cell(pure, game.row_actions, game.col_actions)
+        return select_equilibrium(pure, game.row_actions, game.col_actions)
     profile = lemke_howson(game)
     return int(np.argmax(profile.row_dist)), int(np.argmax(profile.col_dist))
 

@@ -241,6 +241,9 @@ def extract_structured(text: str):
         except ValueError:
             continue
     m = _INTEGER.search(text)
-    if m:
+    if not m:
+        raise SchemaError("nothing extractable in reply")
+    try:
         return int(m.group(0))
-    raise SchemaError("nothing extractable in reply")
+    except ValueError as err:  # more digits than int() converts
+        raise SchemaError(f"integer in reply is unusable: {err}") from err

@@ -73,6 +73,10 @@ class CsvInflow:
                 except (TypeError, ValueError) as err:
                     raise ConfigurationError(
                         f"inflow CSV {path} line {reader.line_num}: {err}") from err
+                if not 1 <= m <= 12:
+                    raise ConfigurationError(
+                        f"inflow CSV {path} line {reader.line_num}: month must be "
+                        f"1 to 12, got {m}")
                 if not 0 <= inflow < math.inf:
                     raise ConfigurationError(
                         f"inflow CSV {path} line {reader.line_num}: inflow must be "
@@ -85,8 +89,11 @@ class CsvInflow:
         if not table:
             raise ConfigurationError(f"inflow CSV {path} holds no rows")
         for y, months in table.items():
-            if sorted(months) != list(range(1, 13)):
-                raise ConfigurationError(f"inflow CSV year {y} must have 12 months")
+            lacking = [m for m in range(1, 13) if m not in months]
+            if lacking:
+                raise ConfigurationError(
+                    f"inflow CSV {path} year {y} lacks months "
+                    f"{', '.join(map(str, lacking))}")
         self.years = [RiverYear(np.array([table[y][m] for m in range(1, 13)]))
                       for y in sorted(table)]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rivercommons import EcologyParams, IrrigationGameSpec, RunConfig
+from rivercommons import EcologyParams, IrrigationGameSpec, MixedProfile, RunConfig
 
 
 def g1_spec(**overrides):
@@ -11,6 +11,11 @@ def g1_spec(**overrides):
                   max_fields=10)
     params.update(overrides)
     return IrrigationGameSpec(**params)
+
+
+def pure_profile(i, j, m, n):
+    """The pure profile on cell (i, j) of an m x n game."""
+    return MixedProfile(np.eye(m)[i], np.eye(n)[j])
 
 
 @pytest.fixture

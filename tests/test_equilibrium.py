@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rivercommons import (BimatrixGame, CprSolution, InvalidGameError,
                           MixedProfile, enumerate_pure_ne, is_epsilon_ne,
                           lemke_howson, select_equilibrium, solve_symmetric_cpr)
+from conftest import pure_profile
 
 PD_ROW = np.array([[3.0, 0.0], [5.0, 1.0]])
 PD_COL = np.array([[3.0, 5.0], [0.0, 1.0]])
@@ -38,10 +39,9 @@ class TestBimatrixGame:
 
 class TestMixedProfile:
     def test_pure_constructor(self):
-        p = MixedProfile.pure(1, 0, 2, 3)
+        p = pure_profile(1, 0, 2, 3)
         assert p.row_dist.tolist() == [0.0, 1.0]
         assert p.col_dist.tolist() == [1.0, 0.0, 0.0]
-        assert p.support() == ((1,), (0,))
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(InvalidGameError):
@@ -149,11 +149,11 @@ class TestEnumeratePureNe:
 class TestIsEpsilonNe:
     def test_pd_defect_is_ne(self):
         game = BimatrixGame(PD_ROW, PD_COL)
-        assert is_epsilon_ne(game, MixedProfile.pure(1, 1, 2, 2), 1e-9)
+        assert is_epsilon_ne(game, pure_profile(1, 1, 2, 2), 1e-9)
 
     def test_pd_cooperate_is_not_ne(self):
         game = BimatrixGame(PD_ROW, PD_COL)
-        assert not is_epsilon_ne(game, MixedProfile.pure(0, 0, 2, 2), 1e-9)
+        assert not is_epsilon_ne(game, pure_profile(0, 0, 2, 2), 1e-9)
 
     def test_pennies_uniform_is_ne(self):
         game = BimatrixGame(PENNIES_ROW, PENNIES_COL)
@@ -163,30 +163,23 @@ class TestIsEpsilonNe:
     def test_dimension_mismatch(self):
         game = BimatrixGame(PD_ROW, PD_COL)
         with pytest.raises(InvalidGameError):
-            is_epsilon_ne(game, MixedProfile.pure(0, 0, 3, 2), 1e-9)
+            is_epsilon_ne(game, pure_profile(0, 0, 3, 2), 1e-9)
 
 
 class TestSelectEquilibrium:
     def test_min_sum_rule(self):
-        fallback = MixedProfile.pure(0, 0, 8, 8)
-        chosen = select_equilibrium({(6, 0), (7, 0)}, fallback)
-        assert chosen.support() == ((6,), (0,))
+        assert select_equilibrium({(6, 0), (7, 0)}, range(8), range(8)) == (6, 0)
 
-    def test_empty_returns_fallback(self):
-        fallback = MixedProfile(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-        assert select_equilibrium(set(), fallback) is fallback
+    def test_empty_candidates_rejected(self):
+        with pytest.raises(InvalidGameError):
+            select_equilibrium(set(), range(2), range(2))
 
     def test_tie_broken_by_smaller_row(self):
-        fallback = MixedProfile.pure(0, 0, 6, 6)
-        chosen = select_equilibrium({(3, 3), (4, 2), (5, 1)}, fallback)
-        assert chosen.support() == ((3,), (3,))
+        assert select_equilibrium({(3, 3), (4, 2), (5, 1)}, range(6), range(6)) == (3, 3)
 
     def test_numeric_labels_drive_value(self):
         # Index order differs from numeric label order.
-        fallback = MixedProfile.pure(0, 0, 2, 2)
-        chosen = select_equilibrium({(0, 0), (1, 1)}, fallback,
-                                    row_actions=(9, 1), col_actions=(9, 1))
-        assert chosen.support() == ((1,), (1,))
+        assert select_equilibrium({(0, 0), (1, 1)}, (9, 1), (9, 1)) == (1, 1)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -198,10 +191,9 @@ class TestSelectEquilibrium:
         pure = enumerate_pure_ne(game)
         if not pure:
             return
-        chosen = select_equilibrium(pure, MixedProfile.pure(0, 0, 4, 4))
-        (ri,), (ci,) = chosen.support()
+        ri, ci = select_equilibrium(pure, game.row_actions, game.col_actions)
         assert (ri, ci) in pure
-        assert is_epsilon_ne(game, chosen, 1e-9)
+        assert is_epsilon_ne(game, pure_profile(ri, ci, 4, 4), 1e-9)
 
 
 class TestSolveSymmetricCpr:

@@ -39,7 +39,7 @@ from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MON
 from rivercommons.harness import RunArtifacts
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import solve_fishing_game
-from conftest import short_config
+from conftest import pure_profile, short_config
 
 
 # -- irrigation payoff table ---------------------------------------------------
@@ -140,23 +140,14 @@ def _reference_action_value(actions, index):
     return label if isinstance(label, (int, float)) and not isinstance(label, bool) else index
 
 
-def reference_select_equilibrium(candidates, fallback, row_actions=None, col_actions=None):
-    cells = sorted(candidates)
-    if not cells:
-        return fallback
-    m = len(fallback.row_dist)
-    n = len(fallback.col_dist)
-    rows = row_actions if row_actions is not None else tuple(range(m))
-    cols = col_actions if col_actions is not None else tuple(range(n))
-
+def reference_select_equilibrium(candidates, row_actions, col_actions):
     def key(cell):
         i, j = cell
-        ru = _reference_action_value(rows, i)
-        cu = _reference_action_value(cols, j)
+        ru = _reference_action_value(row_actions, i)
+        cu = _reference_action_value(col_actions, j)
         return (ru + cu, ru)
 
-    i, j = min(cells, key=key)
-    return MixedProfile.pure(i, j, m, n)
+    return min(sorted(candidates), key=key)
 
 
 # A small pool, so labels repeat within one game.
@@ -188,24 +179,23 @@ class TestPureEquilibria:
     def test_selection_equals_sorted_reference(self, data, m, n, labelled):
         cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
         candidates = data.draw(st.one_of(st.frozensets(cells), st.lists(cells)))
-        row_actions = col_actions = None
+        row_actions, col_actions = tuple(range(m)), tuple(range(n))
         if labelled:
             row_actions = tuple(data.draw(st.lists(LABELS, min_size=m, max_size=m)))
             col_actions = tuple(data.draw(st.lists(LABELS, min_size=n, max_size=n)))
-        fallback = MixedProfile(np.full(m, 1.0 / m), np.full(n, 1.0 / n))
-        chosen = select_equilibrium(candidates, fallback, row_actions, col_actions)
-        expected = reference_select_equilibrium(candidates, fallback, row_actions, col_actions)
         if not candidates:
-            assert chosen is fallback and expected is fallback
+            with pytest.raises(InvalidGameError):
+                select_equilibrium(candidates, row_actions, col_actions)
         else:
-            assert chosen.support() == expected.support()
+            assert select_equilibrium(candidates, row_actions, col_actions) == \
+                reference_select_equilibrium(candidates, row_actions, col_actions)
 
     @settings(max_examples=200, deadline=None)
     @given(irrigation_specs())
     def test_selected_irrigation_cell_is_pure_equilibrium(self, spec):
         game = build_irrigation_game(spec)
         i, j = solve_irrigation_game(spec)
-        assert is_epsilon_ne(game, MixedProfile.pure(i, j, *game.shape), 1e-9)
+        assert is_epsilon_ne(game, pure_profile(i, j, *game.shape), 1e-9)
 
 
 # -- the expert year's pair solves -----------------------------------------------

@@ -400,6 +400,11 @@ class TestExtractStructured:
         with pytest.raises(SchemaError):
             extract_structured("maybe later")
 
+    def test_overlong_integer_rejected(self):
+        # More digits than int() converts from a string.
+        with pytest.raises(SchemaError):
+            extract_structured("I will plant " + "9" * 5000 + " fields")
+
     def test_none_rejected(self):
         with pytest.raises(SchemaError):
             extract_structured(None)

@@ -233,6 +233,23 @@ class TestInflow:
             CsvInflow(path)
         assert path in str(err.value)
 
+    @pytest.mark.parametrize("month", [0, 13])
+    def test_csv_month_out_of_range_rejected_at_its_line(self, tmp_path, month):
+        rows = [[2000, m, 5.0] for m in range(1, 12)] + [[2000, month, 5.0]]
+        path = self.write_csv(tmp_path / "inflow.csv", ["year", "month", "inflow"], rows)
+        with pytest.raises(ConfigurationError,
+                           match=f"line 13: month must be 1 to 12, got {month}") as err:
+            CsvInflow(path)
+        assert path in str(err.value)
+
+    def test_csv_missing_months_named(self, tmp_path):
+        rows = [[2000, m, 5.0] for m in range(1, 13)]
+        rows += [[2001, m, 5.0] for m in range(1, 13) if m not in (3, 11)]
+        path = self.write_csv(tmp_path / "inflow.csv", ["year", "month", "inflow"], rows)
+        with pytest.raises(ConfigurationError, match="year 2001 lacks months 3, 11") as err:
+            CsvInflow(path)
+        assert path in str(err.value)
+
     def test_seasonal_overflow_rejected_by_river_year(self):
         with np.errstate(over="ignore", invalid="ignore"):
             inflow = SyntheticInflow(InflowConfig(shape_power=1e6), seed=0)
@@ -436,6 +453,19 @@ class TestSweep:
         assert by_pipeline["procedural"]["error"] == ""
         assert by_pipeline["generative"]["error"] != ""
 
+    def test_overlong_integer_replies_fall_back(self, tmp_path):
+        fixture = tmp_path / "nines.json"
+        fixture.write_text(json.dumps(
+            [{"response": "I will plant " + "9" * 5000 + " fields"}]))
+        base = short_config(
+            pipeline="generative", horizon=2,
+            gateway=GatewayConfig(backend="stub", fixture_path=str(fixture)))
+        every_decision = base.horizon * base.n_households
+        assert run_simulation(base).fallback_events == every_decision
+        (row,) = sweep(base)
+        assert row["error"] == ""
+        assert row["fallback_events"] == every_decision
+
     def test_missing_fixture_recorded_as_configuration_error(self, tmp_path):
         from rivercommons import GatewayConfig
         base = short_config(
@@ -572,14 +602,17 @@ class TestCli:
         assert main(["solve-game", "--game", str(game)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [None, "{not json",
-                                         '{"row_payoffs": [[1]]}'])
+    @pytest.mark.parametrize("content", [
+        None, "{not json", '{"row_payoffs": [[1]]}',
+        '{"row_payoffs": [[1]], "col_payoffs": [[1]], "row_actions": 5}',
+        '{"row_payoffs": [[1, 2]], "col_payoffs": [[1, 2]], "col_actions": "HL"}'])
     def test_solve_game_unusable_file_exit_code(self, tmp_path, capsys, content):
         game = tmp_path / "game.json"
         if content is not None:
             game.write_text(content)
         assert main(["solve-game", "--game", str(game)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and str(game) in err
 
     @pytest.mark.parametrize("row", [[["a"]], [[1, 2], [3]]])
     def test_solve_game_unusable_payoffs_exit_code(self, tmp_path, capsys, row):

@@ -12,10 +12,9 @@ from rivercommons import (AuthorityState, BehaviourProfile, ConfigurationError,
                           generative_decide, is_epsilon_ne,
                           moving_average_predict, naive_egta_decide,
                           parse_llm_game, procedural_decide, sweep)
-from rivercommons.equilibrium import MixedProfile
 from rivercommons.ecology import N_FISH_CLASSES
 from rivercommons.policies import default_fish_target, map_abstract_action
-from conftest import g1_spec, short_config
+from conftest import g1_spec, pure_profile, short_config
 
 
 def household(index=1, budget=1000.0, crop_income=100.0, planted=0, node_inflow=0.0):
@@ -159,8 +158,7 @@ class TestExpertEgtaDecide:
                                        6.0, 10, 5, 1.0, np.random.default_rng(0))
         cell = (decisions[0].fields_planted, decisions[1].fields_planted)
         assert cell in pure
-        profile = MixedProfile.pure(cell[0], cell[1], 11, 11)
-        assert is_epsilon_ne(game, profile, 1e-9)
+        assert is_epsilon_ne(game, pure_profile(*cell, 11, 11), 1e-9)
 
     def test_single_household_rejected(self, params):
         world = make_world(n=1)

@@ -28,7 +28,8 @@ PIPELINES = ("procedural", "generative", "naive-egta", "expert-egta", "centraliz
 # Spans every traced run of the five pipelines plus emit_outputs must record.
 EXPECTED_SPANS = ("ecology.advance_year", "harness.inflow_year",
                   "policies.expert_egta_decide", "policies.generative_decide",
-                  "policies.naive_egta_decide", "games.parse_llm_game")
+                  "policies.naive_egta_decide", "games.parse_llm_game",
+                  "equilibrium.select_equilibrium")
 
 
 def load_module(name, path):
