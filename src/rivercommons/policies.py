@@ -12,7 +12,7 @@ from .equilibrium import solve_symmetric_cpr
 from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
                      SimulationError, TransportError)
 from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game,
-                    fishing_income, solve_irrigation_game)
+                    fishing_income, pair_game_key, solve_irrigation_game)
 from .gateway import Gateway, extract_structured, render_prompt
 
 
@@ -109,7 +109,7 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
     from the seeded run RNG, in household order: 1 plays upstream in its own
     pair, 0 downstream in the pair above. Household 1 is always upstream and
     the last always downstream. Every pair's spec is built, so every input is
-    checked, but a pair's game is solved only when some household plays it."""
+    checked, but only played games are solved, once per `pair_game_key`."""
     n = state.n_households
     if n < 2:
         raise ConfigurationError("expert pipeline needs at least 2 households")
@@ -126,13 +126,14 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
     decisions = []
     for i, role in enumerate(upstream):
         pair = i if role else i - 1
-        if pair not in solved:
+        key = pair_game_key(specs[pair])
+        if key not in solved:
             try:
-                solved[pair] = solve_irrigation_game(specs[pair])
+                solved[key] = solve_irrigation_game(specs[pair])
             except RiverCommonsError as err:
                 raise SimulationError(f"irrigation game solve failed: {err}",
                                       year=state.year + 1, pair=pair + 1) from err
-        decisions.append(Decision(solved[pair][1 - role], e_star))  # cells are (s_u, s_d)
+        decisions.append(Decision(solved[key][1 - role], e_star))  # cells are (s_u, s_d)
     return decisions
 
 

@@ -36,6 +36,7 @@ from rivercommons import (ActivityClass, BimatrixGame, CprSolution, Decision,
 from rivercommons.config import load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
+from rivercommons.games import pair_game_key
 from rivercommons.harness import RunArtifacts
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import solve_fishing_game
@@ -198,6 +199,67 @@ class TestPureEquilibria:
         assert is_epsilon_ne(game, pure_profile(i, j, *game.shape), 1e-9)
 
 
+# -- the pair-game key -------------------------------------------------------------
+
+def _one_ulp_around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+@st.composite
+def same_year_spec_pairs(draw):
+    """Two specs that share every field but B_u, B_d and T, as two pairs of one
+    expert year do. Budgets sit on, and one ulp around, a multiple of c (some
+    negative); T / w sits on, and one ulp around, 2 * max_fields + 1 and
+    other whole field counts. A small pool makes equal keys common."""
+    k = draw(st.integers(0, 12))
+    c = draw(st.sampled_from([10.0, 1.0, 0.3, 0.1, 2.5]))
+    w = draw(st.sampled_from([10.0, 1.0, 0.7, 0.5]))
+    counts = st.sampled_from(sorted({-3, -1, 0, 1, k // 2, k - 1, k, k + 1, k + 4}))
+    budget = counts.flatmap(lambda n: st.sampled_from(_one_ulp_around(n * c)))
+    water = st.sampled_from(sorted({0, 1, k, 2 * k, 2 * k + 1, 2 * k + 2, 3 * k + 5}))
+    inflow = water.flatmap(lambda n: st.sampled_from(_one_ulp_around(n * w)))
+    ys = draw(_amount(-50.0, 100.0))
+    shared = dict(c=c, w=w, y0=ys + draw(st.one_of(_floats(1e-6, 100.0), st.just(1.0))),
+                  ys=ys, S=draw(_amount(0.0, 30.0)), kappa=draw(_amount(0.0, 100.0)),
+                  tau=draw(st.sampled_from([0.0, 0.25, 1.0])),
+                  F_u=draw(_amount(0.0, 500.0)), F_d=draw(_amount(0.0, 500.0)),
+                  max_fields=k)
+    return tuple(IrrigationGameSpec(B_u=draw(budget), B_d=draw(budget), T=draw(inflow),
+                                    **shared) for _ in range(2))
+
+
+class TestPairGameKey:
+    @settings(max_examples=400, deadline=None)
+    @given(same_year_spec_pairs())
+    @example((IrrigationGameSpec(B_u=100.0, B_d=100.0, c=10.0, T=210.0, w=10.0, y0=50.0,
+                                 ys=24.0, S=6.0, kappa=50.0, tau=0.25),
+              IrrigationGameSpec(B_u=109.99, B_d=5000.0, c=10.0, T=1e4, w=10.0, y0=50.0,
+                                 ys=24.0, S=6.0, kappa=50.0, tau=0.25)))
+    @example((IrrigationGameSpec(B_u=-5.0, B_d=9.99, c=10.0, T=60.0, w=10.0, y0=50.0,
+                                 ys=24.0, S=6.0, kappa=50.0),
+              IrrigationGameSpec(B_u=0.0, B_d=-500.0, c=10.0, T=60.0, w=10.0, y0=50.0,
+                                 ys=24.0, S=6.0, kappa=50.0)))
+    def test_equal_keys_build_the_same_game(self, specs):
+        first, second = specs
+        if pair_game_key(first) != pair_game_key(second):
+            return
+        a, b = build_irrigation_game(first), build_irrigation_game(second)
+        assert a.row_payoffs.tobytes() == b.row_payoffs.tobytes()
+        assert a.col_payoffs.tobytes() == b.col_payoffs.tobytes()
+        assert solve_irrigation_game(first) == solve_irrigation_game(second)
+
+    def test_key_splits_games_that_differ(self):
+        """A cap one field lower, or any other field changed, changes the key."""
+        spec = IrrigationGameSpec(B_u=100.0, B_d=100.0, c=10.0, T=210.0, w=10.0, y0=50.0,
+                                  ys=24.0, S=6.0, kappa=50.0, max_fields=10)
+        changes = [dict(B_u=99.99), dict(B_d=99.99), dict(T=209.99), dict(c=11.0),
+                   dict(w=9.0), dict(y0=51.0), dict(ys=23.0), dict(S=5.0),
+                   dict(kappa=49.0), dict(tau=0.25), dict(F_u=1.0), dict(F_d=1.0),
+                   dict(max_fields=9)]
+        keys = {pair_game_key(replace(spec, **change)) for change in changes}
+        assert len(keys | {pair_game_key(spec)}) == len(changes) + 1
+
+
 # -- the expert year's pair solves -----------------------------------------------
 
 def reference_expert_egta_decide(state, tau, params, pair_stress_threshold, max_fields,
@@ -222,24 +284,36 @@ def reference_expert_egta_decide(state, tau, params, pair_stress_threshold, max_
     return decisions
 
 
+def _world(households, adults=0.0):
+    """A year-0 world of (budget, node inflow) households and an adult stock."""
+    classes = np.zeros(N_FISH_CLASSES)
+    classes[ADULT] = adults / classes[ADULT].size
+    return WorldState(households=tuple(
+        YearRecord(year=0, household=i + 1, budget=b, node_inflow=t)
+        for i, (b, t) in enumerate(households)), fish=FishPopulation(classes))
+
+
 @st.composite
 def expert_worlds(draw):
     """A world of 2 to 9 households whose budgets are negative, below the
     cost of one field, or large, with random node inflows and adult stock."""
     n = draw(st.integers(2, 9))
-    budget = st.one_of(_floats(-500.0, -0.01), _floats(0.0, 9.99), _floats(10.0, 5000.0))
-    households = tuple(
-        YearRecord(year=0, household=i + 1, budget=draw(budget),
-                   node_inflow=draw(_amount(0.0, 300.0)))
-        for i in range(n))
-    classes = np.zeros(N_FISH_CLASSES)
-    classes[ADULT] = draw(_floats(0.0, 1e5)) / classes[ADULT].size
-    return WorldState(households=households, fish=FishPopulation(classes))
+    # The sampled budgets and inflows give pairs whose games are equal though
+    # their floats differ (c = w = 10), so pairs share a solve.
+    budget = st.one_of(_floats(-500.0, -0.01), _floats(0.0, 9.99), _floats(10.0, 5000.0),
+                       st.sampled_from([-1.0, 5.0, 30.0, 39.99, 100.0, 109.99, 2500.0]))
+    inflow = st.one_of(_amount(0.0, 300.0), st.sampled_from([45.0, 49.99, 210.0, 250.0]))
+    households = [(draw(budget), draw(inflow)) for _ in range(n)]
+    return _world(households, draw(_floats(0.0, 1e5)))
 
 
 class TestExpertYear:
     @settings(max_examples=150, deadline=None)
     @given(expert_worlds(), st.sampled_from([0.0, 0.25, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @example(_world([(100.0, 210.0), (109.99, 250.0), (100.0, 300.0), (2500.0, 210.0),
+                     (109.99, 250.0), (100.0, 49.99), (109.99, 45.0)], 1000.0), 0.25, 3)
+    @example(_world([(30.0, 45.0), (39.99, 49.99), (30.0, 45.0), (39.99, 250.0), (5.0, 45.0),
+                     (-1.0, 49.99), (9.99, 210.0), (0.0, 250.0), (30.0, 45.0)]), 0.0, 11)
     def test_lazy_decide_equals_solve_all_reference(self, world, tau, seed):
         params = EcologyParams()
         rng = np.random.default_rng(seed)
@@ -253,14 +327,14 @@ class TestExpertYear:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
     def test_each_played_pair_is_solved_once(self, n, seed):
-        """Household i's budget marks pair i, whose upstream it is."""
-        world = WorldState(households=tuple(
-            YearRecord(year=0, household=i + 1, budget=100.0 + i, node_inflow=60.0)
-            for i in range(n)), fish=FishPopulation(np.zeros(N_FISH_CLASSES)))
+        """Household i can afford i fields, which marks pair i, whose upstream
+        it is, and gives every pair its own game."""
+        c = EcologyParams().c
+        world = _world([(c * i, 1000.0) for i in range(n)])
         solved = []
 
         def counting(spec):
-            solved.append(int(spec.B_u - 100.0))
+            solved.append(int(spec.B_u / c))
             return solve_irrigation_game(spec)
 
         roles = np.random.default_rng(seed)
@@ -272,6 +346,29 @@ class TestExpertYear:
                                np.random.default_rng(seed))
         assert sorted(solved) == sorted(set(solved)) == sorted(played)
         assert {0, n - 2} <= set(solved)
+
+    def test_identical_games_solved_once_per_year(self):
+        """Every budget affords more than max_fields, so all eight pairs play
+        one game. The next call, on another fish stock, solves again, and so
+        does a third on the first world: no solve outlives its call."""
+        world = _world([(100.0 + i, 60.0) for i in range(9)])
+        solved = []
+
+        def counting(spec):
+            solved.append(spec)
+            return solve_irrigation_game(spec)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
+            first = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
+                                       np.random.default_rng(0))
+            assert [spec.B_u for spec in solved] == [100.0]
+            expert_egta_decide(replace(world, fish=_world([], 1000.0).fish), 0.25,
+                               EcologyParams(), 6.0, 10, 5, 1.0, np.random.default_rng(0))
+            again = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
+                                       np.random.default_rng(0))
+        assert len(solved) == 3 and solved[1].F_u > solved[0].F_u == solved[2].F_u == 0.0
+        assert again == first
 
 
 # -- Lemke-Howson ------------------------------------------------------------------
