@@ -45,10 +45,11 @@ class SimulationError(RiverCommonsError):
         super().__init__(message + (f" [{', '.join(ctx)}]" if ctx else ""))
 
 
-def _finite(value) -> bool:
-    """False for NaN, ±inf and an integer too large for a float."""
+def finite_real(value) -> bool:
+    """The rule for a float field: real and finite, not a bool. False for NaN,
+    ±inf and an integer too large for a float."""
     try:
-        return math.isfinite(value)
+        return _real(value) and math.isfinite(value)
     except OverflowError:
         return False
 
@@ -77,12 +78,12 @@ def check_fields(instance):
         value = getattr(instance, name)
         if kind is float:
             ok = type(value) is float or _real(value)
-            if ok and not _finite(value):
+            if ok and not finite_real(value):
                 raise ConfigurationError(f"{name} must be finite, got {value!r}")
         elif kind is int:
             ok = type(value) is int or _real(value) and isinstance(value, numbers.Integral)
         elif kind == tuple[float, ...]:
-            ok = isinstance(value, (list, tuple)) and all(_real(v) and _finite(v) for v in value)
+            ok = isinstance(value, (list, tuple)) and all(map(finite_real, value))
         else:
             ok = isinstance(value, kind)
         if not ok and not (value is None and default is None):

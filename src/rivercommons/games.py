@@ -43,11 +43,10 @@ class IrrigationGameSpec:
             raise ConfigurationError("max_fields and tau must be non-negative")
 
 
-def _field_limits(spec: IrrigationGameSpec):
-    """The floored field caps min(B_u/c, T/w) and B_d/c, and the water T/w."""
-    water = spec.T / spec.w
-    return (np.floor(np.minimum(spec.B_u / spec.c, water) + 1e-9),
-            np.floor(spec.B_d / spec.c + 1e-9), water)
+def _field_limits(B_u, B_d, T, c, w):
+    """Floored field caps min(B_u/c, T/w) and B_d/c, and the water T/w; scalars or arrays."""
+    water = T / w
+    return np.floor(np.minimum(B_u / c, water) + 1e-9), np.floor(B_d / c + 1e-9), water
 
 
 def _payoff_rule(s_u, s_d, spec: IrrigationGameSpec):
@@ -58,7 +57,7 @@ def _payoff_rule(s_u, s_d, spec: IrrigationGameSpec):
     downstream also by the water upstream leaves. Payoffs are yield plus fishing
     income, minus irrigation and consumption costs and the extraction tax.
     """
-    lim_u, lim_d, water = _field_limits(spec)
+    lim_u, lim_d, water = _field_limits(spec.B_u, spec.B_d, spec.T, spec.c, spec.w)
     f_u = np.maximum(0.0, np.minimum(s_u, lim_u))
     f_d = np.maximum(0.0, np.minimum(np.minimum(s_d, lim_d),
                                      np.floor(np.maximum(water - f_u, 0.0) + 1e-9)))
@@ -79,15 +78,6 @@ def pair_payoffs(s_u: int, s_d: int, spec: IrrigationGameSpec):
     """Annual payoffs (pi_u, pi_d) for one strategy pair, as floats."""
     _, _, pi_u, pi_d = _payoff_rule(s_u, s_d, spec)
     return float(pi_u), float(pi_d)
-
-
-def pair_game_key(spec: IrrigationGameSpec) -> tuple:
-    """Equal for two specs only if their games are bit-identical. Floor commutes
-    with min, so budgets and T act only through `_field_limits`, whose caps bind
-    only within 0..max_fields; water of 2 * max_fields + 1 never binds downstream."""
-    (lim_u, lim_d, water), k = _field_limits(spec), spec.max_fields
-    return (min(max(lim_u, 0.0), k), min(max(lim_d, 0.0), k), min(water, 2 * k + 1), spec.c,
-            spec.w, spec.y0, spec.ys, spec.S, spec.kappa, spec.tau, spec.F_u, spec.F_d, k)
 
 
 def build_irrigation_game(spec: IrrigationGameSpec) -> BimatrixGame:

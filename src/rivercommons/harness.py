@@ -199,8 +199,8 @@ class _Centralized(_Procedural):
 
 class _ExpertEgta(_Procedural):
     """The expert pipeline; its own generator draws each middle household's
-    pair role first, and each distinct pair game some household plays is
-    solved once a year."""
+    pair role first, and a spec is built and solved once a year for each
+    distinct pair game some household plays."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)

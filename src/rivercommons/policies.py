@@ -7,12 +7,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ecology import Decision, EcologyParams, WorldState, YearRecord
 from .equilibrium import solve_symmetric_cpr
 from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
-                     SimulationError, TransportError)
-from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game,
-                    fishing_income, pair_game_key, solve_irrigation_game)
+                     SimulationError, TransportError, finite_real)
+from .games import (ASKind, IrrigationGameSpec, _field_limits, build_cpr_fishing_game,
+                    fishing_income, solve_irrigation_game)
 from .gateway import Gateway, extract_structured, render_prompt
 
 
@@ -108,28 +110,39 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
     per consecutive pair. Each middle household's role is drawn uniformly
     from the seeded run RNG, in household order: 1 plays upstream in its own
     pair, 0 downstream in the pair above. Household 1 is always upstream and
-    the last always downstream. Every pair's spec is built, so every input is
-    checked, but only played games are solved, once per `pair_game_key`."""
-    n = state.n_households
+    the last always downstream. One pass checks every pair's budgets and
+    inflow as float fields (`finite_real`) and keys its game by its clipped
+    caps. Equal keys build bit-identical games: the other spec fields are
+    shared within a call, floor commutes with min, caps bind only in
+    0..max_fields and water of 2 * max_fields + 1 never binds downstream. So a
+    spec is built and solved once per key that some household plays."""
+    n, hs = state.n_households, state.households
     if n < 2:
         raise ConfigurationError("expert pipeline needs at least 2 households")
     e_star, fish_income = solve_fishing_game(state, params, e_max, effort_cost)
     upstream = [1] + [int(rng.integers(2)) for _ in range(n - 2)] + [0]
-    specs = [IrrigationGameSpec(
-        B_u=up.budget, B_d=down.budget, c=params.c,
-        T=up.node_inflow, w=params.w, y0=params.y0, ys=params.ys,
-        S=pair_stress_threshold, kappa=params.kappa, tau=tau,
-        F_u=fish_income, F_d=fish_income, max_fields=max_fields)
-        for up, down in zip(state.households, state.households[1:])]
-
-    solved = {}
-    decisions = []
+    for h, name in [(h, "budget") for h in hs] + [(h, "node_inflow") for h in hs[:-1]]:
+        if not finite_real(getattr(h, name)):
+            raise ConfigurationError(f"household {h.household} {name} must be a finite "
+                                     f"number, got {getattr(h, name)!r}")
+    budgets = np.array([h.budget for h in hs], dtype=float)
+    lim_u, lim_d, water = _field_limits(budgets[:-1], budgets[1:], np.array(
+        [h.node_inflow for h in hs[:-1]], dtype=float), params.c, params.w)
+    keys = list(zip(np.clip(lim_u, 0, max_fields).tolist(),
+                    np.clip(lim_d, 0, max_fields).tolist(),
+                    np.minimum(water, 2 * max_fields + 1).tolist()))
+    solved, decisions = {}, []
     for i, role in enumerate(upstream):
         pair = i if role else i - 1
-        key = pair_game_key(specs[pair])
+        key = keys[pair]
         if key not in solved:
+            spec = IrrigationGameSpec(
+                B_u=hs[pair].budget, B_d=hs[pair + 1].budget, c=params.c, w=params.w,
+                T=hs[pair].node_inflow, y0=params.y0, ys=params.ys, S=pair_stress_threshold,
+                kappa=params.kappa, tau=tau, F_u=fish_income, F_d=fish_income,
+                max_fields=max_fields)
             try:
-                solved[key] = solve_irrigation_game(specs[pair])
+                solved[key] = solve_irrigation_game(spec)
             except RiverCommonsError as err:
                 raise SimulationError(f"irrigation game solve failed: {err}",
                                       year=state.year + 1, pair=pair + 1) from err

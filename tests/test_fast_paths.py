@@ -36,7 +36,7 @@ from rivercommons import (ActivityClass, BimatrixGame, CprSolution, Decision,
 from rivercommons.config import load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
-from rivercommons.games import pair_game_key
+from rivercommons.games import _field_limits
 from rivercommons.harness import RunArtifacts
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import solve_fishing_game
@@ -199,79 +199,15 @@ class TestPureEquilibria:
         assert is_epsilon_ne(game, pure_profile(i, j, *game.shape), 1e-9)
 
 
-# -- the pair-game key -------------------------------------------------------------
-
-def _one_ulp_around(x):
-    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
-
-
-@st.composite
-def same_year_spec_pairs(draw):
-    """Two specs that share every field but B_u, B_d and T, as two pairs of one
-    expert year do. Budgets sit on, and one ulp around, a multiple of c (some
-    negative); T / w sits on, and one ulp around, 2 * max_fields + 1 and
-    other whole field counts. A small pool makes equal keys common."""
-    k = draw(st.integers(0, 12))
-    c = draw(st.sampled_from([10.0, 1.0, 0.3, 0.1, 2.5]))
-    w = draw(st.sampled_from([10.0, 1.0, 0.7, 0.5]))
-    counts = st.sampled_from(sorted({-3, -1, 0, 1, k // 2, k - 1, k, k + 1, k + 4}))
-    budget = counts.flatmap(lambda n: st.sampled_from(_one_ulp_around(n * c)))
-    water = st.sampled_from(sorted({0, 1, k, 2 * k, 2 * k + 1, 2 * k + 2, 3 * k + 5}))
-    inflow = water.flatmap(lambda n: st.sampled_from(_one_ulp_around(n * w)))
-    ys = draw(_amount(-50.0, 100.0))
-    shared = dict(c=c, w=w, y0=ys + draw(st.one_of(_floats(1e-6, 100.0), st.just(1.0))),
-                  ys=ys, S=draw(_amount(0.0, 30.0)), kappa=draw(_amount(0.0, 100.0)),
-                  tau=draw(st.sampled_from([0.0, 0.25, 1.0])),
-                  F_u=draw(_amount(0.0, 500.0)), F_d=draw(_amount(0.0, 500.0)),
-                  max_fields=k)
-    return tuple(IrrigationGameSpec(B_u=draw(budget), B_d=draw(budget), T=draw(inflow),
-                                    **shared) for _ in range(2))
-
-
-class TestPairGameKey:
-    @settings(max_examples=400, deadline=None)
-    @given(same_year_spec_pairs())
-    @example((IrrigationGameSpec(B_u=100.0, B_d=100.0, c=10.0, T=210.0, w=10.0, y0=50.0,
-                                 ys=24.0, S=6.0, kappa=50.0, tau=0.25),
-              IrrigationGameSpec(B_u=109.99, B_d=5000.0, c=10.0, T=1e4, w=10.0, y0=50.0,
-                                 ys=24.0, S=6.0, kappa=50.0, tau=0.25)))
-    @example((IrrigationGameSpec(B_u=-5.0, B_d=9.99, c=10.0, T=60.0, w=10.0, y0=50.0,
-                                 ys=24.0, S=6.0, kappa=50.0),
-              IrrigationGameSpec(B_u=0.0, B_d=-500.0, c=10.0, T=60.0, w=10.0, y0=50.0,
-                                 ys=24.0, S=6.0, kappa=50.0)))
-    def test_equal_keys_build_the_same_game(self, specs):
-        first, second = specs
-        if pair_game_key(first) != pair_game_key(second):
-            return
-        a, b = build_irrigation_game(first), build_irrigation_game(second)
-        assert a.row_payoffs.tobytes() == b.row_payoffs.tobytes()
-        assert a.col_payoffs.tobytes() == b.col_payoffs.tobytes()
-        assert solve_irrigation_game(first) == solve_irrigation_game(second)
-
-    def test_key_splits_games_that_differ(self):
-        """A cap one field lower, or any other field changed, changes the key."""
-        spec = IrrigationGameSpec(B_u=100.0, B_d=100.0, c=10.0, T=210.0, w=10.0, y0=50.0,
-                                  ys=24.0, S=6.0, kappa=50.0, max_fields=10)
-        changes = [dict(B_u=99.99), dict(B_d=99.99), dict(T=209.99), dict(c=11.0),
-                   dict(w=9.0), dict(y0=51.0), dict(ys=23.0), dict(S=5.0),
-                   dict(kappa=49.0), dict(tau=0.25), dict(F_u=1.0), dict(F_d=1.0),
-                   dict(max_fields=9)]
-        keys = {pair_game_key(replace(spec, **change)) for change in changes}
-        assert len(keys | {pair_game_key(spec)}) == len(changes) + 1
-
-
-# -- the expert year's pair solves -----------------------------------------------
+# -- the expert year: the solve-all reference and the pair-game key ---------------
 
 def reference_expert_egta_decide(state, tau, params, pair_stress_threshold, max_fields,
                                  e_max, effort_cost, rng):
     """Solve every pair game, then draw each middle household's role."""
     n = state.n_households
     e_star, fish_income = solve_fishing_game(state, params, e_max, effort_cost)
-    strategies = [solve_irrigation_game(IrrigationGameSpec(
-        B_u=up.budget, B_d=down.budget, c=params.c, T=up.node_inflow, w=params.w,
-        y0=params.y0, ys=params.ys, S=pair_stress_threshold, kappa=params.kappa, tau=tau,
-        F_u=fish_income, F_d=fish_income, max_fields=max_fields))
-        for up, down in zip(state.households, state.households[1:])]
+    strategies = [solve_irrigation_game(spec) for spec in reference_pair_specs(
+        state, tau, params, pair_stress_threshold, max_fields, fish_income)]
     decisions = []
     for i in range(n):
         options = []
@@ -284,6 +220,32 @@ def reference_expert_egta_decide(state, tau, params, pair_stress_threshold, max_
     return decisions
 
 
+def reference_pair_specs(state, tau, params, pair_stress_threshold, max_fields, fish_income):
+    """The spec of every consecutive pair of a year, upstream first."""
+    return [IrrigationGameSpec(
+        B_u=up.budget, B_d=down.budget, c=params.c, T=up.node_inflow, w=params.w,
+        y0=params.y0, ys=params.ys, S=pair_stress_threshold, kappa=params.kappa, tau=tau,
+        F_u=fish_income, F_d=fish_income, max_fields=max_fields)
+        for up, down in zip(state.households, state.households[1:])]
+
+
+def reference_pair_key(spec):
+    """The caps that fix a pair game within one expert year, from the scalar
+    `_field_limits` of its own spec: both field caps clipped to 0..max_fields
+    and the water clipped to 2 * max_fields + 1."""
+    lim_u, lim_d, water = _field_limits(spec.B_u, spec.B_d, spec.T, spec.c, spec.w)
+    k = spec.max_fields
+    return min(max(lim_u, 0.0), k), min(max(lim_d, 0.0), k), min(water, 2 * k + 1)
+
+
+def played_pairs(n, seed):
+    """The pair each household plays, from the role draws of a fresh
+    generator seeded like the one `expert_egta_decide` is given."""
+    roles = np.random.default_rng(seed)
+    upstream = [1] + [int(roles.integers(2)) for _ in range(n - 2)] + [0]
+    return [i if role else i - 1 for i, role in enumerate(upstream)]
+
+
 def _world(households, adults=0.0):
     """A year-0 world of (budget, node inflow) households and an adult stock."""
     classes = np.zeros(N_FISH_CLASSES)
@@ -292,6 +254,119 @@ def _world(households, adults=0.0):
         YearRecord(year=0, household=i + 1, budget=b, node_inflow=t)
         for i, (b, t) in enumerate(households)), fish=FishPopulation(classes))
 
+
+def _one_ulp_around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _key_boundaries(k, c, w):
+    """Budgets on, and one ulp around, a multiple of c (some negative), and
+    inflows that put T / w on, and one ulp around, 2 * k + 1 and other whole
+    field counts. A small pool makes equal keys common."""
+    counts = st.sampled_from(sorted({-3, -1, 0, 1, k // 2, k - 1, k, k + 1, k + 4}))
+    budget = counts.flatmap(lambda n: st.sampled_from(_one_ulp_around(n * c)))
+    water = st.sampled_from(sorted({0, 1, k, 2 * k, 2 * k + 1, 2 * k + 2, 3 * k + 5}))
+    inflow = water.flatmap(lambda n: st.sampled_from(_one_ulp_around(n * w)))
+    return budget, inflow
+
+
+_KEY_COSTS = st.sampled_from([10.0, 1.0, 0.3, 0.1, 2.5])
+_KEY_WATER = st.sampled_from([10.0, 1.0, 0.7, 0.5])
+
+
+@st.composite
+def key_boundary_years(draw):
+    """(world, params, max_fields): an expert year of 2 to 9 households whose
+    budgets and pair inflows sit on the key's boundaries."""
+    k, c, w = draw(st.integers(0, 12)), draw(_KEY_COSTS), draw(_KEY_WATER)
+    budget, inflow = _key_boundaries(k, c, w)
+    households = [(draw(budget), draw(inflow)) for _ in range(draw(st.integers(2, 9)))]
+    return _world(households, draw(st.sampled_from([0.0, 1000.0]))), EcologyParams(c=c, w=w), k
+
+
+@st.composite
+def same_year_spec_pairs(draw):
+    """Two specs that share every field but B_u, B_d and T, as two pairs of one
+    expert year do, with budgets and T on the key's boundaries."""
+    k, c, w = draw(st.integers(0, 12)), draw(_KEY_COSTS), draw(_KEY_WATER)
+    budget, inflow = _key_boundaries(k, c, w)
+    ys = draw(_amount(-50.0, 100.0))
+    shared = dict(c=c, w=w, y0=ys + draw(st.one_of(_floats(1e-6, 100.0), st.just(1.0))),
+                  ys=ys, S=draw(_amount(0.0, 30.0)), kappa=draw(_amount(0.0, 100.0)),
+                  tau=draw(st.sampled_from([0.0, 0.25, 1.0])),
+                  F_u=draw(_amount(0.0, 500.0)), F_d=draw(_amount(0.0, 500.0)),
+                  max_fields=k)
+    return tuple(IrrigationGameSpec(B_u=draw(budget), B_d=draw(budget), T=draw(inflow),
+                                    **shared) for _ in range(2))
+
+
+def decide_counting_solves(world, tau, params, max_fields, seed):
+    """The specs `expert_egta_decide` solves, in order, on a fresh generator."""
+    solved = []
+
+    def counting(spec):
+        solved.append(spec)
+        return solve_irrigation_game(spec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
+        expert_egta_decide(world, tau, params, 6.0, max_fields, 5, 1.0,
+                           np.random.default_rng(seed))
+    return solved
+
+
+class TestPairGameKey:
+    @settings(max_examples=300, deadline=None)
+    @given(key_boundary_years(), st.sampled_from([0.0, 0.25, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @example((_world([(100.0, 210.0), (109.99, 1e4), (100.0, 210.0)]), EcologyParams(), 10),
+             0.25, 0)
+    @example((_world([(-5.0, 60.0), (9.99, 60.0), (0.0, 60.0), (-500.0, 0.0)]),
+              EcologyParams(), 10), 0.0, 5)
+    def test_year_keys_equal_clipped_field_limits(self, year, tau, seed):
+        """The year pass keys each pair as `reference_pair_key` keys its spec:
+        one spec is solved per distinct key played, the first played pair's
+        own, in the order households play them."""
+        world, params, k = year
+        fish_income = solve_fishing_game(world, params, 5, 1.0)[1]
+        specs = reference_pair_specs(world, tau, params, 6.0, k, fish_income)
+        first_of_key = {}
+        for pair in played_pairs(world.n_households, seed):
+            first_of_key.setdefault(reference_pair_key(specs[pair]), specs[pair])
+        solved = decide_counting_solves(world, tau, params, k, seed)
+        assert solved == list(first_of_key.values())
+
+    @settings(max_examples=400, deadline=None)
+    @given(same_year_spec_pairs())
+    @example((IrrigationGameSpec(B_u=100.0, B_d=100.0, c=10.0, T=210.0, w=10.0, y0=50.0,
+                                 ys=24.0, S=6.0, kappa=50.0, tau=0.25),
+              IrrigationGameSpec(B_u=109.99, B_d=5000.0, c=10.0, T=1e4, w=10.0, y0=50.0,
+                                 ys=24.0, S=6.0, kappa=50.0, tau=0.25)))
+    @example((IrrigationGameSpec(B_u=-5.0, B_d=9.99, c=10.0, T=60.0, w=10.0, y0=50.0,
+                                 ys=24.0, S=6.0, kappa=50.0),
+              IrrigationGameSpec(B_u=0.0, B_d=-500.0, c=10.0, T=60.0, w=10.0, y0=50.0,
+                                 ys=24.0, S=6.0, kappa=50.0)))
+    def test_equal_keys_build_the_same_game(self, specs):
+        first, second = specs
+        if reference_pair_key(first) != reference_pair_key(second):
+            return
+        a, b = build_irrigation_game(first), build_irrigation_game(second)
+        assert a.row_payoffs.tobytes() == b.row_payoffs.tobytes()
+        assert a.col_payoffs.tobytes() == b.col_payoffs.tobytes()
+        assert solve_irrigation_game(first) == solve_irrigation_game(second)
+
+    def test_key_splits_games_that_differ(self):
+        """Three households play both pairs, which share one game and one
+        solve; an upstream or downstream budget a cent short of max_fields
+        fields, or an inflow a cent short of 2 * max_fields + 1, splits them."""
+        shared = [(100.0, 210.0)] * 3
+        splits = [[(99.99, 210.0)] + shared[1:], shared[:2] + [(99.99, 210.0)],
+                  [shared[0], (100.0, 209.99), shared[2]]]
+        for households, solves in [(shared, 1)] + [(split, 2) for split in splits]:
+            solved = decide_counting_solves(_world(households), 0.25, EcologyParams(), 10, 0)
+            assert len(solved) == solves, households
+
+
+# -- the expert year's pair solves -----------------------------------------------
 
 @st.composite
 def expert_worlds(draw):
@@ -337,9 +412,7 @@ class TestExpertYear:
             solved.append(int(spec.B_u / c))
             return solve_irrigation_game(spec)
 
-        roles = np.random.default_rng(seed)
-        upstream = [1] + [int(roles.integers(2)) for _ in range(n - 2)] + [0]
-        played = {i if role else i - 1 for i, role in enumerate(upstream)}
+        played = set(played_pairs(n, seed))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
             expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
@@ -349,17 +422,23 @@ class TestExpertYear:
 
     def test_identical_games_solved_once_per_year(self):
         """Every budget affords more than max_fields, so all eight pairs play
-        one game. The next call, on another fish stock, solves again, and so
-        does a third on the first world: no solve outlives its call."""
+        one game, and each call builds one spec, not eight. The next call, on
+        another fish stock, solves again, and so does a third on the first
+        world: no solve outlives its call."""
         world = _world([(100.0 + i, 60.0) for i in range(9)])
-        solved = []
+        solved, built = [], []
 
         def counting(spec):
             solved.append(spec)
             return solve_irrigation_game(spec)
 
+        def building(**fields):
+            built.append(fields["B_u"])
+            return IrrigationGameSpec(**fields)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
+            patch.setattr("rivercommons.policies.IrrigationGameSpec", building)
             first = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
                                        np.random.default_rng(0))
             assert [spec.B_u for spec in solved] == [100.0]
@@ -368,6 +447,7 @@ class TestExpertYear:
             again = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
                                        np.random.default_rng(0))
         assert len(solved) == 3 and solved[1].F_u > solved[0].F_u == solved[2].F_u == 0.0
+        assert built == [100.0] * 3
         assert again == first
 
 

@@ -165,6 +165,37 @@ class TestExpertEgtaDecide:
         with pytest.raises(ConfigurationError):
             expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "5"])
+    @pytest.mark.parametrize("index, name", [(1, "budget"), (2, "budget"), (1, "node_inflow")])
+    def test_bad_input_of_an_unplayed_pair_rejected_before_any_solve(
+            self, monkeypatch, params, index, name, value):
+        """At seed 6 household 2 plays downstream and household 3 upstream,
+        so nobody plays pair 2 (households 2 and 3, on household 2's
+        inflow). Its budgets and inflow are still checked as float fields,
+        all before the first pair solve, and "5" is not read as 5.0."""
+        roles = np.random.default_rng(6)
+        assert [int(roles.integers(2)) for _ in range(2)] == [0, 1]
+        solved = []
+        monkeypatch.setattr("rivercommons.policies.solve_irrigation_game", solved.append)
+        world = make_world(n=4)
+        households = list(world.households)
+        households[index] = households[index]._replace(**{name: value})
+        with pytest.raises(ConfigurationError,
+                           match=f"^household {index + 1} {name} must be a finite number"):
+            expert_egta_decide(WorldState(tuple(households), world.fish), 0.0, params,
+                               6.0, 10, 5, 1.0, np.random.default_rng(6))
+        assert solved == []
+
+    def test_last_household_inflow_is_not_read(self, params):
+        """No pair takes its water from the last household's node."""
+        world = make_world(n=3)
+        last = world.households[-1]._replace(node_inflow=float("nan"))
+        nan_world = WorldState(world.households[:-1] + (last,), world.fish)
+        assert (expert_egta_decide(nan_world, 0.25, params, 6.0, 10, 5, 1.0,
+                                   np.random.default_rng(0))
+                == expert_egta_decide(world, 0.25, params, 6.0, 10, 5, 1.0,
+                                      np.random.default_rng(0)))
+
     def test_game_error_becomes_simulation_error(self, monkeypatch, params):
         def invalid(spec):
             raise InvalidGameError("payoffs must be finite")

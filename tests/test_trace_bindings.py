@@ -71,11 +71,9 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
-def test_workload_dominant_layers_record_calls(name, tmp_path, monkeypatch):
-    """One short batch of each benchmark workload under the tracer: no
-    operation fails, spans nest, and every layer the workload names as
-    dominant records calls, as the benchmark's traced run requires."""
+def traced_batch(name, tmp_path, monkeypatch):
+    """One short batch of a benchmark workload under the tracer:
+    (workload, attempted, failed, tracer, wall seconds)."""
     for key in [k for k in os.environ if k.startswith("RIVERCOMMONS_")]:
         monkeypatch.delenv(key)
     base = replace(rivercommons.load_config(str(DEFAULT_CONFIG)), horizon=3)
@@ -90,7 +88,31 @@ def test_workload_dominant_layers_record_calls(name, tmp_path, monkeypatch):
         wall = time.perf_counter() - start
     finally:
         tracer.uninstall()
+    return wl, attempted, failed, tracer, wall
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_workload_dominant_layers_record_calls(name, tmp_path, monkeypatch):
+    """One short batch of each benchmark workload under the tracer: no
+    operation fails, spans nest, and every layer the workload names as
+    dominant records calls, as the benchmark's traced run requires."""
+    wl, attempted, failed, tracer, wall = traced_batch(name, tmp_path, monkeypatch)
     assert attempted > 0 and failed == 0, wl.failures
     assert tracer.check(wall)[0] == []
     spans = tracer.by_name()
     assert [layer for layer in wl.dominant_layers if not spans.get(layer)] == []
+
+
+def test_expert_pair_games_pass_every_traced_solve_layer(tmp_path, monkeypatch):
+    """Every pair game the expert pipeline solves is built, enumerated and
+    then selected from or handed to Lemke-Howson through the traced names,
+    so a faster path that bypasses one of these layers fails here."""
+    wl, attempted, failed, tracer, _ = traced_batch("expert-tax-grid", tmp_path, monkeypatch)
+    assert attempted > 0 and failed == 0, wl.failures
+    spans = tracer.by_name()
+    calls = {name: len(spans[name][0]) if name in spans else 0 for name in (
+        "games.build_irrigation_game", "equilibrium.enumerate_pure_ne",
+        "equilibrium.select_equilibrium", "equilibrium.lemke_howson")}
+    assert (calls["games.build_irrigation_game"] == calls["equilibrium.enumerate_pure_ne"]
+            == calls["equilibrium.select_equilibrium"] + calls["equilibrium.lemke_howson"]
+            > 0), calls
