@@ -4,6 +4,7 @@ sweeps over a grid of runs and the calibration check."""
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import os
@@ -107,6 +108,33 @@ def make_inflow(config: RunConfig):
         return CsvInflow(cfg.csv_path)
     # Missing CSV falls back to the documented synthetic generator.
     return SyntheticInflow(cfg, config.seed)
+
+
+# A sweep with up to this many seeds draws each river once for all its cells.
+SERIES_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
+def _synthetic_series(cfg: InflowConfig, cfg_repr: str, seed: int, horizon: int) -> tuple:
+    # cfg_repr is part of the key because configs that compare equal can
+    # still draw different bytes (mean_annual -0.0 and 0.0).
+    inflow = SyntheticInflow(cfg, seed)
+    series = tuple(inflow.year(t) for t in range(horizon + 1))
+    for river in series:
+        river.monthly_inflow.flags.writeable = False
+    return series
+
+
+def river_series(config: RunConfig) -> tuple[RiverYear, ...]:
+    """The run's `RiverYear`s for years 0..horizon. A synthetic series is
+    drawn once per (inflow config, seed, horizon) and shared, read-only, by
+    every run that asks for it (the last SERIES_CACHE_SIZE are kept); a CSV
+    is read again on every call."""
+    inflow = make_inflow(config)
+    if isinstance(inflow, SyntheticInflow):
+        return _synthetic_series(config.inflow, repr(config.inflow), config.seed,
+                                 config.horizon)
+    return tuple(inflow.year(t) for t in range(config.horizon + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +293,15 @@ PIPELINE_TYPES = {"procedural": _Procedural, "generative": _Generative,
 def run_simulation(config: RunConfig) -> RunArtifacts:
     """Run one complete simulation; identical config + seed gives identical
     artifacts (and byte-identical CSV output) for every pipeline when the
-    gateway uses the stub backend."""
-    inflow = make_inflow(config)
-    year0 = inflow.year(0)
-    state = _initial_state(config, year0)
-    pipeline = PIPELINE_TYPES[config.pipeline](config, year0)
+    gateway uses the stub backend. The river comes from `river_series`, so
+    runs that share the inflow config, seed and horizon share one synthetic
+    draw."""
+    series = river_series(config)
+    state = _initial_state(config, series[0])
+    pipeline = PIPELINE_TYPES[config.pipeline](config, series[0])
     records, fallbacks, clamps = [], 0, 0
     try:
-        for year in range(1, config.horizon + 1):
-            river = inflow.year(year)
+        for river in series[1:]:
             decisions, events = pipeline.decide(state)
             state, year_records = advance_year(state, river, decisions, config.ecology)
             pipeline.end_year(river, year_records)
@@ -288,9 +316,10 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
 
 def sweep(base: RunConfig, pipelines=None, taus=None, behaviours=None, seeds=None):
     """One summary row per grid cell; an axis that is None or empty takes the
-    base config's value. A cell that fails with a package error (a
-    RiverCommonsError) is recorded in its row's `error` column and the rest
-    still run; any other exception propagates."""
+    base config's value. With at most SERIES_CACHE_SIZE seeds, the cells of
+    one seed share a single river draw (see `river_series`). A cell that
+    fails with a package error (a RiverCommonsError) is recorded in its row's
+    `error` column and the rest still run; any other exception propagates."""
     axes = [list(values if values is not None else ()) or [getattr(base, name)]
             for name, values in zip(GRID_FIELDS, (pipelines, taus, behaviours, seeds))]
     rows = []

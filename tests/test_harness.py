@@ -9,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rivercommons.harness as harness
 from rivercommons import (ActivityClass, ConfigurationError, EcologyParams,
                           Gateway, GatewayConfig, RunConfig, SchemaError,
                           SimulationError, advance_year, calibrate_check,
@@ -18,7 +21,8 @@ from rivercommons import (ActivityClass, ConfigurationError, EcologyParams,
 from rivercommons.cli import main
 from rivercommons.config import PIPELINES, InflowConfig, load_prompts
 from rivercommons.harness import (PIPELINE_TYPES, CsvInflow, RunArtifacts,
-                                  SyntheticInflow, make_inflow, seasonal_weights)
+                                  SyntheticInflow, make_inflow, river_series,
+                                  seasonal_weights)
 from rivercommons.ecology import YearRecord
 from conftest import g1_spec, short_config
 
@@ -259,6 +263,81 @@ class TestInflow:
     def test_missing_csv_falls_back_to_synthetic(self, tmp_path):
         cfg = short_config(inflow=InflowConfig(csv_path=str(tmp_path / "absent.csv")))
         assert isinstance(make_inflow(cfg), SyntheticInflow)
+
+
+def fresh_bytes(cfg, seed, horizon):
+    """Each year's monthly inflow bytes, drawn without the series cache."""
+    inflow = SyntheticInflow(cfg, seed)
+    return [inflow.year(t).monthly_inflow.tobytes() for t in range(horizon + 1)]
+
+
+class TestRiverSeries:
+    """`river_series` shares one synthetic draw per (inflow config, seed,
+    horizon); each shared series must equal a fresh draw."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=st.builds(InflowConfig,
+                         mean_annual=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e4),
+                         noise_sigma=st.just(0.0) | st.floats(0.0, 2.0),
+                         peak_month=st.floats(-12.0, 24.0),
+                         shape_power=st.floats(0.0, 8.0)),
+           seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 12))
+    def test_cached_series_equals_fresh_draws(self, cfg, seed, horizon):
+        config = short_config(seed=seed, horizon=horizon, inflow=cfg)
+        series = river_series(config)
+        assert [r.monthly_inflow.tobytes() for r in series] == fresh_bytes(cfg, seed, horizon)
+        assert river_series(config) is series
+        for river in series:
+            with pytest.raises(ValueError, match="read-only"):
+                river.monthly_inflow[0] = 1.0
+
+    def test_signed_zero_mean_keeps_its_own_bytes(self):
+        # 0.0 == -0.0, yet the two draw different bytes; neither may be
+        # served the other's series.
+        for mean in (0.0, -0.0, 0.0):
+            cfg = InflowConfig(mean_annual=mean)
+            series = river_series(short_config(inflow=cfg))
+            assert [r.monthly_inflow.tobytes() for r in series] == fresh_bytes(cfg, 7, 5)
+
+    def test_failing_config_raises_on_every_call(self):
+        config = short_config(inflow=InflowConfig(shape_power=1e6))
+        for _ in range(2):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ConfigurationError, match="finite"):
+                river_series(config)
+
+    def test_csv_rewritten_between_runs_is_read_again(self, tmp_path):
+        path = tmp_path / "inflow.csv"
+        config = short_config(horizon=2, inflow=InflowConfig(csv_path=str(path)))
+        inflows = []
+        for scale in (1.0, 2.0):
+            TestInflow.write_csv(path, ["year", "month", "inflow"],
+                                 [[2000, m, scale * 10.0 * m] for m in range(1, 13)])
+            inflows.append(run_simulation(config).records[0].node_inflow)
+        assert inflows[1] == 2.0 * inflows[0] > 0
+
+    def test_sweep_over_taus_draws_each_year_once(self, monkeypatch):
+        # Counted at the name the benchmark's tracer wraps.
+        harness._synthetic_series.cache_clear()
+        drawn = []
+        year = SyntheticInflow.year
+        monkeypatch.setattr(SyntheticInflow, "year",
+                            lambda self, t: drawn.append(t) or year(self, t))
+        rows = sweep(short_config(pipeline="expert-egta", horizon=4),
+                     taus=[0.0, 0.25, 1.0])
+        assert [row["error"] for row in rows] == ["", "", ""]
+        assert drawn == list(range(5))
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_cold_and_warm_series_give_identical_records(self, tmp_path, pipeline):
+        config = short_config(pipeline=pipeline, horizon=4)
+        harness._synthetic_series.cache_clear()
+        records = []
+        for run in ("cold", "warm"):
+            paths = emit_outputs(run_simulation(config), str(tmp_path / run))
+            records.append(Path(paths["records"]).read_bytes())
+        assert harness._synthetic_series.cache_info().hits == 1
+        assert records[0] == records[1]
 
 
 class TestRunSimulation:

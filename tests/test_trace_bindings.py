@@ -47,6 +47,9 @@ BENCH_WORKLOADS = load_module("perfbench_workloads", WORKLOADS).WORKLOADS
 
 
 def test_traced_bindings_record_calls(tmp_path):
+    # Earlier tests may have drawn this river already; a cached series would
+    # leave harness.inflow_year without calls.
+    rivercommons.harness._synthetic_series.cache_clear()
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
