@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigurationError("horizon and n_households must be >= 1")
         if self.tau < 0:
             raise ConfigurationError("tau must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.max_fields < 0 or self.e_max < 0 or self.low_action < 0:
             raise ConfigurationError("action bounds must be non-negative")
         object.__setattr__(self, "initial_fish", tuple(map(float, self.initial_fish)))

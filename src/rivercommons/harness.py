@@ -227,18 +227,20 @@ class _Centralized(_Procedural):
 
 class _ExpertEgta(_Procedural):
     """The expert pipeline; its own generator draws each middle household's
-    pair role first, and a spec is built and solved once a year for each
-    distinct pair game some household plays."""
+    pair role first, and its `solved` dict lives as long as the run, so a spec
+    is built and solved once per run for each distinct pair game (field caps
+    and the year's fishing income) some household plays."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.rng = np.random.default_rng(config.seed)
+        self.solved = {}
 
     def decide(self, state: WorldState):
         cfg = self.config
         return expert_egta_decide(
             state, cfg.tau, cfg.ecology, cfg.pair_stress_threshold,
-            cfg.max_fields, cfg.e_max, cfg.effort_cost, self.rng), ()
+            cfg.max_fields, cfg.e_max, cfg.effort_cost, self.rng, self.solved), ()
 
 
 class _Generative(_Procedural):

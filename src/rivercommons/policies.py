@@ -105,17 +105,20 @@ def solve_fishing_game(state: WorldState, params: EcologyParams,
 
 def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
                        pair_stress_threshold: float, max_fields: int,
-                       e_max: int, effort_cost: float, rng) -> list:
+                       e_max: int, effort_cost: float, rng, solved: dict) -> list:
     """Expert-guided pipeline: fishing game first, then one irrigation game
     per consecutive pair. Each middle household's role is drawn uniformly
     from the seeded run RNG, in household order: 1 plays upstream in its own
     pair, 0 downstream in the pair above. Household 1 is always upstream and
     the last always downstream. One pass checks every pair's budgets and
     inflow as float fields (`finite_real`) and keys its game by its clipped
-    caps. Equal keys build bit-identical games: the other spec fields are
-    shared within a call, floor commutes with min, caps bind only in
-    0..max_fields and water of 2 * max_fields + 1 never binds downstream. So a
-    spec is built and solved once per key that some household plays."""
+    caps and the year's fishing income. Equal keys build bit-identical games:
+    every other spec field is fixed for the run, floor commutes with min, caps
+    bind only in 0..max_fields and water of 2 * max_fields + 1 never binds
+    downstream. So `solved`, which maps keys to selected cells, belongs to one
+    run: pass the same dict every year of that run (and a fresh one to each
+    run), and a spec is built and solved once per key that some household
+    plays in the run. A failing solve is not stored."""
     n, hs = state.n_households, state.households
     if n < 2:
         raise ConfigurationError("expert pipeline needs at least 2 households")
@@ -130,8 +133,9 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
         [h.node_inflow for h in hs[:-1]], dtype=float), params.c, params.w)
     keys = list(zip(np.clip(lim_u, 0, max_fields).tolist(),
                     np.clip(lim_d, 0, max_fields).tolist(),
-                    np.minimum(water, 2 * max_fields + 1).tolist()))
-    solved, decisions = {}, []
+                    np.minimum(water, 2 * max_fields + 1).tolist(),
+                    [fish_income] * (n - 1)))
+    decisions = []
     for i, role in enumerate(upstream):
         pair = i if role else i - 1
         key = keys[pair]

@@ -8,6 +8,7 @@ the per-cell records.csv and budget-chart writers, and the regex prompt
 renderer, kept here so that any change to the fast paths must reproduce them
 exactly.
 """
+import copy
 import csv
 import io
 import math
@@ -30,9 +31,9 @@ from rivercommons import (ActivityClass, BimatrixGame, CprSolution, Decision,
                           enumerate_pure_ne, expert_egta_decide,
                           irrigated_fields, is_epsilon_ne,
                           lemke_howson, pair_payoffs, render_prompt,
-                          route_river, select_equilibrium,
-                          solve_irrigation_game, solve_symmetric_cpr,
-                          step_fish, WorldState)
+                          route_river, RunConfig, run_simulation,
+                          select_equilibrium, solve_irrigation_game,
+                          solve_symmetric_cpr, step_fish, WorldState)
 from rivercommons.config import load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
@@ -238,10 +239,9 @@ def reference_pair_key(spec):
     return min(max(lim_u, 0.0), k), min(max(lim_d, 0.0), k), min(water, 2 * k + 1)
 
 
-def played_pairs(n, seed):
-    """The pair each household plays, from the role draws of a fresh
-    generator seeded like the one `expert_egta_decide` is given."""
-    roles = np.random.default_rng(seed)
+def played_pairs(n, roles):
+    """The pair each household plays, drawn from `roles`, a generator in the
+    state of the one `expert_egta_decide` is given."""
     upstream = [1] + [int(roles.integers(2)) for _ in range(n - 2)] + [0]
     return [i if role else i - 1 for i, role in enumerate(upstream)]
 
@@ -275,12 +275,18 @@ _KEY_WATER = st.sampled_from([10.0, 1.0, 0.7, 0.5])
 
 
 @st.composite
-def key_boundary_years(draw):
+def key_boundary_years(draw, run=None):
     """(world, params, max_fields): an expert year of 2 to 9 households whose
-    budgets and pair inflows sit on the key's boundaries."""
-    k, c, w = draw(st.integers(0, 12)), draw(_KEY_COSTS), draw(_KEY_WATER)
+    budgets and pair inflows sit on the key's boundaries. A `run`, the
+    (world, params, max_fields) of an earlier year, fixes the params,
+    max_fields and household count."""
+    if run is None:
+        k, c, w = draw(st.integers(0, 12)), draw(_KEY_COSTS), draw(_KEY_WATER)
+    else:
+        k, c, w = run[2], run[1].c, run[1].w
     budget, inflow = _key_boundaries(k, c, w)
-    households = [(draw(budget), draw(inflow)) for _ in range(draw(st.integers(2, 9)))]
+    n = draw(st.integers(2, 9)) if run is None else run[0].n_households
+    households = [(draw(budget), draw(inflow)) for _ in range(n)]
     return _world(households, draw(st.sampled_from([0.0, 1000.0]))), EcologyParams(c=c, w=w), k
 
 
@@ -311,7 +317,7 @@ def decide_counting_solves(world, tau, params, max_fields, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
         expert_egta_decide(world, tau, params, 6.0, max_fields, 5, 1.0,
-                           np.random.default_rng(seed))
+                           np.random.default_rng(seed), {})
     return solved
 
 
@@ -330,7 +336,7 @@ class TestPairGameKey:
         fish_income = solve_fishing_game(world, params, 5, 1.0)[1]
         specs = reference_pair_specs(world, tau, params, 6.0, k, fish_income)
         first_of_key = {}
-        for pair in played_pairs(world.n_households, seed):
+        for pair in played_pairs(world.n_households, np.random.default_rng(seed)):
             first_of_key.setdefault(reference_pair_key(specs[pair]), specs[pair])
         solved = decide_counting_solves(world, tau, params, k, seed)
         assert solved == list(first_of_key.values())
@@ -369,10 +375,10 @@ class TestPairGameKey:
 # -- the expert year's pair solves -----------------------------------------------
 
 @st.composite
-def expert_worlds(draw):
-    """A world of 2 to 9 households whose budgets are negative, below the
-    cost of one field, or large, with random node inflows and adult stock."""
-    n = draw(st.integers(2, 9))
+def expert_worlds(draw, n=None):
+    """A world of 2 to 9 households (or `n`) whose budgets are negative, below
+    the cost of one field, or large, with random node inflows and adult stock."""
+    n = draw(st.integers(2, 9)) if n is None else n
     # The sampled budgets and inflows give pairs whose games are equal though
     # their floats differ (c = w = 10), so pairs share a solve.
     budget = st.one_of(_floats(-500.0, -0.01), _floats(0.0, 9.99), _floats(10.0, 5000.0),
@@ -393,7 +399,7 @@ class TestExpertYear:
         params = EcologyParams()
         rng = np.random.default_rng(seed)
         expected_rng = np.random.default_rng(seed)
-        got = expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0, rng)
+        got = expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0, rng, {})
         expected = reference_expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0,
                                                 expected_rng)
         assert got == expected
@@ -412,21 +418,21 @@ class TestExpertYear:
             solved.append(int(spec.B_u / c))
             return solve_irrigation_game(spec)
 
-        played = set(played_pairs(n, seed))
+        played = set(played_pairs(n, np.random.default_rng(seed)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
             expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
-                               np.random.default_rng(seed))
+                               np.random.default_rng(seed), {})
         assert sorted(solved) == sorted(set(solved)) == sorted(played)
         assert {0, n - 2} <= set(solved)
 
-    def test_identical_games_solved_once_per_year(self):
+    def test_identical_games_solved_once_per_run(self):
         """Every budget affords more than max_fields, so all eight pairs play
-        one game, and each call builds one spec, not eight. The next call, on
-        another fish stock, solves again, and so does a third on the first
-        world: no solve outlives its call."""
+        one game, and the first call builds one spec, not eight. With the same
+        dict, a call on another fish stock solves again, and a third on the
+        first world solves nothing; a fresh dict solves again."""
         world = _world([(100.0 + i, 60.0) for i in range(9)])
-        solved, built = [], []
+        solved, built, run = [], [], {}
 
         def counting(spec):
             solved.append(spec)
@@ -440,15 +446,106 @@ class TestExpertYear:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
             patch.setattr("rivercommons.policies.IrrigationGameSpec", building)
             first = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
-                                       np.random.default_rng(0))
+                                       np.random.default_rng(0), run)
             assert [spec.B_u for spec in solved] == [100.0]
             expert_egta_decide(replace(world, fish=_world([], 1000.0).fish), 0.25,
-                               EcologyParams(), 6.0, 10, 5, 1.0, np.random.default_rng(0))
+                               EcologyParams(), 6.0, 10, 5, 1.0, np.random.default_rng(0), run)
+            assert len(solved) == 2 and solved[1].F_u > solved[0].F_u == 0.0
             again = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
-                                       np.random.default_rng(0))
-        assert len(solved) == 3 and solved[1].F_u > solved[0].F_u == solved[2].F_u == 0.0
+                                       np.random.default_rng(0), run)
+            assert len(solved) == 2 and again == first
+            fresh = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
+                                       np.random.default_rng(0), {})
+        assert len(solved) == 3 and solved[2].F_u == 0.0
         assert built == [100.0] * 3
-        assert again == first
+        assert fresh == first
+
+
+@st.composite
+def expert_runs(draw):
+    """(worlds, params, max_fields): 2 to 6 years of one run, all drawn by
+    `key_boundary_years` for one params and max_fields, or all by
+    `expert_worlds` at the default params and 10 fields. Each year's adult
+    stock comes from a pool of three, 0.0 among them, so fishing incomes
+    repeat across years."""
+    n_years = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        first = draw(key_boundary_years())
+        worlds = [first[0]] + [draw(key_boundary_years(first))[0]
+                               for _ in range(n_years - 1)]
+        params, k = first[1:]
+    else:
+        n = draw(st.integers(2, 9))
+        worlds = [draw(expert_worlds(n)) for _ in range(n_years)]
+        params, k = EcologyParams(), 10
+    stock = st.sampled_from([0.0, 1000.0, draw(_floats(0.0, 1e5))])
+    return [replace(w, fish=_world([], draw(stock)).fish) for w in worlds], params, k
+
+
+def played_pair_games(world, tau, params, pair_stress_threshold, max_fields, e_max,
+                      effort_cost, rng):
+    """(reference_pair_key, fishing income) of each pair the households of
+    one expert year play, from the role draws of a copy of `rng`."""
+    fish_income = solve_fishing_game(world, params, e_max, effort_cost)[1]
+    specs = reference_pair_specs(world, tau, params, pair_stress_threshold, max_fields,
+                                 fish_income)
+    return {(reference_pair_key(specs[pair]), fish_income)
+            for pair in played_pairs(world.n_households, copy.deepcopy(rng))}
+
+
+def solved_games(specs):
+    """(reference_pair_key, fishing income) of each solved spec."""
+    return [(reference_pair_key(spec), spec.F_u) for spec in specs]
+
+
+class TestExpertRun:
+    @settings(max_examples=150, deadline=None)
+    @given(expert_runs(), st.sampled_from([0.0, 0.25, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @example(([_world([(100.0, 210.0), (109.99, 250.0), (100.0, 300.0)], stock)
+               for stock in (0.0, 1000.0, 0.0, 1000.0)], EcologyParams(), 10), 0.25, 3)
+    def test_run_long_dict_equals_solve_all_reference(self, run, tau, seed):
+        """One dict carried through every year of a run: each year's decisions
+        and generator state equal the reference, which solves every pair game
+        each year, and a game is solved only in the first year that plays it."""
+        worlds, params, k = run
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        solved, games, solves = {}, set(), []
+
+        def counting(spec):
+            solves.append(spec)
+            return solve_irrigation_game(spec)
+
+        for world in worlds:
+            games |= played_pair_games(world, tau, params, 6.0, k, 5, 1.0, rng)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
+                got = expert_egta_decide(world, tau, params, 6.0, k, 5, 1.0, rng, solved)
+            expected = reference_expert_egta_decide(world, tau, params, 6.0, k, 5, 1.0,
+                                                    expected_rng)
+            assert got == expected
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+            assert sorted(solved_games(solves)) == sorted(games)
+            assert len(solved) == len(games)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.25])
+    def test_run_solves_each_played_game_once(self, tau):
+        """A 100-year expert run solves as many pair games as distinct
+        (pair key, fishing income) pairs its households play."""
+        games, solves = set(), []
+
+        def recording(*args):
+            games.update(played_pair_games(*args[:-1]))
+            return expert_egta_decide(*args)
+
+        def counting(spec):
+            solves.append(spec)
+            return solve_irrigation_game(spec)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("rivercommons.harness.expert_egta_decide", recording)
+            patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
+            run_simulation(RunConfig(pipeline="expert-egta", tau=tau, seed=2))
+        assert sorted(solved_games(solves)) == sorted(games) != []
 
 
 # -- Lemke-Howson ------------------------------------------------------------------

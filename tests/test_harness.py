@@ -38,6 +38,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config_from_dict({"pipeline": "procedural", "tau": -1})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1"):
+            RunConfig(seed=-1)
+
     def test_unknown_pipeline_lists_valid_names(self):
         with pytest.raises(ConfigurationError) as err:
             config_from_dict({"pipeline": "psychic"})
@@ -520,6 +524,11 @@ class TestSweep:
         assert row["error"].startswith("ConfigurationError: seed")
         assert row["fallback_events"] == row["min_budget_final"] == ""
 
+    def test_negative_seed_recorded_and_the_next_seed_runs(self):
+        bad, good = sweep(short_config(pipeline="expert-egta", horizon=2), seeds=[-1, 3])
+        assert bad["seed"] == -1 and bad["error"].startswith("ConfigurationError: seed")
+        assert good["seed"] == 3 and good["error"] == "" and good["min_budget_final"] != ""
+
     def test_failing_cell_recorded_in_row(self, tmp_path):
         from rivercommons import GatewayConfig
         bad_fixture = tmp_path / "empty.json"
@@ -699,6 +708,11 @@ class TestCli:
         game.write_text(json.dumps({"row_payoffs": row, "col_payoffs": [[1]]}))
         assert main(["solve-game", "--game", str(game)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, seed=-1)
+        assert main(["run", "--config", cfg]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_non_numeric_sweep_seed_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path)
