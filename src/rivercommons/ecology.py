@@ -187,13 +187,15 @@ def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> Rout
     node_inflow = [0.0] * n
     lake = []
     for month, flow in enumerate(river.monthly_inflow.tolist(), start=1):
-        irrigating = month in IRRIGATION_MONTHS
-        for i in range(n):
-            node_inflow[i] += flow
-            if irrigating and monthly_demand[i] > 0:
-                take = min(monthly_demand[i], flow)
-                delivered[i] += take
-                flow -= take
+        if month not in IRRIGATION_MONTHS:
+            node_inflow = [v + flow for v in node_inflow]
+        else:
+            for i, demand in enumerate(monthly_demand):
+                node_inflow[i] += flow
+                if demand > 0:
+                    take = flow if flow < demand else demand  # min(demand, flow)
+                    delivered[i] += take
+                    flow -= take
         lake.append(flow)
     return RoutedWater(tuple(delivered), np.array(lake), tuple(node_inflow))
 
@@ -222,6 +224,14 @@ def crop_outcome(planted: int, delivered: float, irrigated: int, stress_in: floa
     return income, stress_out
 
 
+def _adult_sum(adults) -> float:
+    """The sum of the 8 adult classes in the order numpy's pairwise
+    `sum` adds 8 contiguous floats, so it equals `FishPopulation.adult_total`
+    bit for bit."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = adults
+    return ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+
+
 def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
               household_order, params: EcologyParams):
     """One year of the lake fishery: harvest, aging, recruitment.
@@ -236,20 +246,23 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     if any(t < 0 for t in harvest_targets):
         raise ConfigurationError("harvest targets must be non-negative")
     lake = np.asarray(lake_inflow_by_month, dtype=float)
-    classes = pop.classes.copy()
+    classes = pop.classes.tolist()
+    adults = classes[ADULT]
     catches = [0.0] * len(harvest_targets)
-    # The adult stock, summed in numpy (its pairwise sum fixes the rounding)
-    # and summed again only after a harvest has changed the classes. After
-    # the loop it is the post-harvest stock that spawns the larvae.
-    remaining = float(classes[ADULT].sum())
+    # The adult stock, summed as numpy sums it (the pairwise order of
+    # `_adult_sum` fixes the rounding, and with it every golden digest) and
+    # summed again only after a harvest has changed the classes. After the
+    # loop it is the post-harvest stock that spawns the larvae.
+    remaining = _adult_sum(adults)
     for i in household_order:
         take = min(float(harvest_targets[i]), remaining)
         catches[i] = take
         if take > 0:
-            classes[ADULT] *= 1.0 - take / remaining
-            remaining = float(classes[ADULT].sum())
+            f = 1.0 - take / remaining
+            adults = [a * f for a in adults]
+            remaining = _adult_sum(adults)
 
-    old = classes.tolist()
+    old = classes[:ADULT.start] + adults
     new = [0.0] * N_FISH_CLASSES
     for k in range(0, 5):  # larvae and juveniles: density-dependent
         a = old[k]

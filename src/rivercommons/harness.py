@@ -21,7 +21,8 @@ from .gateway import Gateway
 from .outputs import GRID_FIELDS, summarize, summary_row
 from .policies import (AuthorityState, BehaviourProfile, centralized_allocate,
                        default_fish_target, expert_egta_decide,
-                       generative_decide, naive_egta_decide, procedural_decide)
+                       fishing_game_is_stock_free, generative_decide,
+                       naive_egta_decide, procedural_decide, solve_fishing_game)
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +228,32 @@ class _Centralized(_Procedural):
 
 class _ExpertEgta(_Procedural):
     """The expert pipeline; its own generator draws each middle household's
-    pair role first, and its `solved` dict lives as long as the run, so a spec
-    is built and solved once per run for each distinct pair game (field caps
-    and the year's fishing income) some household plays."""
+    pair role first, and two values live as long as the run: the `solved`
+    dict, so a spec is built and solved once per run for each distinct pair
+    game (field caps and the year's fishing income) some household plays,
+    and `ample_fishing`, the fishing game's solution while
+    `policies.fishing_game_is_stock_free` holds (an adult stock of at least
+    n * e_max), where it does not depend on the stock. Below that stock the
+    fishing game is solved every year, and nothing is keyed by the stock."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.rng = np.random.default_rng(config.seed)
         self.solved = {}
+        self.ample_fishing = None
 
     def decide(self, state: WorldState):
         cfg = self.config
+        ample = fishing_game_is_stock_free(state, cfg.e_max)
+        if ample and self.ample_fishing is not None:
+            fishing = self.ample_fishing
+        else:
+            fishing = solve_fishing_game(state, cfg.ecology, cfg.e_max, cfg.effort_cost)
+            if ample:
+                self.ample_fishing = fishing
         return expert_egta_decide(
             state, cfg.tau, cfg.ecology, cfg.pair_stress_threshold,
-            cfg.max_fields, cfg.e_max, cfg.effort_cost, self.rng, self.solved), ()
+            cfg.max_fields, fishing, self.rng, self.solved), ()
 
 
 class _Generative(_Procedural):

@@ -94,7 +94,11 @@ def solve_fishing_game(state: WorldState, params: EcologyParams,
                        e_max: int, effort_cost: float):
     """Solve the symmetric CPR fishing game on the current adult stock.
 
-    Returns (extraction level, per-household expected fishing income).
+    Returns (extraction level, per-household expected fishing income). Where
+    `fishing_game_is_stock_free` holds, the result does not depend on the
+    stock, so the expert pipeline (`harness._ExpertEgta`) solves it once per
+    run for such stocks and keeps that result for the run; below the cap it
+    solves every year.
     """
     n = state.n_households
     stock = state.fish.adult_total
@@ -103,27 +107,41 @@ def solve_fishing_game(state: WorldState, params: EcologyParams,
     return e_star, fishing_income(e_star, (n - 1) * e_star, stock, params.fish_price)
 
 
+def fishing_game_is_stock_free(state: WorldState, e_max: int) -> bool:
+    """True when the adult stock is at least n * e_max, where
+    `solve_fishing_game` returns the same result for every stock: every total
+    effort `solve_symmetric_cpr` tries is at most n * e_max, so every share
+    min(1, stock / total) in `games.fishing_income` is exactly 1.0, and a
+    total of 0 pays 0 either way. A NaN stock is never stock-free."""
+    return state.fish.adult_total >= state.n_households * e_max
+
+
 def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
                        pair_stress_threshold: float, max_fields: int,
-                       e_max: int, effort_cost: float, rng, solved: dict) -> list:
-    """Expert-guided pipeline: fishing game first, then one irrigation game
-    per consecutive pair. Each middle household's role is drawn uniformly
-    from the seeded run RNG, in household order: 1 plays upstream in its own
-    pair, 0 downstream in the pair above. Household 1 is always upstream and
-    the last always downstream. One pass checks every pair's budgets and
-    inflow as float fields (`finite_real`) and keys its game by its clipped
-    caps and the year's fishing income. Equal keys build bit-identical games:
-    every other spec field is fixed for the run, floor commutes with min, caps
-    bind only in 0..max_fields and water of 2 * max_fields + 1 never binds
-    downstream. So `solved`, which maps keys to selected cells, belongs to one
-    run: pass the same dict every year of that run (and a fresh one to each
-    run), and a spec is built and solved once per key that some household
-    plays in the run. A failing solve is not stored."""
+                       fishing: tuple, rng, solved: dict) -> list:
+    """Expert-guided pipeline: one irrigation game per consecutive pair, on
+    the year's solved fishing game `fishing` = (e_star, fish_income) from
+    `solve_fishing_game` (which the caller may keep for the run while
+    `fishing_game_is_stock_free` holds). Each middle household's role is drawn
+    uniformly from the seeded run RNG, in household order: 1 plays upstream
+    in its own pair, 0 downstream in the pair above. Household 1 is always
+    upstream and the last always downstream. One pass checks every pair's
+    budgets and inflow as float fields (`finite_real`) and keys its game by
+    its clipped caps and the year's fishing income. Equal keys build
+    bit-identical games: every other spec field is fixed for the run, floor
+    commutes with min, caps bind only in 0..max_fields and water of
+    2 * max_fields + 1 never binds downstream. So `solved`, which maps keys
+    to selected cells, belongs to one run: pass the same dict every year of
+    that run (and a fresh one to each run), and a spec is built and solved
+    once per key that some household plays in the run. A failing solve is
+    not stored."""
     n, hs = state.n_households, state.households
     if n < 2:
         raise ConfigurationError("expert pipeline needs at least 2 households")
-    e_star, fish_income = solve_fishing_game(state, params, e_max, effort_cost)
-    upstream = [1] + [int(rng.integers(2)) for _ in range(n - 2)] + [0]
+    e_star, fish_income = fishing
+    # One call draws the same values, and leaves the generator in the same
+    # state, as n - 2 scalar draws.
+    upstream = [1] + rng.integers(2, size=n - 2).tolist() + [0]
     for h, name in [(h, "budget") for h in hs] + [(h, "node_inflow") for h in hs[:-1]]:
         if not finite_real(getattr(h, name)):
             raise ConfigurationError(f"household {h.household} {name} must be a finite "

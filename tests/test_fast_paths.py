@@ -38,7 +38,7 @@ from rivercommons.config import load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
 from rivercommons.games import _field_limits
-from rivercommons.harness import RunArtifacts
+from rivercommons.harness import RunArtifacts, _ExpertEgta, river_series
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import solve_fishing_game
 from conftest import pure_profile, short_config
@@ -316,7 +316,8 @@ def decide_counting_solves(world, tau, params, max_fields, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
-        expert_egta_decide(world, tau, params, 6.0, max_fields, 5, 1.0,
+        expert_egta_decide(world, tau, params, 6.0, max_fields,
+                           solve_fishing_game(world, params, 5, 1.0),
                            np.random.default_rng(seed), {})
     return solved
 
@@ -399,7 +400,8 @@ class TestExpertYear:
         params = EcologyParams()
         rng = np.random.default_rng(seed)
         expected_rng = np.random.default_rng(seed)
-        got = expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0, rng, {})
+        got = expert_egta_decide(world, tau, params, 6.0, 10,
+                                 solve_fishing_game(world, params, 5, 1.0), rng, {})
         expected = reference_expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0,
                                                 expected_rng)
         assert got == expected
@@ -421,7 +423,8 @@ class TestExpertYear:
         played = set(played_pairs(n, np.random.default_rng(seed)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
-            expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
+            expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10,
+                               solve_fishing_game(world, EcologyParams(), 5, 1.0),
                                np.random.default_rng(seed), {})
         assert sorted(solved) == sorted(set(solved)) == sorted(played)
         assert {0, n - 2} <= set(solved)
@@ -432,6 +435,9 @@ class TestExpertYear:
         dict, a call on another fish stock solves again, and a third on the
         first world solves nothing; a fresh dict solves again."""
         world = _world([(100.0 + i, 60.0) for i in range(9)])
+        fished = replace(world, fish=_world([], 1000.0).fish)
+        fishing, more_fishing = (solve_fishing_game(w, EcologyParams(), 5, 1.0)
+                                 for w in (world, fished))
         solved, built, run = [], [], {}
 
         def counting(spec):
@@ -445,16 +451,16 @@ class TestExpertYear:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
             patch.setattr("rivercommons.policies.IrrigationGameSpec", building)
-            first = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
+            first = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, fishing,
                                        np.random.default_rng(0), run)
             assert [spec.B_u for spec in solved] == [100.0]
-            expert_egta_decide(replace(world, fish=_world([], 1000.0).fish), 0.25,
-                               EcologyParams(), 6.0, 10, 5, 1.0, np.random.default_rng(0), run)
+            expert_egta_decide(fished, 0.25, EcologyParams(), 6.0, 10, more_fishing,
+                               np.random.default_rng(0), run)
             assert len(solved) == 2 and solved[1].F_u > solved[0].F_u == 0.0
-            again = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
+            again = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, fishing,
                                        np.random.default_rng(0), run)
             assert len(solved) == 2 and again == first
-            fresh = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, 5, 1.0,
+            fresh = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, fishing,
                                        np.random.default_rng(0), {})
         assert len(solved) == 3 and solved[2].F_u == 0.0
         assert built == [100.0] * 3
@@ -482,11 +488,10 @@ def expert_runs(draw):
     return [replace(w, fish=_world([], draw(stock)).fish) for w in worlds], params, k
 
 
-def played_pair_games(world, tau, params, pair_stress_threshold, max_fields, e_max,
-                      effort_cost, rng):
+def played_pair_games(world, tau, params, pair_stress_threshold, max_fields, fishing, rng):
     """(reference_pair_key, fishing income) of each pair the households of
     one expert year play, from the role draws of a copy of `rng`."""
-    fish_income = solve_fishing_game(world, params, e_max, effort_cost)[1]
+    fish_income = fishing[1]
     specs = reference_pair_specs(world, tau, params, pair_stress_threshold, max_fields,
                                  fish_income)
     return {(reference_pair_key(specs[pair]), fish_income)
@@ -516,10 +521,11 @@ class TestExpertRun:
             return solve_irrigation_game(spec)
 
         for world in worlds:
-            games |= played_pair_games(world, tau, params, 6.0, k, 5, 1.0, rng)
+            fishing = solve_fishing_game(world, params, 5, 1.0)
+            games |= played_pair_games(world, tau, params, 6.0, k, fishing, rng)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
-                got = expert_egta_decide(world, tau, params, 6.0, k, 5, 1.0, rng, solved)
+                got = expert_egta_decide(world, tau, params, 6.0, k, fishing, rng, solved)
             expected = reference_expert_egta_decide(world, tau, params, 6.0, k, 5, 1.0,
                                                     expected_rng)
             assert got == expected
@@ -546,6 +552,106 @@ class TestExpertRun:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
             run_simulation(RunConfig(pipeline="expert-egta", tau=tau, seed=2))
         assert sorted(solved_games(solves)) == sorted(games) != []
+
+
+# -- the fishing game kept for the run ---------------------------------------------
+
+def _stock_world(n, stock):
+    """A world of n households whose whole adult stock sits in one class, so
+    that `adult_total` is `stock` exactly."""
+    classes = np.zeros(N_FISH_CLASSES)
+    classes[ADULT.start] = stock
+    return replace(_world([(100.0, 60.0)] * n), fish=FishPopulation(classes))
+
+
+def decide_recording_fishing(pipeline, world):
+    """(the fishing game `pipeline.decide(world)` passes on, CPR solves made)."""
+    fishing, solves = [], []
+
+    def recording(*args):
+        fishing.append(args[5])
+        return expert_egta_decide(*args)
+
+    def counting(*args):
+        solves.append(args)
+        return solve_symmetric_cpr(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rivercommons.harness.expert_egta_decide", recording)
+        patch.setattr("rivercommons.policies.solve_symmetric_cpr", counting)
+        pipeline.decide(world)
+    return fishing[0], len(solves)
+
+
+class TestKeptFishingGame:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5), st.integers(2, 9), st.sampled_from([0.0, 1.0, 4.99, 5.0, 7.5]),
+           st.data())
+    def test_kept_solution_equals_fresh_solve_around_the_cap(self, e_max, n, cost, data):
+        """Years at a stock of exactly n * e_max, one ulp either side (none
+        below 0) and far above, in any order: each year's fishing game equals
+        a fresh `solve_fishing_game`, and the run solves it once for all the
+        stocks at or above the cap and once in each year below it."""
+        cap = n * e_max
+        stocks = [s for s in _one_ulp_around(float(cap)) if s >= 0.0] + [1e6]
+        config = RunConfig(pipeline="expert-egta", n_households=n, e_max=e_max,
+                           effort_cost=cost, horizon=1)
+        pipeline = _ExpertEgta(config, river_series(config)[0])
+        solves = 0
+        for stock in data.draw(st.permutations(stocks)):
+            world = _stock_world(n, stock)
+            fishing, year_solves = decide_recording_fishing(pipeline, world)
+            assert fishing == solve_fishing_game(world, config.ecology, e_max, cost)
+            solves += year_solves
+        assert solves == sum(stock < cap for stock in stocks) + 1
+        assert pipeline.ample_fishing == solve_fishing_game(
+            _stock_world(n, float(cap)), config.ecology, e_max, cost)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_run_equals_solving_every_year(self, seed):
+        """A 100-year expert run at tau = 0, whose stock crosses n * e_max,
+        records the same decisions and records as one that solves the
+        fishing game every year, with one solve for all the years at or above
+        the cap."""
+        config = RunConfig(pipeline="expert-egta", tau=0.0, seed=seed)
+        cap = config.n_households * config.e_max
+
+        def run(every_year):
+            decisions, ample, solves = [], [], []
+
+            def recording(state, tau, params, threshold, max_fields, fishing, rng, solved):
+                if every_year:
+                    fishing = solve_fishing_game(state, params, config.e_max,
+                                                 config.effort_cost)
+                ample.append(state.fish.adult_total >= cap)
+                decisions.append(expert_egta_decide(state, tau, params, threshold,
+                                                    max_fields, fishing, rng, solved))
+                return decisions[-1]
+
+            def counting(*args):
+                solves.append(args)
+                return solve_symmetric_cpr(*args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("rivercommons.harness.expert_egta_decide", recording)
+                patch.setattr("rivercommons.policies.solve_symmetric_cpr", counting)
+                records = run_simulation(config).records
+            return decisions, records, ample, len(solves)
+
+        decisions, records, ample, solves = run(every_year=False)
+        expected, expected_records, _, every_year_solves = run(every_year=True)
+        assert decisions == expected and records == expected_records
+        assert 0 < sum(ample) < len(ample) == 100
+        assert solves == ample.count(False) + 1
+        assert every_year_solves == solves + 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12))
+    def test_one_call_role_draw_equals_scalar_draws(self, seed, size):
+        one, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (one.integers(2, size=size).tolist()
+                == [int(scalar.integers(2)) for _ in range(size)])
+        assert one.bit_generator.state == scalar.bit_generator.state
 
 
 # -- Lemke-Howson ------------------------------------------------------------------
@@ -832,6 +938,60 @@ def reference_step_fish(pop, lake_inflow_by_month, harvest_targets, household_or
     return np.maximum(new, 0.0), tuple(catches)
 
 
+def reference_route_river_min(river, planted_fields, params):
+    """Every node in every month in one loop, with min(demand, flow)."""
+    n = len(planted_fields)
+    n_irr = len(IRRIGATION_MONTHS)
+    monthly_demand = [params.w * f / n_irr for f in planted_fields]
+    delivered = [0.0] * n
+    node_inflow = [0.0] * n
+    lake = []
+    for month, flow in enumerate(river.monthly_inflow.tolist(), start=1):
+        irrigating = month in IRRIGATION_MONTHS
+        for i in range(n):
+            node_inflow[i] += flow
+            if irrigating and monthly_demand[i] > 0:
+                take = min(monthly_demand[i], flow)
+                delivered[i] += take
+                flow -= take
+        lake.append(flow)
+    return tuple(delivered), np.array(lake), tuple(node_inflow)
+
+
+def reference_step_fish_array_harvest(pop, lake_inflow_by_month, harvest_targets,
+                                      household_order, params):
+    """The harvest on the numpy adult slice, summed by numpy after each catch."""
+    lake = np.asarray(lake_inflow_by_month, dtype=float)
+    classes = pop.classes.copy()
+    catches = [0.0] * len(harvest_targets)
+    remaining = float(classes[ADULT].sum())
+    for i in household_order:
+        take = min(float(harvest_targets[i]), remaining)
+        catches[i] = take
+        if take > 0:
+            classes[ADULT] *= 1.0 - take / remaining
+            remaining = float(classes[ADULT].sum())
+
+    old = classes.tolist()
+    new = [0.0] * N_FISH_CLASSES
+    for k in range(0, 5):
+        a = old[k]
+        new[k + 1] = params.sigma_larva * a / (1.0 + a / params.K_juv)
+    for k in range(5, 12):
+        new[k + 1] = params.sigma_adult * old[k]
+
+    annual_lake = float(lake.sum())
+    scale = min(1.0, annual_lake / params.Q_ref)
+    new[LARVA] = params.fecundity * remaining * scale
+    if lake[MIGRATION_MONTH - 1] >= params.Q_min:
+        new[LARVA] += params.M_mig
+    return np.maximum(new, 0.0), tuple(catches)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
 # Zeros, whole numbers and arbitrary floats, so empty months and exact
 # withdrawals occur as well as rounding.
 _volumes = st.one_of(st.just(0.0), st.integers(0, 400).map(float), _floats(0.0, 1e4))
@@ -860,6 +1020,23 @@ def fishery_cases(draw):
             list(range(n - 1, -1, -1)), params)
 
 
+@st.composite
+def wide_fishery_cases(draw):
+    """Classes that are 0 or anywhere from 1e-300 to 1e12, and targets up to
+    1e13, so that harvests are capped by the stock and rescale tiny and huge
+    classes alike."""
+    classes = draw(st.lists(st.one_of(st.just(0.0), _floats(1e-300, 1e12)),
+                            min_size=N_FISH_CLASSES, max_size=N_FISH_CLASSES))
+    n = draw(st.integers(1, 9))
+    targets = draw(st.lists(st.one_of(st.integers(0, 40), st.integers(0, 10 ** 13)),
+                            min_size=n, max_size=n))
+    lake = draw(st.lists(_volumes, min_size=12, max_size=12))
+    params = EcologyParams(K_juv=draw(st.one_of(st.just(10000.0), _floats(1.0, 1e5))),
+                           Q_min=draw(st.one_of(st.just(40.0), _floats(0.0, 500.0))))
+    return (FishPopulation(np.array(classes)), np.array(lake), targets,
+            list(range(n - 1, -1, -1)), params)
+
+
 class TestYearStep:
     @settings(max_examples=200, deadline=None)
     @given(routing_cases())
@@ -878,6 +1055,27 @@ class TestYearStep:
         classes, ref_catches = reference_step_fish(pop, lake, targets, order, params)
         assert fish.classes.tobytes() == classes.tobytes()
         assert catches == ref_catches
+        assert {type(c) for c in catches} == {float}
+
+    @settings(max_examples=300, deadline=None)
+    @given(routing_cases())
+    def test_route_river_equals_min_reference(self, case):
+        river, planted, params = case
+        routed = route_river(river, planted, params)
+        delivered, lake, node_inflow = reference_route_river_min(river, planted, params)
+        assert _bits(routed.delivered) == _bits(delivered)
+        assert _bits(routed.node_inflow) == _bits(node_inflow)
+        assert routed.lake_inflow_by_month.tobytes() == lake.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(fishery_cases(), wide_fishery_cases()))
+    def test_step_fish_equals_array_harvest_reference(self, case):
+        pop, lake, targets, order, params = case
+        fish, catches = step_fish(pop, lake, targets, order, params)
+        classes, ref_catches = reference_step_fish_array_harvest(pop, lake, targets, order,
+                                                                 params)
+        assert fish.classes.tobytes() == classes.tobytes()
+        assert _bits(catches) == _bits(ref_catches)
         assert {type(c) for c in catches} == {float}
 
     def test_capped_harvest_returns_python_floats(self):

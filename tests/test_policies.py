@@ -13,7 +13,9 @@ from rivercommons import (AuthorityState, BehaviourProfile, ConfigurationError,
                           moving_average_predict, naive_egta_decide,
                           parse_llm_game, procedural_decide, sweep)
 from rivercommons.ecology import N_FISH_CLASSES
-from rivercommons.policies import default_fish_target, map_abstract_action
+from rivercommons.harness import _ExpertEgta, river_series
+from rivercommons.policies import (default_fish_target, map_abstract_action,
+                                   solve_fishing_game)
 from conftest import g1_spec, pure_profile, short_config
 
 
@@ -120,29 +122,35 @@ class TestExpertEgtaDecide:
         # No fish, G1-like water and budgets: the pair plays (6, 0).
         world = make_world(n=2, adults=0.0, node_inflow=60.0)
         spec = EcologyParams(ys=25.0)
-        decisions = expert_egta_decide(world, 0.0, spec, 6.0, 10, 5, 1.0,
+        decisions = expert_egta_decide(world, 0.0, spec, 6.0, 10,
+                                       solve_fishing_game(world, spec, 5, 1.0),
                                        np.random.default_rng(0), {})
         assert [d.fields_planted for d in decisions] == [6, 0]
         assert all(d.fish_target == 0 for d in decisions)
 
     def test_fishing_game_solved_first(self, params):
         world = make_world(n=2, adults=1e6)
-        decisions = expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0,
-                                       np.random.default_rng(0), {})
+        config = short_config(pipeline="expert-egta", n_households=2, e_max=5,
+                              effort_cost=1.0, ecology=params)
+        pipeline = _ExpertEgta(config, river_series(config)[0])
+        decisions, _ = pipeline.decide(world)
         assert all(d.fish_target == 5 for d in decisions)
+        assert pipeline.ample_fishing == (5, 25.0)
 
     def test_middle_household_coin_flip_reproducible(self, params):
         results = []
         for _ in range(2):
             world = make_world(n=5)
-            decisions = expert_egta_decide(world, 0.25, params, 6.0, 10, 5,
-                                           1.0, np.random.default_rng(99), {})
+            decisions = expert_egta_decide(world, 0.25, params, 6.0, 10,
+                                           solve_fishing_game(world, params, 5, 1.0),
+                                           np.random.default_rng(99), {})
             results.append([d.fields_planted for d in decisions])
         assert results[0] == results[1]
 
     def test_middle_options_come_from_adjacent_games(self, params):
         world = make_world(n=3, node_inflow=10000.0)
-        decisions = expert_egta_decide(world, 1.0, params, 6.0, 10, 5, 1.0,
+        decisions = expert_egta_decide(world, 1.0, params, 6.0, 10,
+                                       solve_fishing_game(world, params, 5, 1.0),
                                        np.random.default_rng(0), {})
         # tau=1 pair equilibrium is (1, 5): ends fixed, middle picks either.
         assert decisions[0].fields_planted == 1
@@ -154,8 +162,10 @@ class TestExpertEgtaDecide:
         game = build_irrigation_game(spec)
         pure = enumerate_pure_ne(game)
         world = make_world(n=2, adults=0.0, node_inflow=60.0)
-        decisions = expert_egta_decide(world, 0.0, EcologyParams(ys=25.0),
-                                       6.0, 10, 5, 1.0, np.random.default_rng(0), {})
+        params = EcologyParams(ys=25.0)
+        decisions = expert_egta_decide(world, 0.0, params, 6.0, 10,
+                                       solve_fishing_game(world, params, 5, 1.0),
+                                       np.random.default_rng(0), {})
         cell = (decisions[0].fields_planted, decisions[1].fields_planted)
         assert cell in pure
         assert is_epsilon_ne(game, pure_profile(*cell, 11, 11), 1e-9)
@@ -163,7 +173,9 @@ class TestExpertEgtaDecide:
     def test_single_household_rejected(self, params):
         world = make_world(n=1)
         with pytest.raises(ConfigurationError):
-            expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, np.random.default_rng(0), {})
+            expert_egta_decide(world, 0.0, params, 6.0, 10,
+                               solve_fishing_game(world, params, 5, 1.0),
+                               np.random.default_rng(0), {})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "5"])
     @pytest.mark.parametrize("index, name", [(1, "budget"), (2, "budget"), (1, "node_inflow")])
@@ -183,7 +195,8 @@ class TestExpertEgtaDecide:
         with pytest.raises(ConfigurationError,
                            match=f"^household {index + 1} {name} must be a finite number"):
             expert_egta_decide(WorldState(tuple(households), world.fish), 0.0, params,
-                               6.0, 10, 5, 1.0, np.random.default_rng(6), {})
+                               6.0, 10, solve_fishing_game(world, params, 5, 1.0),
+                               np.random.default_rng(6), {})
         assert solved == []
 
     def test_last_household_inflow_is_not_read(self, params):
@@ -191,9 +204,11 @@ class TestExpertEgtaDecide:
         world = make_world(n=3)
         last = world.households[-1]._replace(node_inflow=float("nan"))
         nan_world = WorldState(world.households[:-1] + (last,), world.fish)
-        assert (expert_egta_decide(nan_world, 0.25, params, 6.0, 10, 5, 1.0,
+        assert (expert_egta_decide(nan_world, 0.25, params, 6.0, 10,
+                                   solve_fishing_game(nan_world, params, 5, 1.0),
                                    np.random.default_rng(0), {})
-                == expert_egta_decide(world, 0.25, params, 6.0, 10, 5, 1.0,
+                == expert_egta_decide(world, 0.25, params, 6.0, 10,
+                                      solve_fishing_game(world, params, 5, 1.0),
                                       np.random.default_rng(0), {}))
 
     def test_game_error_becomes_simulation_error(self, monkeypatch, params):
@@ -203,7 +218,9 @@ class TestExpertEgtaDecide:
         monkeypatch.setattr("rivercommons.policies.solve_irrigation_game", invalid)
         world = make_world(n=3)
         with pytest.raises(SimulationError) as err:
-            expert_egta_decide(world, 0.0, params, 6.0, 10, 5, 1.0, np.random.default_rng(0), {})
+            expert_egta_decide(world, 0.0, params, 6.0, 10,
+                               solve_fishing_game(world, params, 5, 1.0),
+                               np.random.default_rng(0), {})
         assert (err.value.year, err.value.pair) == (1, 1)
         assert isinstance(err.value.__cause__, InvalidGameError)
         rows = sweep(short_config(pipeline="expert-egta", horizon=2))
