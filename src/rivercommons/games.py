@@ -106,8 +106,8 @@ def solve_irrigation_game(spec: IrrigationGameSpec):
 def fishing_income(e, others, stock: float, price: float) -> float:
     """price * e * min(1, stock / (e + others)): the stock is shared in
     proportion to effort once total demand exceeds it. The share is exactly
-    1.0 whenever stock >= total, which `policies.fishing_game_is_stock_free`
-    relies on."""
+    1.0 whenever stock >= total, which the run's fishing-game memo in
+    `policies.solve_fishing_game` relies on."""
     total = e + others
     share = min(1.0, stock / total) if total > 0 else min(1.0, stock)
     return price * e * share

@@ -90,7 +90,6 @@ class Gateway:
 
     def __init__(self, config: GatewayConfig):
         self.config = config
-        self.call_count = 0
         self._replies = {}       # fingerprint -> cycle of replies; None keys the pool
         self._log_file = None
         if config.backend == "stub":
@@ -131,14 +130,13 @@ class Gateway:
         raise last_err
 
     def complete(self, request: ChatRequest, tags: dict = None) -> str:
-        """One send: a stub lookup or one POST. The reply is counted and the
-        prompt/response pair appended to the request log."""
+        """One send: a stub lookup or one POST. The prompt/response pair of a
+        reply is appended to the request log."""
         fp = request_fingerprint(request)
         if self.config.backend == "stub":
             text = self._complete_stub(fp)
         else:
             text = self._complete_http(request)
-        self.call_count += 1
         self._log(request, fp, text, tags)
         return text
 

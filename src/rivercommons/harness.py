@@ -20,8 +20,7 @@ from .games import parse_llm_game
 from .gateway import Gateway
 from .outputs import GRID_FIELDS, summarize, summary_row
 from .policies import (AuthorityState, BehaviourProfile, centralized_allocate,
-                       default_fish_target, expert_egta_decide,
-                       fishing_game_is_stock_free, generative_decide,
+                       default_fish_target, expert_egta_decide, generative_decide,
                        naive_egta_decide, procedural_decide, solve_fishing_game)
 
 
@@ -103,14 +102,6 @@ class CsvInflow:
         return self.years[t % len(self.years)]
 
 
-def make_inflow(config: RunConfig):
-    cfg = config.inflow
-    if cfg.csv_path and os.path.exists(cfg.csv_path):
-        return CsvInflow(cfg.csv_path)
-    # Missing CSV falls back to the documented synthetic generator.
-    return SyntheticInflow(cfg, config.seed)
-
-
 # A sweep with up to this many seeds draws each river once for all its cells.
 SERIES_CACHE_SIZE = 16
 
@@ -130,12 +121,13 @@ def river_series(config: RunConfig) -> tuple[RiverYear, ...]:
     """The run's `RiverYear`s for years 0..horizon. A synthetic series is
     drawn once per (inflow config, seed, horizon) and shared, read-only, by
     every run that asks for it (the last SERIES_CACHE_SIZE are kept); a CSV
-    is read again on every call."""
-    inflow = make_inflow(config)
-    if isinstance(inflow, SyntheticInflow):
-        return _synthetic_series(config.inflow, repr(config.inflow), config.seed,
-                                 config.horizon)
-    return tuple(inflow.year(t) for t in range(config.horizon + 1))
+    is read again on every call. A configured CSV that does not exist falls
+    back to the synthetic generator."""
+    cfg = config.inflow
+    if cfg.csv_path and os.path.exists(cfg.csv_path):
+        inflow = CsvInflow(cfg.csv_path)
+        return tuple(inflow.year(t) for t in range(config.horizon + 1))
+    return _synthetic_series(cfg, repr(cfg), config.seed, config.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +219,21 @@ class _Centralized(_Procedural):
 
 
 class _ExpertEgta(_Procedural):
-    """The expert pipeline; its own generator draws each middle household's
-    pair role first, and two values live as long as the run: the `solved`
-    dict, so a spec is built and solved once per run for each distinct pair
-    game (field caps and the year's fishing income) some household plays,
-    and `ample_fishing`, the fishing game's solution while
-    `policies.fishing_game_is_stock_free` holds (an adult stock of at least
-    n * e_max), where it does not depend on the stock. Below that stock the
-    fishing game is solved every year, and nothing is keyed by the stock."""
+    """The expert pipeline's run state: its own generator, which draws each
+    middle household's pair role, and one memo per game, each kept for the
+    run: `fishing` for the CPR fishing game (`policies.solve_fishing_game`)
+    and `solved` for the pair games (`policies.expert_egta_decide`)."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.rng = np.random.default_rng(config.seed)
-        self.solved = {}
-        self.ample_fishing = None
+        self.fishing, self.solved = {}, {}
 
     def decide(self, state: WorldState):
         cfg = self.config
-        ample = fishing_game_is_stock_free(state, cfg.e_max)
-        if ample and self.ample_fishing is not None:
-            fishing = self.ample_fishing
-        else:
-            fishing = solve_fishing_game(state, cfg.ecology, cfg.e_max, cfg.effort_cost)
-            if ample:
-                self.ample_fishing = fishing
-        return expert_egta_decide(
-            state, cfg.tau, cfg.ecology, cfg.pair_stress_threshold,
-            cfg.max_fields, fishing, self.rng, self.solved), ()
+        fishing = solve_fishing_game(state, cfg.ecology, cfg.e_max, cfg.effort_cost,
+                                     self.fishing)
+        return expert_egta_decide(state, cfg, fishing, self.rng, self.solved), ()
 
 
 class _Generative(_Procedural):

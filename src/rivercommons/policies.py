@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .ecology import Decision, EcologyParams, WorldState, YearRecord
 from .equilibrium import solve_symmetric_cpr
 from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
@@ -90,40 +91,38 @@ def centralized_allocate(authority: AuthorityState, params: EcologyParams,
     return [min(total // n_households, max_fields)] * n_households
 
 
-def solve_fishing_game(state: WorldState, params: EcologyParams,
-                       e_max: int, effort_cost: float):
-    """Solve the symmetric CPR fishing game on the current adult stock.
+def solve_fishing_game(state: WorldState, params: EcologyParams, e_max: int,
+                       effort_cost: float, solved: dict):
+    """The symmetric CPR fishing game on the current adult stock, solved once
+    per run for each key: (extraction level, per-household expected fishing
+    income).
 
-    Returns (extraction level, per-household expected fishing income). Where
-    `fishing_game_is_stock_free` holds, the result does not depend on the
-    stock, so the expert pipeline (`harness._ExpertEgta`) solves it once per
-    run for such stocks and keeps that result for the run; below the cap it
-    solves every year.
-    """
+    `solved` maps `cap if stock >= cap else stock`, with cap = n * e_max, to
+    the solution, so pass the same dict every year of one run and a fresh one
+    to each run. The cap is exact: every total effort `solve_symmetric_cpr`
+    tries is at most n * e_max, so at any stock of at least the cap every
+    share min(1, stock / total) in `games.fishing_income` is exactly 1.0, and
+    a total of 0 pays 0; the game does not depend on the stock there. Below
+    the cap the stock itself is the key, and a NaN stock is never capped."""
     n = state.n_households
     stock = state.fish.adult_total
-    payoff = build_cpr_fishing_game(stock, params, effort_cost)
-    e_star = solve_symmetric_cpr(payoff, n, e_max).extraction
-    return e_star, fishing_income(e_star, (n - 1) * e_star, stock, params.fish_price)
+    cap = n * e_max
+    key = cap if stock >= cap else stock
+    if key not in solved:
+        payoff = build_cpr_fishing_game(stock, params, effort_cost)
+        e_star = solve_symmetric_cpr(payoff, n, e_max).extraction
+        solved[key] = e_star, fishing_income(e_star, (n - 1) * e_star, stock,
+                                             params.fish_price)
+    return solved[key]
 
 
-def fishing_game_is_stock_free(state: WorldState, e_max: int) -> bool:
-    """True when the adult stock is at least n * e_max, where
-    `solve_fishing_game` returns the same result for every stock: every total
-    effort `solve_symmetric_cpr` tries is at most n * e_max, so every share
-    min(1, stock / total) in `games.fishing_income` is exactly 1.0, and a
-    total of 0 pays 0 either way. A NaN stock is never stock-free."""
-    return state.fish.adult_total >= state.n_households * e_max
-
-
-def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
-                       pair_stress_threshold: float, max_fields: int,
-                       fishing: tuple, rng, solved: dict) -> list:
-    """Expert-guided pipeline: one irrigation game per consecutive pair, on
-    the year's solved fishing game `fishing` = (e_star, fish_income) from
-    `solve_fishing_game` (which the caller may keep for the run while
-    `fishing_game_is_stock_free` holds). Each middle household's role is drawn
-    uniformly from the seeded run RNG, in household order: 1 plays upstream
+def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rng,
+                       solved: dict) -> list:
+    """Expert-guided pipeline: one irrigation game per consecutive pair, set
+    by the run config's `tau`, `ecology`, `pair_stress_threshold` and
+    `max_fields` and by the year's fishing game `fishing` = (e_star,
+    fish_income) from `solve_fishing_game`. Each middle household's role is
+    drawn uniformly from the seeded run RNG, in household order: 1 plays upstream
     in its own pair, 0 downstream in the pair above. Household 1 is always
     upstream and the last always downstream. One pass checks every pair's
     budgets and inflow as float fields (`finite_real`) and keys its game by
@@ -135,6 +134,7 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
     that run (and a fresh one to each run), and a spec is built and solved
     once per key that some household plays in the run. A failing solve is
     not stored."""
+    params, max_fields = config.ecology, config.max_fields
     n, hs = state.n_households, state.households
     if n < 2:
         raise ConfigurationError("expert pipeline needs at least 2 households")
@@ -160,9 +160,9 @@ def expert_egta_decide(state: WorldState, tau: float, params: EcologyParams,
         if key not in solved:
             spec = IrrigationGameSpec(
                 B_u=hs[pair].budget, B_d=hs[pair + 1].budget, c=params.c, w=params.w,
-                T=hs[pair].node_inflow, y0=params.y0, ys=params.ys, S=pair_stress_threshold,
-                kappa=params.kappa, tau=tau, F_u=fish_income, F_d=fish_income,
-                max_fields=max_fields)
+                T=hs[pair].node_inflow, y0=params.y0, ys=params.ys,
+                S=config.pair_stress_threshold, kappa=params.kappa, tau=config.tau,
+                F_u=fish_income, F_d=fish_income, max_fields=max_fields)
             try:
                 solved[key] = solve_irrigation_game(spec)
             except RiverCommonsError as err:

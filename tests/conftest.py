@@ -32,6 +32,28 @@ def short_config(**overrides):
     return RunConfig(**defaults)
 
 
+def expert_config(tau=0.0, ecology=None, max_fields=10):
+    """The run config `expert_egta_decide` reads its pair-game fields from:
+    `tau`, `ecology` (default params when None), `max_fields` and a pair
+    stress threshold of 6."""
+    return RunConfig(pipeline="expert-egta", tau=tau, ecology=ecology or EcologyParams(),
+                     max_fields=max_fields, pair_stress_threshold=6.0)
+
+
+def count_replies(gateway):
+    """A list that gets each reply `gateway.complete` returns, through a
+    wrapper set on the instance."""
+    replies = []
+    complete = gateway.complete
+
+    def counting(*args, **kwargs):
+        replies.append(complete(*args, **kwargs))
+        return replies[-1]
+
+    gateway.complete = counting
+    return replies
+
+
 @pytest.fixture
 def params():
     return EcologyParams()

@@ -41,7 +41,7 @@ from rivercommons.games import _field_limits
 from rivercommons.harness import RunArtifacts, _ExpertEgta, river_series
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import solve_fishing_game
-from conftest import pure_profile, short_config
+from conftest import expert_config, pure_profile, short_config
 
 
 # -- irrigation payoff table ---------------------------------------------------
@@ -206,7 +206,7 @@ def reference_expert_egta_decide(state, tau, params, pair_stress_threshold, max_
                                  e_max, effort_cost, rng):
     """Solve every pair game, then draw each middle household's role."""
     n = state.n_households
-    e_star, fish_income = solve_fishing_game(state, params, e_max, effort_cost)
+    e_star, fish_income = solve_fishing_game(state, params, e_max, effort_cost, {})
     strategies = [solve_irrigation_game(spec) for spec in reference_pair_specs(
         state, tau, params, pair_stress_threshold, max_fields, fish_income)]
     decisions = []
@@ -316,8 +316,8 @@ def decide_counting_solves(world, tau, params, max_fields, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
-        expert_egta_decide(world, tau, params, 6.0, max_fields,
-                           solve_fishing_game(world, params, 5, 1.0),
+        expert_egta_decide(world, expert_config(tau, params, max_fields),
+                           solve_fishing_game(world, params, 5, 1.0, {}),
                            np.random.default_rng(seed), {})
     return solved
 
@@ -334,7 +334,7 @@ class TestPairGameKey:
         one spec is solved per distinct key played, the first played pair's
         own, in the order households play them."""
         world, params, k = year
-        fish_income = solve_fishing_game(world, params, 5, 1.0)[1]
+        fish_income = solve_fishing_game(world, params, 5, 1.0, {})[1]
         specs = reference_pair_specs(world, tau, params, 6.0, k, fish_income)
         first_of_key = {}
         for pair in played_pairs(world.n_households, np.random.default_rng(seed)):
@@ -400,8 +400,8 @@ class TestExpertYear:
         params = EcologyParams()
         rng = np.random.default_rng(seed)
         expected_rng = np.random.default_rng(seed)
-        got = expert_egta_decide(world, tau, params, 6.0, 10,
-                                 solve_fishing_game(world, params, 5, 1.0), rng, {})
+        got = expert_egta_decide(world, expert_config(tau, params),
+                                 solve_fishing_game(world, params, 5, 1.0, {}), rng, {})
         expected = reference_expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0,
                                                 expected_rng)
         assert got == expected
@@ -423,8 +423,8 @@ class TestExpertYear:
         played = set(played_pairs(n, np.random.default_rng(seed)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
-            expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10,
-                               solve_fishing_game(world, EcologyParams(), 5, 1.0),
+            expert_egta_decide(world, expert_config(0.25),
+                               solve_fishing_game(world, EcologyParams(), 5, 1.0, {}),
                                np.random.default_rng(seed), {})
         assert sorted(solved) == sorted(set(solved)) == sorted(played)
         assert {0, n - 2} <= set(solved)
@@ -436,9 +436,9 @@ class TestExpertYear:
         first world solves nothing; a fresh dict solves again."""
         world = _world([(100.0 + i, 60.0) for i in range(9)])
         fished = replace(world, fish=_world([], 1000.0).fish)
-        fishing, more_fishing = (solve_fishing_game(w, EcologyParams(), 5, 1.0)
+        fishing, more_fishing = (solve_fishing_game(w, EcologyParams(), 5, 1.0, {})
                                  for w in (world, fished))
-        solved, built, run = [], [], {}
+        config, solved, built, run = expert_config(0.25), [], [], {}
 
         def counting(spec):
             solved.append(spec)
@@ -451,17 +451,13 @@ class TestExpertYear:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
             patch.setattr("rivercommons.policies.IrrigationGameSpec", building)
-            first = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, fishing,
-                                       np.random.default_rng(0), run)
+            first = expert_egta_decide(world, config, fishing, np.random.default_rng(0), run)
             assert [spec.B_u for spec in solved] == [100.0]
-            expert_egta_decide(fished, 0.25, EcologyParams(), 6.0, 10, more_fishing,
-                               np.random.default_rng(0), run)
+            expert_egta_decide(fished, config, more_fishing, np.random.default_rng(0), run)
             assert len(solved) == 2 and solved[1].F_u > solved[0].F_u == 0.0
-            again = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, fishing,
-                                       np.random.default_rng(0), run)
+            again = expert_egta_decide(world, config, fishing, np.random.default_rng(0), run)
             assert len(solved) == 2 and again == first
-            fresh = expert_egta_decide(world, 0.25, EcologyParams(), 6.0, 10, fishing,
-                                       np.random.default_rng(0), {})
+            fresh = expert_egta_decide(world, config, fishing, np.random.default_rng(0), {})
         assert len(solved) == 3 and solved[2].F_u == 0.0
         assert built == [100.0] * 3
         assert fresh == first
@@ -488,12 +484,12 @@ def expert_runs(draw):
     return [replace(w, fish=_world([], draw(stock)).fish) for w in worlds], params, k
 
 
-def played_pair_games(world, tau, params, pair_stress_threshold, max_fields, fishing, rng):
+def played_pair_games(world, config, fishing, rng):
     """(reference_pair_key, fishing income) of each pair the households of
     one expert year play, from the role draws of a copy of `rng`."""
     fish_income = fishing[1]
-    specs = reference_pair_specs(world, tau, params, pair_stress_threshold, max_fields,
-                                 fish_income)
+    specs = reference_pair_specs(world, config.tau, config.ecology,
+                                 config.pair_stress_threshold, config.max_fields, fish_income)
     return {(reference_pair_key(specs[pair]), fish_income)
             for pair in played_pairs(world.n_households, copy.deepcopy(rng))}
 
@@ -513,6 +509,7 @@ class TestExpertRun:
         and generator state equal the reference, which solves every pair game
         each year, and a game is solved only in the first year that plays it."""
         worlds, params, k = run
+        config = expert_config(tau, params, k)
         rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         solved, games, solves = {}, set(), []
 
@@ -521,11 +518,11 @@ class TestExpertRun:
             return solve_irrigation_game(spec)
 
         for world in worlds:
-            fishing = solve_fishing_game(world, params, 5, 1.0)
-            games |= played_pair_games(world, tau, params, 6.0, k, fishing, rng)
+            fishing = solve_fishing_game(world, params, 5, 1.0, {})
+            games |= played_pair_games(world, config, fishing, rng)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
-                got = expert_egta_decide(world, tau, params, 6.0, k, fishing, rng, solved)
+                got = expert_egta_decide(world, config, fishing, rng, solved)
             expected = reference_expert_egta_decide(world, tau, params, 6.0, k, 5, 1.0,
                                                     expected_rng)
             assert got == expected
@@ -569,7 +566,7 @@ def decide_recording_fishing(pipeline, world):
     fishing, solves = [], []
 
     def recording(*args):
-        fishing.append(args[5])
+        fishing.append(args[2])
         return expert_egta_decide(*args)
 
     def counting(*args):
@@ -601,31 +598,46 @@ class TestKeptFishingGame:
         for stock in data.draw(st.permutations(stocks)):
             world = _stock_world(n, stock)
             fishing, year_solves = decide_recording_fishing(pipeline, world)
-            assert fishing == solve_fishing_game(world, config.ecology, e_max, cost)
+            assert fishing == solve_fishing_game(world, config.ecology, e_max, cost, {})
             solves += year_solves
         assert solves == sum(stock < cap for stock in stocks) + 1
-        assert pipeline.ample_fishing == solve_fishing_game(
-            _stock_world(n, float(cap)), config.ecology, e_max, cost)
+        assert pipeline.fishing[cap] == solve_fishing_game(
+            _stock_world(n, float(cap)), config.ecology, e_max, cost, {})
+
+    def test_nan_stock_is_not_served_the_capped_entry(self):
+        """A NaN adult stock is not at least n * e_max, so a year at it makes
+        its own CPR solve after a year at an ample stock has filled the
+        capped entry."""
+        config = RunConfig(pipeline="expert-egta", horizon=1)
+        pipeline = _ExpertEgta(config, river_series(config)[0])
+        n = config.n_households
+        assert decide_recording_fishing(pipeline, _stock_world(n, 1e6))[1] == 1
+        nan_world = _stock_world(n, math.nan)
+        fishing, solves = decide_recording_fishing(pipeline, nan_world)
+        assert solves == 1
+        assert fishing == solve_fishing_game(nan_world, config.ecology, config.e_max,
+                                             config.effort_cost, {})
+        cap_key, nan_key = pipeline.fishing
+        assert cap_key == n * config.e_max and math.isnan(nan_key)
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_run_equals_solving_every_year(self, seed):
         """A 100-year expert run at tau = 0, whose stock crosses n * e_max,
         records the same decisions and records as one that solves the
         fishing game every year, with one solve for all the years at or above
-        the cap."""
+        the cap and one for each distinct stock below it."""
         config = RunConfig(pipeline="expert-egta", tau=0.0, seed=seed)
         cap = config.n_households * config.e_max
 
         def run(every_year):
-            decisions, ample, solves = [], [], []
+            decisions, stocks, solves = [], [], []
 
-            def recording(state, tau, params, threshold, max_fields, fishing, rng, solved):
+            def recording(state, run_config, fishing, rng, solved):
                 if every_year:
-                    fishing = solve_fishing_game(state, params, config.e_max,
-                                                 config.effort_cost)
-                ample.append(state.fish.adult_total >= cap)
-                decisions.append(expert_egta_decide(state, tau, params, threshold,
-                                                    max_fields, fishing, rng, solved))
+                    fishing = solve_fishing_game(state, config.ecology, config.e_max,
+                                                 config.effort_cost, {})
+                stocks.append(state.fish.adult_total)
+                decisions.append(expert_egta_decide(state, run_config, fishing, rng, solved))
                 return decisions[-1]
 
             def counting(*args):
@@ -636,13 +648,14 @@ class TestKeptFishingGame:
                 patch.setattr("rivercommons.harness.expert_egta_decide", recording)
                 patch.setattr("rivercommons.policies.solve_symmetric_cpr", counting)
                 records = run_simulation(config).records
-            return decisions, records, ample, len(solves)
+            return decisions, records, stocks, len(solves)
 
-        decisions, records, ample, solves = run(every_year=False)
+        decisions, records, stocks, solves = run(every_year=False)
         expected, expected_records, _, every_year_solves = run(every_year=True)
+        ample = [stock >= cap for stock in stocks]
         assert decisions == expected and records == expected_records
         assert 0 < sum(ample) < len(ample) == 100
-        assert solves == ample.count(False) + 1
+        assert solves == len({stock for stock in stocks if stock < cap}) + 1
         assert every_year_solves == solves + 100
 
     @settings(max_examples=200, deadline=None)

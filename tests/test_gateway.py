@@ -13,6 +13,7 @@ from rivercommons import (BehaviourProfile, ChatRequest, ConfigurationError,
                           extract_structured, generative_decide, render_prompt,
                           request_fingerprint, run_simulation)
 from rivercommons.config import load_prompts
+from conftest import count_replies
 
 
 def write_fixture(tmp_path, entries, name="fixture.json"):
@@ -205,8 +206,9 @@ class TestHttpBackend:
     def test_round_trip(self, echo_server):
         gw = Gateway(GatewayConfig(backend="http", endpoint=echo_server,
                                    model="test-model"))
+        replies = count_replies(gw)
         assert gw.complete(user_request("hi")) == "echoed content"
-        assert gw.call_count == 1
+        assert len(replies) == 1
 
     def test_exhausted_retries_raise_transport_error(self):
         gw = Gateway(GatewayConfig(backend="http",
@@ -285,12 +287,13 @@ class TestAsk:
     def test_alternating_server_error_and_prose_falls_back(self, scripted_server):
         handler, endpoint = scripted_server(500, "no numbers here")
         gw = http_gateway(endpoint, max_retries=2)
+        replies = count_replies(gw)
         decision, events = generative_decide(
             {}, BehaviourProfile("You are a farmer."), gw,
             "Reply with a field count.", 10, 5, lambda: Decision(1, 1))
         assert (decision, events) == (Decision(1, 1), ["fallback"])
         assert handler.posts == 3
-        assert gw.call_count == 1      # only the prose reply arrived
+        assert len(replies) == 1      # only the prose reply arrived
 
     @pytest.mark.parametrize("failure", [500, b"[]", b'{"choices": []}', b"not json"])
     def test_failed_send_then_parseable_reply(self, scripted_server, failure):
@@ -324,12 +327,13 @@ class TestAsk:
         gw = stub_gateway(tmp_path, [{"response": "no"}, {"response": "nope"},
                                      {"response": "none"}],
                           max_retries=3, log_path=str(log_path))
+        replies = count_replies(gw)
         with pytest.raises(SchemaError):
             gw.ask(QUESTION, extract_structured, {"stage": "test"})
         gw.close()
         records = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert [r["response"] for r in records] == ["no", "nope", "none", "no"]
-        assert gw.call_count == 4
+        assert len(replies) == 4
         assert gw.complete(user_request("next")) == "nope"
         assert waits == []
         gw.close()
@@ -338,10 +342,11 @@ class TestAsk:
         log_path = tmp_path / "requests.jsonl"
         gw = stub_gateway(tmp_path, [{"fingerprint": "0" * 16, "response": "7"}],
                           log_path=str(log_path))
+        replies = count_replies(gw)
         with pytest.raises(TransportError):
             gw.ask(QUESTION, extract_structured)
         gw.close()
-        assert gw.call_count == 0
+        assert len(replies) == 0
         assert not log_path.exists()
 
     def test_unparseable_extraction_raises_after_all_sends(self, tmp_path):

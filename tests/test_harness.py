@@ -21,8 +21,7 @@ from rivercommons import (ActivityClass, ConfigurationError, EcologyParams,
 from rivercommons.cli import main
 from rivercommons.config import PIPELINES, InflowConfig, load_prompts
 from rivercommons.harness import (PIPELINE_TYPES, CsvInflow, RunArtifacts,
-                                  SyntheticInflow, make_inflow, river_series,
-                                  seasonal_weights)
+                                  SyntheticInflow, river_series, seasonal_weights)
 from rivercommons.ecology import YearRecord
 from conftest import g1_spec, short_config
 
@@ -266,7 +265,8 @@ class TestInflow:
 
     def test_missing_csv_falls_back_to_synthetic(self, tmp_path):
         cfg = short_config(inflow=InflowConfig(csv_path=str(tmp_path / "absent.csv")))
-        assert isinstance(make_inflow(cfg), SyntheticInflow)
+        assert ([r.monthly_inflow.tobytes() for r in river_series(cfg)]
+                == fresh_bytes(cfg.inflow, cfg.seed, cfg.horizon))
 
 
 def fresh_bytes(cfg, seed, horizon):
@@ -380,8 +380,8 @@ class TestRunSimulation:
                            authority_window=2, max_fields=7,
                            inflow=InflowConfig(mean_annual=700.0, noise_sigma=0.3))
         art = run_simulation(cfg)
-        inflow, p, n = make_inflow(cfg), cfg.ecology, cfg.n_households
-        history, budget, binding = [inflow.year(0).annual_total], cfg.authority_budget, set()
+        series, p, n = river_series(cfg), cfg.ecology, cfg.n_households
+        history, budget, binding = [series[0].annual_total], cfg.authority_budget, set()
         for year in range(1, cfg.horizon + 1):
             rows = [r for r in art.records if r.year == year]
             tail = history[-cfg.authority_window:]
@@ -391,7 +391,7 @@ class TestRunSimulation:
             share = min(caps.values())
             binding.update(k for k, v in caps.items() if v == share)
             assert [r.planted for r in rows] == [share] * n, year
-            history.append(inflow.year(year).annual_total)
+            history.append(series[year].annual_total)
             budget += (sum(r.crop_income for r in rows)
                        - p.c * sum(r.irrigated for r in rows) - p.kappa * n)
         assert binding == {"water", "budget", "max_fields"}
@@ -452,7 +452,7 @@ class TestRunSimulation:
         run_simulation(cfg)
         first = seen[0]
         assert first.year == 0 and len(seen) == 2
-        inflow0 = make_inflow(cfg).year(0).annual_total
+        inflow0 = river_series(cfg)[0].annual_total
         assert first.households == tuple(
             YearRecord(year=0, household=i + 1, node_inflow=inflow0,
                        crop_income=cfg.subsistence, budget=cfg.initial_budget)
