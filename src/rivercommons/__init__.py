@@ -24,8 +24,8 @@ from .gateway import (ChatRequest, Gateway, GatewayConfig, extract_structured,
                       render_prompt, request_fingerprint)
 from .harness import RunArtifacts, calibrate_check, run_simulation, sweep
 from .outputs import emit_outputs, summarize
-from .policies import (AuthorityState, BehaviourProfile, centralized_allocate,
-                       expert_egta_decide, generative_decide,
+from .policies import (AuthorityState, BehaviourProfile, action_situations,
+                       centralized_allocate, expert_egta_decide, generative_decide,
                        moving_average_predict, naive_egta_decide,
                        procedural_decide)
 

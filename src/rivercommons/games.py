@@ -11,7 +11,7 @@ import numpy as np
 
 from .equilibrium import (BimatrixGame, enumerate_pure_ne, lemke_howson,
                           select_equilibrium)
-from .errors import ConfigurationError, SchemaError, check_fields
+from .errors import ConfigurationError, SchemaError, check_fields, finite_real
 from .gateway import extract_structured
 
 
@@ -117,8 +117,9 @@ def build_cpr_fishing_game(adult_stock_estimate: float, params, effort_cost: flo
     """The symmetric fishing game's payoff callable
     u(e, O) = fishing_income(e, O, stock, price) - effort cost * e.
     """
-    if adult_stock_estimate < 0:
-        raise ConfigurationError("stock estimate must be non-negative")
+    if not finite_real(adult_stock_estimate) or adult_stock_estimate < 0:
+        raise ConfigurationError("stock estimate must be finite and non-negative, "
+                                 f"got {adult_stock_estimate!r}")
     price = params.fish_price
     stock = adult_stock_estimate
 

@@ -194,25 +194,24 @@ _PLACEHOLDER = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
 @functools.lru_cache
 def _compile(template: str):
-    """(format string, placeholder names) of a template: literal braces are
-    doubled and each `{name}` becomes `{name!s}`, so one `format_map` call
-    substitutes every placeholder once and leaves all other text alone."""
-    pieces = _PLACEHOLDER.split(template)      # literal, name, literal, ..., literal
-    literals = [p.replace("{", "{{").replace("}", "}}") for p in pieces[::2]]
-    names = pieces[1::2]
-    fmt = "".join(lit + "{" + name + "!s}" for lit, name in zip(literals, names))
-    return fmt + literals[-1], frozenset(names)
+    """(pieces, placeholder names) of a template: the pieces alternate
+    literal text and placeholder name, starting and ending with a literal,
+    so a name sits at every odd index."""
+    pieces = tuple(_PLACEHOLDER.split(template))
+    return pieces, frozenset(pieces[1::2])
 
 
 def render_prompt(template: str, variables: dict) -> str:
     """Exact single-pass substitution of each `{identifier}` placeholder by
     `str` of its value; every other brace stays as it is, and unresolved names
     raise TemplateError."""
-    fmt, names = _compile(template)
-    missing = names.difference(variables)
-    if missing:
-        raise TemplateError(missing)
-    return fmt.format_map(variables)
+    pieces, names = _compile(template)
+    if not variables.keys() >= names:
+        raise TemplateError(names.difference(variables))
+    parts = list(pieces)
+    for i in range(1, len(parts), 2):
+        parts[i] = str(variables[parts[i]])
+    return "".join(parts)
 
 
 _FENCED = re.compile(r"```(?:[a-zA-Z0-9_-]*)\s*\n?(.*?)```", re.S)

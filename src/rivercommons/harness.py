@@ -19,9 +19,10 @@ from .errors import ConfigurationError, RiverCommonsError
 from .games import parse_llm_game
 from .gateway import Gateway
 from .outputs import GRID_FIELDS, summarize, summary_row
-from .policies import (AuthorityState, BehaviourProfile, centralized_allocate,
-                       default_fish_target, expert_egta_decide, generative_decide,
-                       naive_egta_decide, procedural_decide, solve_fishing_game)
+from .policies import (AuthorityState, BehaviourProfile, action_situations,
+                       centralized_allocate, default_fish_target, expert_egta_decide,
+                       generative_decide, naive_egta_decide, procedural_decide,
+                       solve_fishing_game)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,8 @@ class CsvInflow:
         return self.years[t % len(self.years)]
 
 
-# A sweep with up to this many seeds draws each river once for all its cells.
+# The river series of the last this many (inflow config, seed, horizon) keys are
+# kept, so runs that repeat a recent key, such as one seed's sweep cells, share one.
 SERIES_CACHE_SIZE = 16
 
 
@@ -149,21 +151,6 @@ def _initial_state(config: RunConfig, year0: RiverYear) -> WorldState:
                    crop_income=config.subsistence, budget=config.initial_budget)
         for i in range(config.n_households))
     return WorldState(households=households, fish=FishPopulation(config.initial_fish))
-
-
-def _household_view(config: RunConfig, h: YearRecord) -> dict:
-    return {
-        "predicted_water": round(h.node_inflow, 2),
-        "water_per_field": config.ecology.w,
-        "irrigation_cost": config.ecology.c,
-        "past_yield": round(h.crop_income, 2),
-        "subsistence": config.subsistence,
-        "budget": round(h.budget, 2),
-        "max_fields": config.max_fields,
-        "e_max": config.e_max,
-        "default_fish_target": default_fish_target(
-            h.household, config.n_households, config.fish_target_base),
-    }
 
 
 class _Procedural:
@@ -238,21 +225,34 @@ class _ExpertEgta(_Procedural):
 
 class _Generative(_Procedural):
     """The generative pipeline and the base of the naive one: the gateway,
-    prompts and profile of the LLM pipelines, asked once per household."""
+    prompts and profile of the LLM pipelines, asked once per household.
+    `views` holds each household's prompt entries that are fixed for the run;
+    each year adds the rounded inflow, crop income and budget of its record."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.prompts = load_prompts(config.prompts_dir)
         self.profile = BehaviourProfile(self.prompts[config.behaviour])
         self.gateway = Gateway(config.gateway)
+        self.views = [{
+            "water_per_field": config.ecology.w,
+            "irrigation_cost": config.ecology.c,
+            "subsistence": config.subsistence,
+            "max_fields": config.max_fields,
+            "e_max": config.e_max,
+            "default_fish_target": default_fish_target(
+                household, config.n_households, config.fish_target_base),
+        } for household in range(1, config.n_households + 1)]
 
     def decide(self, state: WorldState):
         decisions, events = [], []
-        for h in state.households:
+        for h, fixed in zip(state.households, self.views):
             tags = {"year": state.year + 1, "household": h.household,
                     "pipeline": self.config.pipeline}
+            view = dict(fixed, predicted_water=round(h.node_inflow, 2),
+                        past_yield=round(h.crop_income, 2), budget=round(h.budget, 2))
             decision, household_events = self.decide_one(
-                _household_view(self.config, h), lambda h=h: self.rule(h), tags)
+                view, lambda h=h: self.rule(h), tags)
             decisions.append(decision)
             events.extend(household_events)
         return decisions, events
@@ -268,16 +268,18 @@ class _Generative(_Procedural):
 class _NaiveEgta(_Generative):
     def decide(self, state: WorldState):
         if not self.as_models:
-            # Step 1 of the naive pipeline: one extraction question at run start.
+            # Step 1 of the naive pipeline: one extraction question at run start,
+            # and the run's two action situations picked from its models.
+            cfg = self.config
             self.as_models = self.gateway.ask((("user", self.prompts["as_extraction"]),),
                                               parse_llm_game, {"stage": "as_extraction"})
+            self.situations = action_situations(self.as_models, cfg.max_fields, cfg.e_max)
         return super().decide(state)
 
     def decide_one(self, view: dict, fallback, tags: dict):
-        cfg = self.config
-        return naive_egta_decide(self.as_models, view, self.profile, self.gateway,
-                                 self.prompts["as_action"], cfg.max_fields, cfg.e_max,
-                                 cfg.low_action, fallback, tags)
+        return naive_egta_decide(self.situations, view, self.profile, self.gateway,
+                                 self.prompts["as_action"], self.config.low_action,
+                                 fallback, tags)
 
 
 PIPELINE_TYPES = {"procedural": _Procedural, "generative": _Generative,
@@ -310,22 +312,24 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
 
 
 def sweep(base: RunConfig, pipelines=None, taus=None, behaviours=None, seeds=None):
-    """One summary row per grid cell; an axis that is None or empty takes the
-    base config's value. With at most SERIES_CACHE_SIZE seeds, the cells of
-    one seed share a single river draw (see `river_series`). A cell that
-    fails with a package error (a RiverCommonsError) is recorded in its row's
+    """One summary row per grid cell, in pipeline × tau × behaviour × seed
+    order; an axis that is None or empty takes the base config's value. The
+    cells run seed by seed, so the cells of one seed share a single river
+    draw (see `river_series`) however many seeds there are. A cell that fails
+    with a package error (a RiverCommonsError) is recorded in its row's
     `error` column and the rest still run; any other exception propagates."""
     axes = [list(values if values is not None else ()) or [getattr(base, name)]
             for name, values in zip(GRID_FIELDS, (pipelines, taus, behaviours, seeds))]
-    rows = []
-    for values in itertools.product(*axes):
-        cell = dict(zip(GRID_FIELDS, values))
+    cells = [dict(zip(GRID_FIELDS, values)) for values in itertools.product(*axes)]
+    rows = [None] * len(cells)
+    n_seeds = len(axes[-1])     # seed is the last, fastest-changing axis
+    for i in sorted(range(len(cells)), key=lambda i: i % n_seeds):
         try:
-            artifacts = run_simulation(replace(base, **cell))
+            artifacts = run_simulation(replace(base, **cells[i]))
         except RiverCommonsError as err:
-            rows.append(summary_row(cell, error=f"{type(err).__name__}: {err}"))
+            rows[i] = summary_row(cells[i], error=f"{type(err).__name__}: {err}")
         else:
-            rows.append(summary_row(cell, artifacts))
+            rows[i] = summary_row(cells[i], artifacts)
     return rows
 
 

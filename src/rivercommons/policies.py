@@ -264,16 +264,13 @@ def _reply_to_action(text: str, high: int, low_action: int) -> int:
     return map_abstract_action(value, high, low_action)
 
 
-def naive_egta_decide(as_models, view: dict, profile: BehaviourProfile,
-                      gateway: Gateway, action_template: str, max_fields: int,
-                      e_max: int, low_action: int, fallback, tags: dict = None):
-    """Naive pipeline: query one action per extracted action situation.
-
-    The first pairwise-cooperation model drives the field choice and the
-    first common-pool-resource model the fish target; failing that, models
-    are used in order. A component without a usable reply comes from
-    `fallback()`. Returns (Decision, events) like generative_decide.
-    """
+def action_situations(as_models, max_fields: int, e_max: int) -> tuple:
+    """The naive pipeline's two action situations, each (prompt variables or
+    None, high action): the field choice, asked of the first
+    pairwise-cooperation model, else the first model, up to `max_fields`;
+    then the fish target, asked of the first common-pool-resource model, else
+    the second model, up to `e_max`. A situation without a model is None.
+    The models are fixed for a run, so pick them once per run."""
     irrigation_as = next((m for m in as_models
                           if m.kind is ASKind.PAIRWISE_COOPERATION), None)
     fishing_as = next((m for m in as_models
@@ -282,16 +279,27 @@ def naive_egta_decide(as_models, view: dict, profile: BehaviourProfile,
         irrigation_as = as_models[0]
     if fishing_as is None and len(as_models) > 1:
         fishing_as = as_models[1]
+    return tuple((None if m is None else {"as_name": m.name,
+                                          "as_actions": ", ".join(m.actions),
+                                          "as_participants": m.participants}, high)
+                 for m, high in ((irrigation_as, max_fields), (fishing_as, e_max)))
 
+
+def naive_egta_decide(situations, view: dict, profile: BehaviourProfile,
+                      gateway: Gateway, action_template: str, low_action: int,
+                      fallback, tags: dict = None):
+    """Naive pipeline: query one action per action situation, from
+    `action_situations`: the first drives the field choice, the second the
+    fish target. A component without a usable reply, or without a situation,
+    comes from `fallback()`. Returns (Decision, events) like
+    generative_decide.
+    """
     events = []
     chosen = []
-    for as_model, high in ((irrigation_as, max_fields), (fishing_as, e_max)):
+    for variables, high in situations:
         action = None
-        if as_model is not None:
-            variables = dict(view, as_name=as_model.name,
-                             as_actions=", ".join(as_model.actions),
-                             as_participants=as_model.participants)
-            action = _ask(gateway, profile, render_prompt(action_template, variables),
+        if variables is not None:
+            action = _ask(gateway, profile, render_prompt(action_template, view | variables),
                           lambda text: _reply_to_action(text, high, low_action), tags)
         if action is not None:
             action, clamped = _clamp(action, high)

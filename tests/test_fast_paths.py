@@ -5,12 +5,14 @@ The references are the original per-cell and per-step loops, the original
 Fraction-arithmetic Lemke-Howson, the expert year that solves every pair game
 before it draws the roles, the numpy-scalar river routing and fishery step,
 the per-cell records.csv and budget-chart writers, and the regex prompt
-renderer, kept here so that any change to the fast paths must reproduce them
-exactly.
+renderer on a household view built whole each year, kept here so that any
+change to the fast paths must reproduce them exactly.
 """
 import copy
 import csv
 import io
+import itertools
+import json
 import math
 import re
 import tempfile
@@ -23,8 +25,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rivercommons import (ActivityClass, BimatrixGame, CprSolution, Decision,
-                          EcologyParams, FishPopulation, InvalidGameError,
+from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationError,
+                          CprSolution, Decision, EcologyParams, FishPopulation,
+                          GatewayConfig, InvalidGameError,
                           IrrigationGameSpec, MixedProfile, RiverYear,
                           TemplateError, YearRecord, build_cpr_fishing_game,
                           build_irrigation_game, emit_outputs,
@@ -34,13 +37,13 @@ from rivercommons import (ActivityClass, BimatrixGame, CprSolution, Decision,
                           route_river, RunConfig, run_simulation,
                           select_equilibrium, solve_irrigation_game,
                           solve_symmetric_cpr, step_fish, WorldState)
-from rivercommons.config import load_prompts
+from rivercommons.config import BEHAVIOURS, load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
 from rivercommons.games import _field_limits
-from rivercommons.harness import RunArtifacts, _ExpertEgta, river_series
+from rivercommons.harness import RunArtifacts, _ExpertEgta, _initial_state, river_series
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
-from rivercommons.policies import solve_fishing_game
+from rivercommons.policies import default_fish_target, solve_fishing_game
 from conftest import expert_config, pure_profile, short_config
 
 
@@ -605,20 +608,16 @@ class TestKeptFishingGame:
             _stock_world(n, float(cap)), config.ecology, e_max, cost, {})
 
     def test_nan_stock_is_not_served_the_capped_entry(self):
-        """A NaN adult stock is not at least n * e_max, so a year at it makes
-        its own CPR solve after a year at an ample stock has filled the
-        capped entry."""
+        """A NaN adult stock is not at least n * e_max, so a year at it is not
+        served the capped entry that a year at an ample stock has filled: the
+        fishing game rejects the stock, and the NaN key is never stored."""
         config = RunConfig(pipeline="expert-egta", horizon=1)
         pipeline = _ExpertEgta(config, river_series(config)[0])
         n = config.n_households
         assert decide_recording_fishing(pipeline, _stock_world(n, 1e6))[1] == 1
-        nan_world = _stock_world(n, math.nan)
-        fishing, solves = decide_recording_fishing(pipeline, nan_world)
-        assert solves == 1
-        assert fishing == solve_fishing_game(nan_world, config.ecology, config.e_max,
-                                             config.effort_cost, {})
-        cap_key, nan_key = pipeline.fishing
-        assert cap_key == n * config.e_max and math.isnan(nan_key)
+        with pytest.raises(ConfigurationError, match="stock estimate must be finite"):
+            pipeline.decide(_stock_world(n, math.nan))
+        assert list(pipeline.fishing) == [n * config.e_max]
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_run_equals_solving_every_year(self, seed):
@@ -1259,3 +1258,89 @@ class TestRenderPrompt:
     def test_equals_regex_renderer(self, template, variables):
         assert _render_outcome(render_prompt, template, variables) \
             == _render_outcome(reference_render_prompt, template, variables)
+
+
+def reference_household_view(config, h):
+    """The role prompt's variables for household record `h`, built whole for
+    every household and year."""
+    return {
+        "predicted_water": round(h.node_inflow, 2),
+        "water_per_field": config.ecology.w,
+        "irrigation_cost": config.ecology.c,
+        "past_yield": round(h.crop_income, 2),
+        "subsistence": config.subsistence,
+        "budget": round(h.budget, 2),
+        "max_fields": config.max_fields,
+        "e_max": config.e_max,
+        "default_fish_target": default_fish_target(
+            h.household, config.n_households, config.fish_target_base),
+    }
+
+
+def reference_situation_values(as_models):
+    """The as_* variables of the naive pipeline's two situations: the first
+    pairwise-cooperation model, then the first common-pool-resource model."""
+    return [{"as_name": m.name, "as_actions": ", ".join(m.actions),
+             "as_participants": m.participants}
+            for m in (next(m for m in as_models if m.kind is kind)
+                      for kind in (ASKind.PAIRWISE_COOPERATION, ASKind.COMMON_POOL_RESOURCE))]
+
+
+# The first pool entry answers the extraction question; the rest are prose,
+# out-of-range and unparseable replies that drive retries, clamps and fallbacks.
+NOISY_REPLIES = [
+    {"response": {"action_situations": [
+        {"name": "neighbour irrigation", "kind": "pairwise cooperation",
+         "participants": 2, "actions": ["high", "low"]},
+        {"name": "lake fishing", "kind": "common pool resource",
+         "participants": 9, "actions": ["0", "1", "2", "3", "4", "5"]}]}},
+    {"response": "I would plant 3 fields and fish a little."},
+    {"response": '{"fields": 14, "fish": 9, "action": 12}'},
+    {"response": "Hard to say this year."},
+    {"response": '```json\n{"fields": -2, "fish": 1, "action": "high"}\n```'},
+    {"response": "low"},
+]
+
+
+class TestPromptBytes:
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("behaviour", BEHAVIOURS)
+    @pytest.mark.parametrize("pipeline", ["generative", "naive-egta"])
+    def test_logged_prompts_equal_reference_render(self, tmp_path, pipeline, behaviour,
+                                                   noisy):
+        """Every prompt a short LLM run logs is the regex renderer's output on
+        the household's view of the year, merged for the naive pipeline with
+        its situation's as_* values, in situation order."""
+        gateway = GatewayConfig(log_path=str(tmp_path / "requests.jsonl"))
+        if noisy:
+            fixture = tmp_path / "noisy.json"
+            fixture.write_text(json.dumps(NOISY_REPLIES), encoding="utf-8")
+            gateway = replace(gateway, fixture_path=str(fixture))
+        config = short_config(pipeline=pipeline, behaviour=behaviour, horizon=3,
+                              gateway=gateway)
+        artifacts = run_simulation(config)
+        records = {(h.year, h.household): h for h in artifacts.records}
+        records.update({(0, h.household): h for h in
+                        _initial_state(config, river_series(config)[0]).households})
+        prompts = load_prompts()
+        sent = {}
+        with open(tmp_path / "requests.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                entry = json.loads(line)
+                if entry["tags"].get("stage") == "as_extraction":
+                    assert entry["messages"] == [
+                        {"role": "user", "content": prompts["as_extraction"]}]
+                    continue
+                system, user = entry["messages"]
+                assert system == {"role": "system", "content": prompts[behaviour]}
+                key = entry["tags"]["year"], entry["tags"]["household"]
+                sent.setdefault(key, []).append(user["content"])
+        assert len(sent) == config.horizon * config.n_households
+        for (year, household), texts in sent.items():
+            view = reference_household_view(config, records[year - 1, household])
+            if pipeline == "generative":
+                assert texts == [reference_render_prompt(prompts["role"], view)] * len(texts)
+            else:
+                assert [text for text, _ in itertools.groupby(texts)] == [
+                    reference_render_prompt(prompts["as_action"], {**view, **values})
+                    for values in reference_situation_values(artifacts.as_models)]

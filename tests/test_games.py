@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -152,6 +153,11 @@ class TestCprFishingGame:
     def test_negative_stock_rejected(self, params):
         with pytest.raises(ConfigurationError):
             build_cpr_fishing_game(-1.0, params)
+
+    @pytest.mark.parametrize("stock", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stock_rejected(self, params, stock):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            build_cpr_fishing_game(stock, params)
 
 
 EXTRACTION_REPLY = json.dumps({

@@ -23,6 +23,7 @@ from rivercommons.config import PIPELINES, InflowConfig, load_prompts
 from rivercommons.harness import (PIPELINE_TYPES, CsvInflow, RunArtifacts,
                                   SyntheticInflow, river_series, seasonal_weights)
 from rivercommons.ecology import YearRecord
+from rivercommons.outputs import summary_row
 from conftest import g1_spec, short_config
 
 
@@ -523,6 +524,22 @@ class TestSweep:
         (row,) = sweep(short_config(pipeline="expert-egta", horizon=2), seeds=["3"])
         assert row["error"].startswith("ConfigurationError: seed")
         assert row["fallback_events"] == row["min_budget_final"] == ""
+
+    def test_many_seeds_draw_each_river_once_in_grid_order(self):
+        """Cells run seed by seed, so a sweep over more seeds than the series
+        cache holds still draws each river once, and the rows keep the
+        pipeline × tau × behaviour × seed order."""
+        base = short_config(horizon=2)
+        seeds = list(range(harness.SERIES_CACHE_SIZE + 1))
+        pipelines = ["procedural", "centralized"]
+        harness._synthetic_series.cache_clear()
+        rows = sweep(base, pipelines=pipelines, seeds=seeds)
+        info = harness._synthetic_series.cache_info()
+        assert (info.misses, info.hits) == (len(seeds), len(seeds))
+        cells = [dict(pipeline=p, tau=base.tau, behaviour=base.behaviour, seed=s)
+                 for p in pipelines for s in seeds]
+        assert rows == [summary_row(cell, run_simulation(replace(base, **cell)))
+                        for cell in cells]
 
     def test_negative_seed_recorded_and_the_next_seed_runs(self):
         bad, good = sweep(short_config(pipeline="expert-egta", horizon=2), seeds=[-1, 3])

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from rivercommons import (AuthorityState, BehaviourProfile, ConfigurationError,
-                          Decision, EcologyParams, FishPopulation, Gateway,
-                          GatewayConfig, InvalidGameError, SimulationError,
-                          WorldState, YearRecord,
-                          build_irrigation_game, centralized_allocate,
+from rivercommons import (ActionSituationModel, ASKind, AuthorityState,
+                          BehaviourProfile, ConfigurationError, Decision,
+                          EcologyParams, FishPopulation, Gateway, GatewayConfig,
+                          InvalidGameError, SimulationError, WorldState,
+                          YearRecord, action_situations, build_irrigation_game, centralized_allocate,
                           enumerate_pure_ne, expert_egta_decide,
                           generative_decide, is_epsilon_ne,
                           moving_average_predict, naive_egta_decide,
@@ -362,35 +362,56 @@ AS_MODELS = parse_llm_game(json.dumps([
 AS_TEMPLATE = "Situation {as_name} with {as_participants} players: {as_actions}."
 
 
+def other_model(name, participants=3):
+    return ActionSituationModel(name=name, kind=ASKind.OTHER, participants=participants,
+                                actions=("a", "b"))
+
+
+class TestActionSituations:
+    def test_kinds_pick_the_situations(self):
+        assert action_situations(AS_MODELS, 10, 5) == (
+            ({"as_name": "neighbour irrigation", "as_actions": "high, low",
+              "as_participants": 2}, 10),
+            ({"as_name": "lake fishing", "as_actions": "0, 1, 2, 3, 4, 5",
+              "as_participants": 9}, 5))
+
+    def test_other_kinds_are_used_in_order(self):
+        models = [other_model("first"), other_model("second", 4), other_model("third")]
+        assert action_situations(models, 10, 5) == (
+            ({"as_name": "first", "as_actions": "a, b", "as_participants": 3}, 10),
+            ({"as_name": "second", "as_actions": "a, b", "as_participants": 4}, 5))
+
+    def test_single_model_leaves_the_fish_target_without_a_situation(self):
+        assert action_situations([other_model("only")], 10, 5) == (
+            ({"as_name": "only", "as_actions": "a, b", "as_participants": 3}, 10),
+            (None, 5))
+
+
 class TestNaiveEgtaDecide:
     def test_low_maps_to_low_action(self, tmp_path):
         gw = stub_gateway(tmp_path, ["low", "3"])
-        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
-                                             AS_TEMPLATE, 10, 5, 2,
-                                             fallback_decision)
+        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
+                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(2, 3)
         assert events == []
 
     def test_high_maps_to_max(self, tmp_path):
         gw = stub_gateway(tmp_path, ["high", "2"])
-        decision, _ = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
-                                        AS_TEMPLATE, 10, 5, 2,
-                                        fallback_decision)
+        decision, _ = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
+                                        PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision.fields_planted == 10
 
     def test_integer_reply_clamped(self, tmp_path):
         gw = stub_gateway(tmp_path, ["7", "9"])
-        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
-                                             AS_TEMPLATE, 10, 5, 2,
-                                             fallback_decision)
+        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
+                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(7, 5)
         assert events == ["clamp"]
 
     def test_unusable_replies_fall_back(self, tmp_path):
         gw = stub_gateway(tmp_path, ["shrug"])
-        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
-                                             AS_TEMPLATE, 10, 5, 2,
-                                             fallback_decision)
+        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
+                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == fallback_decision()
         assert "fallback" in events
 
@@ -398,34 +419,30 @@ class TestNaiveEgtaDecide:
         # Three unusable irrigation replies exhaust the retries; the fishing
         # situation then gets "3".
         gw = stub_gateway(tmp_path, ["shrug", "shrug", "shrug", "3"])
-        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
-                                             AS_TEMPLATE, 10, 5, 2,
-                                             fallback_decision)
+        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
+                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(fallback_decision().fields_planted, 3)
         assert events == ["fallback"]
 
     def test_unusable_fishing_reply_falls_back_for_fish_only(self, tmp_path):
         gw = stub_gateway(tmp_path, ["high", "shrug", "shrug", "shrug"])
-        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
-                                             AS_TEMPLATE, 10, 5, 2,
-                                             fallback_decision)
+        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
+                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(10, fallback_decision().fish_target)
         assert events == ["fallback"]
 
     def test_non_finite_action_retried(self, tmp_path):
         gw = stub_gateway(tmp_path, ['{"action": NaN}', "3"])
         replies = count_replies(gw)
-        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
-                                             AS_TEMPLATE, 10, 5, 2,
-                                             fallback_decision)
+        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
+                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(3, 3)
         assert events == []
         assert len(replies) == 4
 
     def test_transport_error_falls_back(self, tmp_path):
         gw = unmatched_gateway(tmp_path)
-        decision, events = naive_egta_decide(AS_MODELS, view(), PROFILE, gw,
-                                             AS_TEMPLATE, 10, 5, 2,
-                                             fallback_decision)
+        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
+                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == fallback_decision()
         assert events == ["fallback"]
