@@ -8,7 +8,7 @@ import numpy as np
 
 from rivercommons import (BimatrixGame, IrrigationGameSpec,
                           build_irrigation_game, enumerate_pure_ne,
-                          lemke_howson, pair_payoffs, solve_irrigation_game)
+                          lemke_howson, solve_irrigation_game)
 
 
 def show(title, game):
@@ -42,8 +42,9 @@ for tau in (0.0, 1.0, 2.0, 4.0):
     spec = IrrigationGameSpec(B_u=1000, B_d=1000, c=10, T=60, w=10, y0=50,
                               ys=25, S=6, kappa=50, tau=tau)
     s_u, s_d = solve_irrigation_game(spec)
-    pi = pair_payoffs(s_u, s_d, spec)
-    n_pure = len(enumerate_pure_ne(build_irrigation_game(spec)))
+    game = build_irrigation_game(spec)
+    n_pure = len(enumerate_pure_ne(game))
     print(f"tau={tau:>4}: selected ({s_u},{s_d})  payoffs "
-          f"({pi[0]:.0f},{pi[1]:.0f})  [{n_pure} pure equilibria]")
+          f"({game.row_payoffs[s_u, s_d]:.0f},{game.col_payoffs[s_u, s_d]:.0f})"
+          f"  [{n_pure} pure equilibria]")
 print("higher taxes shrink total extraction and even out the split")

@@ -18,15 +18,13 @@ from .errors import (ConfigurationError, InvalidGameError, RiverCommonsError,
                      TransportError)
 from .games import (ActionSituationModel, ASKind, IrrigationGameSpec,
                     build_cpr_fishing_game, build_irrigation_game,
-                    irrigated_fields, pair_payoffs, parse_llm_game,
-                    solve_irrigation_game)
+                    parse_llm_game, solve_irrigation_game)
 from .gateway import (ChatRequest, Gateway, GatewayConfig, extract_structured,
                       render_prompt, request_fingerprint)
 from .harness import RunArtifacts, calibrate_check, run_simulation, sweep
 from .outputs import emit_outputs, summarize
-from .policies import (AuthorityState, BehaviourProfile, action_situations,
-                       centralized_allocate, expert_egta_decide, generative_decide,
-                       moving_average_predict, naive_egta_decide,
+from .policies import (action_situations, centralized_allocate, expert_egta_decide,
+                       generative_decide, moving_average_predict, naive_egta_decide,
                        procedural_decide)
 
 __version__ = "0.1.0"

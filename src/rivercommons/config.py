@@ -66,8 +66,8 @@ class RunConfig:
         if self.behaviour not in BEHAVIOURS:
             raise ConfigurationError(
                 f"unknown behaviour {self.behaviour!r}; valid: {', '.join(BEHAVIOURS)}")
-        if self.horizon < 1 or self.n_households < 1:
-            raise ConfigurationError("horizon and n_households must be >= 1")
+        if self.horizon < 1 or self.n_households < 1 or self.authority_window < 1:
+            raise ConfigurationError("horizon, n_households and authority_window must be >= 1")
         if self.tau < 0:
             raise ConfigurationError("tau must be >= 0")
         if self.seed < 0:
@@ -119,7 +119,9 @@ PROMPT_FILES = ("role", "as_action", "as_extraction",
 
 
 def load_prompts(prompts_dir: str = None) -> dict:
-    """Every prompt template, from `prompts_dir` or else the packaged copies."""
+    """Every prompt template, from `prompts_dir` or else the packaged copies.
+    A file that cannot be read or decoded as UTF-8, or holds only
+    whitespace, is a ConfigurationError naming it."""
     root = (resources.files("rivercommons") / "prompts" if prompts_dir is None
             else Path(prompts_dir))
     prompts = {}
@@ -127,6 +129,8 @@ def load_prompts(prompts_dir: str = None) -> dict:
         path = root / (name + ".txt")
         try:
             prompts[name] = path.read_text(encoding="utf-8")
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigurationError(f"cannot read prompt file {path}: {err}") from err
+        if not prompts[name].strip():
+            raise ConfigurationError(f"prompt file {path} is blank")
     return prompts

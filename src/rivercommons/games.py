@@ -68,18 +68,6 @@ def _payoff_rule(s_u, s_d, spec: IrrigationGameSpec):
     return f_u, f_d, pi_u, pi_d
 
 
-def irrigated_fields(s_u: int, s_d: int, spec: IrrigationGameSpec):
-    """Fields actually irrigated for one strategy pair, as ints."""
-    f_u, f_d, _, _ = _payoff_rule(s_u, s_d, spec)
-    return int(f_u), int(f_d)
-
-
-def pair_payoffs(s_u: int, s_d: int, spec: IrrigationGameSpec):
-    """Annual payoffs (pi_u, pi_d) for one strategy pair, as floats."""
-    _, _, pi_u, pi_d = _payoff_rule(s_u, s_d, spec)
-    return float(pi_u), float(pi_d)
-
-
 def build_irrigation_game(spec: IrrigationGameSpec) -> BimatrixGame:
     """Normal form over field choices 0..max_fields for both players."""
     k = spec.max_fields + 1

@@ -173,7 +173,11 @@ class Gateway:
         if not self.config.log_path:
             return
         if self._log_file is None:
-            self._log_file = open(self.config.log_path, "a", encoding="utf-8")
+            try:
+                self._log_file = open(self.config.log_path, "a", encoding="utf-8")
+            except OSError as err:
+                raise ConfigurationError(
+                    f"cannot open request log {self.config.log_path}: {err}") from err
         record = {
             "tags": tags or {},
             "fingerprint": fp,

@@ -19,10 +19,9 @@ from .errors import ConfigurationError, RiverCommonsError
 from .games import parse_llm_game
 from .gateway import Gateway
 from .outputs import GRID_FIELDS, summarize, summary_row
-from .policies import (AuthorityState, BehaviourProfile, action_situations,
-                       centralized_allocate, default_fish_target, expert_egta_decide,
-                       generative_decide, naive_egta_decide, procedural_decide,
-                       solve_fishing_game)
+from .policies import (action_situations, centralized_allocate, default_fish_target,
+                       expert_egta_decide, generative_decide, naive_egta_decide,
+                       procedural_decide, solve_fishing_game)
 
 
 # ---------------------------------------------------------------------------
@@ -57,50 +56,49 @@ class SyntheticInflow:
         return RiverYear(monthly)
 
 
-class CsvInflow:
-    """Inflow read from a year,month,inflow CSV; years cycle when the
-    horizon outruns the series."""
-
-    def __init__(self, path: str):
-        table = {}
+def read_inflow_csv(path: str) -> tuple[RiverYear, ...]:
+    """The years of a year,month,inflow CSV, in year order. A file that cannot
+    be read or decoded as UTF-8, and any unusable cell, is a
+    ConfigurationError naming the file."""
+    try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = {"year", "month", "inflow"} - set(reader.fieldnames or ())
-            if missing:
-                raise ConfigurationError(
-                    f"inflow CSV {path} lacks columns {', '.join(sorted(missing))}")
-            for row in reader:
-                try:
-                    y, m, inflow = int(row["year"]), int(row["month"]), float(row["inflow"])
-                except (TypeError, ValueError) as err:
-                    raise ConfigurationError(
-                        f"inflow CSV {path} line {reader.line_num}: {err}") from err
-                if not 1 <= m <= 12:
-                    raise ConfigurationError(
-                        f"inflow CSV {path} line {reader.line_num}: month must be "
-                        f"1 to 12, got {m}")
-                if not 0 <= inflow < math.inf:
-                    raise ConfigurationError(
-                        f"inflow CSV {path} line {reader.line_num}: inflow must be "
-                        f"finite and non-negative, got {inflow}")
-                months = table.setdefault(y, {})
-                if m in months:
-                    raise ConfigurationError(
-                        f"inflow CSV {path} line {reader.line_num}: repeats year {y} month {m}")
-                months[m] = inflow
-        if not table:
-            raise ConfigurationError(f"inflow CSV {path} holds no rows")
-        for y, months in table.items():
-            lacking = [m for m in range(1, 13) if m not in months]
-            if lacking:
-                raise ConfigurationError(
-                    f"inflow CSV {path} year {y} lacks months "
-                    f"{', '.join(map(str, lacking))}")
-        self.years = [RiverYear(np.array([table[y][m] for m in range(1, 13)]))
-                      for y in sorted(table)]
-
-    def year(self, t: int) -> RiverYear:
-        return self.years[t % len(self.years)]
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigurationError(f"cannot read inflow CSV {path}: {err}") from err
+    table = {}
+    reader = csv.DictReader(lines)
+    missing = {"year", "month", "inflow"} - set(reader.fieldnames or ())
+    if missing:
+        raise ConfigurationError(
+            f"inflow CSV {path} lacks columns {', '.join(sorted(missing))}")
+    for row in reader:
+        try:
+            y, m, inflow = int(row["year"]), int(row["month"]), float(row["inflow"])
+        except (TypeError, ValueError) as err:
+            raise ConfigurationError(
+                f"inflow CSV {path} line {reader.line_num}: {err}") from err
+        if not 1 <= m <= 12:
+            raise ConfigurationError(
+                f"inflow CSV {path} line {reader.line_num}: month must be "
+                f"1 to 12, got {m}")
+        if not 0 <= inflow < math.inf:
+            raise ConfigurationError(
+                f"inflow CSV {path} line {reader.line_num}: inflow must be "
+                f"finite and non-negative, got {inflow}")
+        months = table.setdefault(y, {})
+        if m in months:
+            raise ConfigurationError(
+                f"inflow CSV {path} line {reader.line_num}: repeats year {y} month {m}")
+        months[m] = inflow
+    if not table:
+        raise ConfigurationError(f"inflow CSV {path} holds no rows")
+    for y, months in table.items():
+        lacking = [m for m in range(1, 13) if m not in months]
+        if lacking:
+            raise ConfigurationError(
+                f"inflow CSV {path} year {y} lacks months {', '.join(map(str, lacking))}")
+    return tuple(RiverYear(np.array([table[y][m] for m in range(1, 13)]))
+                 for y in sorted(table))
 
 
 # The river series of the last this many (inflow config, seed, horizon) keys are
@@ -123,12 +121,13 @@ def river_series(config: RunConfig) -> tuple[RiverYear, ...]:
     """The run's `RiverYear`s for years 0..horizon. A synthetic series is
     drawn once per (inflow config, seed, horizon) and shared, read-only, by
     every run that asks for it (the last SERIES_CACHE_SIZE are kept); a CSV
-    is read again on every call. A configured CSV that does not exist falls
-    back to the synthetic generator."""
+    is read again on every call, and its years cycle when the horizon
+    outruns them. A configured CSV that does not exist falls back to the
+    synthetic generator."""
     cfg = config.inflow
     if cfg.csv_path and os.path.exists(cfg.csv_path):
-        inflow = CsvInflow(cfg.csv_path)
-        return tuple(inflow.year(t) for t in range(config.horizon + 1))
+        years = read_inflow_csv(cfg.csv_path)
+        return tuple(years[t % len(years)] for t in range(config.horizon + 1))
     return _synthetic_series(cfg, repr(cfg), config.seed, config.horizon)
 
 
@@ -155,18 +154,21 @@ def _initial_state(config: RunConfig, year0: RiverYear) -> WorldState:
 
 class _Procedural:
     """The procedural pipeline and the base of the other four: its rule is
-    the LLM pipelines' fallback, and its hooks do nothing."""
+    the LLM pipelines' fallback, and its hooks do nothing. `fish_targets`
+    holds each household's constant fish target, fixed for the run."""
 
     as_models = ()
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         self.config = config
+        self.fish_targets = [default_fish_target(household, config.n_households,
+                                                 config.fish_target_base)
+                             for household in range(1, config.n_households + 1)]
 
     def rule(self, h: YearRecord) -> Decision:
         cfg = self.config
-        return procedural_decide(
-            h, cfg.ecology, cfg.subsistence, cfg.max_fields,
-            default_fish_target(h.household, cfg.n_households, cfg.fish_target_base))
+        return procedural_decide(h, cfg.ecology, cfg.subsistence, cfg.max_fields,
+                                 self.fish_targets[h.household - 1])
 
     def decide(self, state: WorldState):
         """(one Decision per household, "fallback" and "clamp" events)."""
@@ -180,29 +182,24 @@ class _Procedural:
 
 
 class _Centralized(_Procedural):
-    """The national authority allocates fields from its inflow history and
-    budget; fish targets follow the procedural rule."""
+    """The national authority allocates fields from its `budget` and its
+    annual `inflows` so far; fish targets follow the procedural rule."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
-        self.authority = AuthorityState(config.authority_budget, [year0.annual_total],
-                                        config.authority_window)
+        self.budget, self.inflows = config.authority_budget, [year0.annual_total]
 
     def decide(self, state: WorldState):
-        cfg = self.config
-        allocation = centralized_allocate(
-            self.authority, cfg.ecology, cfg.n_households, cfg.max_fields)
-        return [Decision(a, default_fish_target(h.household, cfg.n_households,
-                                                cfg.fish_target_base))
-                for a, h in zip(allocation, state.households)], ()
+        allocation = centralized_allocate(self.budget, self.inflows, self.config)
+        return [Decision(a, t) for a, t in zip(allocation, self.fish_targets)], ()
 
     def end_year(self, river: RiverYear, year_records: list):
         cfg = self.config
-        self.authority.inflow_history.append(river.annual_total)
+        self.inflows.append(river.annual_total)
         crop = sum(r.crop_income for r in year_records)
         irr_cost = cfg.ecology.c * sum(r.irrigated for r in year_records)
         consumption = cfg.ecology.kappa * cfg.n_households
-        self.authority.budget += crop - irr_cost - consumption
+        self.budget += crop - irr_cost - consumption
 
 
 class _ExpertEgta(_Procedural):
@@ -225,14 +222,15 @@ class _ExpertEgta(_Procedural):
 
 class _Generative(_Procedural):
     """The generative pipeline and the base of the naive one: the gateway,
-    prompts and profile of the LLM pipelines, asked once per household.
-    `views` holds each household's prompt entries that are fixed for the run;
-    each year adds the rounded inflow, crop income and budget of its record."""
+    prompts and behaviour's `system` prompt of the LLM pipelines, asked once
+    per household. `views` holds each household's prompt entries that are
+    fixed for the run; each year adds the rounded inflow, crop income and
+    budget of its record."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.prompts = load_prompts(config.prompts_dir)
-        self.profile = BehaviourProfile(self.prompts[config.behaviour])
+        self.system = self.prompts[config.behaviour]
         self.gateway = Gateway(config.gateway)
         self.views = [{
             "water_per_field": config.ecology.w,
@@ -240,9 +238,8 @@ class _Generative(_Procedural):
             "subsistence": config.subsistence,
             "max_fields": config.max_fields,
             "e_max": config.e_max,
-            "default_fish_target": default_fish_target(
-                household, config.n_households, config.fish_target_base),
-        } for household in range(1, config.n_households + 1)]
+            "default_fish_target": target,
+        } for target in self.fish_targets]
 
     def decide(self, state: WorldState):
         decisions, events = [], []
@@ -258,7 +255,7 @@ class _Generative(_Procedural):
         return decisions, events
 
     def decide_one(self, view: dict, fallback, tags: dict):
-        return generative_decide(view, self.profile, self.gateway, self.prompts["role"],
+        return generative_decide(view, self.system, self.gateway, self.prompts["role"],
                                  self.config.max_fields, self.config.e_max, fallback, tags)
 
     def close(self):
@@ -277,7 +274,7 @@ class _NaiveEgta(_Generative):
         return super().decide(state)
 
     def decide_one(self, view: dict, fallback, tags: dict):
-        return naive_egta_decide(self.situations, view, self.profile, self.gateway,
+        return naive_egta_decide(self.situations, view, self.system, self.gateway,
                                  self.prompts["as_action"], self.config.low_action,
                                  fallback, tags)
 

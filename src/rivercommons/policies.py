@@ -5,7 +5,6 @@ expert-guided empirical-game pipeline, and the two LLM-backed pipelines
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,28 +16,6 @@ from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
 from .games import (ASKind, IrrigationGameSpec, _field_limits, build_cpr_fishing_game,
                     fishing_income, solve_irrigation_game)
 from .gateway import Gateway, extract_structured, render_prompt
-
-
-@dataclass
-class AuthorityState:
-    """The national authority used in the centralized regime."""
-
-    budget: float
-    inflow_history: list = field(default_factory=list)
-    window: int = 20
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ConfigurationError("moving-average window must be >= 1")
-
-
-@dataclass(frozen=True)
-class BehaviourProfile:
-    system_prompt: str
-
-    def __post_init__(self):
-        if not self.system_prompt.strip():
-            raise ConfigurationError("behaviour profile prompt must be non-empty")
 
 
 def moving_average_predict(history, window: int) -> float:
@@ -76,19 +53,21 @@ def procedural_decide(household: YearRecord, params: EcologyParams, subsistence:
     return Decision(fields, max(0, fish_target))
 
 
-def centralized_allocate(authority: AuthorityState, params: EcologyParams,
-                         n_households: int, max_fields: int):
-    """Equal per-household field allocation under prediction and budget caps.
+def centralized_allocate(budget: float, inflows, config: RunConfig):
+    """Equal per-household field allocation by the national authority from
+    its budget and annual inflow history, with the run config's
+    `authority_window`, `ecology`, `n_households` and `max_fields`.
 
-    Total supportable fields = min(predicted water / w, budget / c); each
-    household receives the floor of an equal share, at most max_fields; the
-    remainder stays unallocated.
+    Total supportable fields = min(moving-average water / w, budget / c);
+    each household receives the floor of an equal share, at most max_fields;
+    the remainder stays unallocated.
     """
-    predicted = moving_average_predict(authority.inflow_history, authority.window)
+    params, n = config.ecology, config.n_households
+    predicted = moving_average_predict(inflows, config.authority_window)
     by_water = int(math.floor(predicted / params.w))
-    by_budget = int(math.floor(max(authority.budget, 0.0) / params.c))
+    by_budget = int(math.floor(max(budget, 0.0) / params.c))
     total = max(0, min(by_water, by_budget))
-    return [min(total // n_households, max_fields)] * n_households
+    return [min(total // n, config.max_fields)] * n
 
 
 def solve_fishing_game(state: WorldState, params: EcologyParams, e_max: int,
@@ -195,31 +174,31 @@ def _reply_to_fields_and_fish(value):
     raise SchemaError(f"cannot interpret reply value {value!r}")
 
 
-def _ask(gateway: Gateway, profile: BehaviourProfile, prompt: str, parse, tags):
-    """`gateway.ask` of the profile's system prompt plus `prompt`; None once
-    its sends run out, so the caller falls back."""
+def _ask(gateway: Gateway, system: str, prompt: str, parse, tags):
+    """`gateway.ask` of the system prompt plus `prompt`; None once its sends
+    run out, so the caller falls back."""
     try:
-        return gateway.ask((("system", profile.system_prompt), ("user", prompt)),
-                           parse, tags)
+        return gateway.ask((("system", system), ("user", prompt)), parse, tags)
     except (SchemaError, TransportError):
         return None
 
 
-def generative_decide(view: dict, profile: BehaviourProfile, gateway: Gateway,
+def generative_decide(view: dict, system: str, gateway: Gateway,
                       role_template: str, max_fields: int, e_max: int,
                       fallback, tags: dict = None):
     """LLM role-play pipeline for one household.
 
-    Renders the role prompt with the household's view of the world, parses an
-    integer field count (and optional fish target) from the reply, clamps
-    out-of-range values, and falls back to `fallback()` when the gateway's
-    sends run out without a usable reply.
+    Renders the role prompt with the household's view of the world, asks it
+    after the system prompt `system`, parses an integer field count (and
+    optional fish target) from the reply, clamps out-of-range values, and
+    falls back to `fallback()` when the gateway's sends run out without a
+    usable reply.
 
     Returns (Decision, events) where events is a list of strings among
     {"clamp", "fallback"}.
     """
     default_fish = int(view.get("default_fish_target", 0))
-    reply = _ask(gateway, profile, render_prompt(role_template, view),
+    reply = _ask(gateway, system, render_prompt(role_template, view),
                  lambda text: _reply_to_fields_and_fish(extract_structured(text)),
                  tags)
     if reply is None:
@@ -285,7 +264,7 @@ def action_situations(as_models, max_fields: int, e_max: int) -> tuple:
                  for m, high in ((irrigation_as, max_fields), (fishing_as, e_max)))
 
 
-def naive_egta_decide(situations, view: dict, profile: BehaviourProfile,
+def naive_egta_decide(situations, view: dict, system: str,
                       gateway: Gateway, action_template: str, low_action: int,
                       fallback, tags: dict = None):
     """Naive pipeline: query one action per action situation, from
@@ -299,7 +278,7 @@ def naive_egta_decide(situations, view: dict, profile: BehaviourProfile,
     for variables, high in situations:
         action = None
         if variables is not None:
-            action = _ask(gateway, profile, render_prompt(action_template, view | variables),
+            action = _ask(gateway, system, render_prompt(action_template, view | variables),
                           lambda text: _reply_to_action(text, high, low_action), tags)
         if action is not None:
             action, clamped = _clamp(action, high)

@@ -47,10 +47,10 @@ class TestAcceptance:
                pure == {(0, 1), (1, 0)})
 
     def test_3_reference_instance_equilibrium(self):
-        from rivercommons import build_irrigation_game, pair_payoffs
+        from rivercommons import build_irrigation_game
         eq = solve_irrigation_game(g1_spec())
-        payoffs = pair_payoffs(6, 0, g1_spec())
         game = build_irrigation_game(g1_spec())
+        payoffs = (game.row_payoffs[6, 0], game.col_payoffs[6, 0])
         in_oracle = (6, 0) in enumerate_pure_ne(game)
         totals = [sum(solve_irrigation_game(g1_spec(tau=t)))
                   for t in (0.0, 1.0, 2.0, 4.0)]

@@ -31,16 +31,15 @@ from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationErro
                           IrrigationGameSpec, MixedProfile, RiverYear,
                           TemplateError, YearRecord, build_cpr_fishing_game,
                           build_irrigation_game, emit_outputs,
-                          enumerate_pure_ne, expert_egta_decide,
-                          irrigated_fields, is_epsilon_ne,
-                          lemke_howson, pair_payoffs, render_prompt,
+                          enumerate_pure_ne, expert_egta_decide, is_epsilon_ne,
+                          lemke_howson, render_prompt,
                           route_river, RunConfig, run_simulation,
                           select_equilibrium, solve_irrigation_game,
                           solve_symmetric_cpr, step_fish, WorldState)
 from rivercommons.config import BEHAVIOURS, load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
-from rivercommons.games import _field_limits
+from rivercommons.games import _field_limits, _payoff_rule
 from rivercommons.harness import RunArtifacts, _ExpertEgta, _initial_state, river_series
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import default_fish_target, solve_fishing_game
@@ -122,11 +121,9 @@ class TestIrrigationTable:
     def test_scalar_views_equal_reference(self, spec, data):
         s_u = data.draw(st.integers(0, spec.max_fields))
         s_d = data.draw(st.integers(0, spec.max_fields))
-        fields = irrigated_fields(s_u, s_d, spec)
-        payoffs = pair_payoffs(s_u, s_d, spec)
-        assert fields == reference_irrigated_fields(s_u, s_d, spec)
-        assert payoffs == reference_pair_payoffs(s_u, s_d, spec)
-        assert [type(v) for v in fields + payoffs] == [int, int, float, float]
+        f_u, f_d, pi_u, pi_d = _payoff_rule(s_u, s_d, spec)
+        assert (f_u, f_d) == reference_irrigated_fields(s_u, s_d, spec)
+        assert (pi_u, pi_d) == reference_pair_payoffs(s_u, s_d, spec)
 
 
 # -- pure-equilibrium enumeration and selection ----------------------------------

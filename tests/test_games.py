@@ -9,48 +9,48 @@ from hypothesis import strategies as st
 from rivercommons import (ActionSituationModel, ASKind, ConfigurationError,
                           EcologyParams, SchemaError, build_cpr_fishing_game,
                           build_irrigation_game, enumerate_pure_ne,
-                          irrigated_fields, pair_payoffs, parse_llm_game,
-                          solve_irrigation_game, solve_symmetric_cpr)
+                          parse_llm_game, solve_irrigation_game, solve_symmetric_cpr)
+from rivercommons.games import _payoff_rule
 from conftest import g1_spec
 
 
 class TestIrrigatedFields:
     def test_upstream_priority_exhausts_water(self):
         spec = g1_spec()  # T/w = 6
-        assert irrigated_fields(8, 5, spec) == (6, 0)
+        assert _payoff_rule(8, 5, spec)[:2] == (6, 0)
 
     def test_unconstrained(self):
         spec = g1_spec(T=200.0)
-        assert irrigated_fields(4, 5, spec) == (4, 5)
+        assert _payoff_rule(4, 5, spec)[:2] == (4, 5)
 
     def test_budget_cap(self):
         spec = g1_spec(B_u=20.0, T=200.0)
-        assert irrigated_fields(10, 0, spec) == (2, 0)
+        assert _payoff_rule(10, 0, spec)[:2] == (2, 0)
 
     def test_downstream_gets_residual(self):
         spec = g1_spec(T=80.0)
-        assert irrigated_fields(3, 10, spec) == (3, 5)
+        assert _payoff_rule(3, 10, spec)[:2] == (3, 5)
 
 
 class TestPairPayoffs:
     def test_reference_cell(self):
-        assert pair_payoffs(6, 0, g1_spec()) == (190.0, -50.0)
+        assert _payoff_rule(6, 0, g1_spec())[2:] == (190.0, -50.0)
 
     def test_dominated_planting(self):
         spec = g1_spec(y0=5.0, ys=2.0)
-        assert pair_payoffs(0, 0, spec) == (-50.0, -50.0)
+        assert _payoff_rule(0, 0, spec)[2:] == (-50.0, -50.0)
         # Planting strictly loses when yield is below cost.
-        assert pair_payoffs(3, 0, spec)[0] < -50.0
+        assert _payoff_rule(3, 0, spec)[2] < -50.0
 
     def test_tax_term(self):
-        assert pair_payoffs(6, 0, g1_spec(tau=1.0))[0] == pytest.approx(154.0)
+        assert _payoff_rule(6, 0, g1_spec(tau=1.0))[2] == pytest.approx(154.0)
 
     def test_origin_pays_consumption_only(self):
-        assert pair_payoffs(0, 0, g1_spec()) == (-50.0, -50.0)
+        assert _payoff_rule(0, 0, g1_spec())[2:] == (-50.0, -50.0)
 
     def test_fishing_income_added(self):
         spec = g1_spec(F_u=30.0, F_d=20.0)
-        pu, pd = pair_payoffs(0, 0, spec)
+        pu, pd = _payoff_rule(0, 0, spec)[2:]
         assert (pu, pd) == (-20.0, -30.0)
 
     @settings(max_examples=60, deadline=None)
@@ -61,8 +61,8 @@ class TestPairPayoffs:
     def test_payoff_non_increasing_in_tau(self, s_u, s_d, tau, dtau):
         if s_u + s_d == 0:
             return
-        lo = pair_payoffs(s_u, s_d, g1_spec(tau=tau))
-        hi = pair_payoffs(s_u, s_d, g1_spec(tau=tau + dtau))
+        lo = _payoff_rule(s_u, s_d, g1_spec(tau=tau))[2:]
+        hi = _payoff_rule(s_u, s_d, g1_spec(tau=tau + dtau))[2:]
         assert hi[0] <= lo[0] + 1e-9
         assert hi[1] <= lo[1] + 1e-9
 
@@ -73,7 +73,7 @@ class TestPairPayoffs:
            st.floats(min_value=10.0, max_value=2000.0))
     def test_field_bounds(self, s_u, s_d, t, budget):
         spec = g1_spec(T=t, B_u=budget, B_d=budget)
-        f_u, f_d = irrigated_fields(s_u, s_d, spec)
+        f_u, f_d = _payoff_rule(s_u, s_d, spec)[:2]
         assert f_u + f_d <= t / spec.w + 1
         assert f_u <= min(s_u, budget / spec.c)
         assert f_d <= min(s_d, budget / spec.c)

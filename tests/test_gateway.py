@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rivercommons
-from rivercommons import (BehaviourProfile, ChatRequest, ConfigurationError,
+from rivercommons import (ChatRequest, ConfigurationError,
                           Decision, Gateway, GatewayConfig, RunConfig,
                           SchemaError, TemplateError, TransportError,
                           extract_structured, generative_decide, render_prompt,
@@ -151,6 +151,14 @@ class TestStubBackend:
             [request_fingerprint(r) for r in requests]
         assert [r["response"] for r in records] == ["matched", "generic", "matched"]
 
+    def test_request_log_in_missing_directory_fails_typed(self, tmp_path):
+        log_path = tmp_path / "absent" / "requests.jsonl"
+        gw = stub_gateway(tmp_path, [{"response": "ok"}], log_path=str(log_path))
+        with pytest.raises(ConfigurationError, match="cannot open request log") as err:
+            gw.complete(user_request("hello"))
+        gw.close()
+        assert str(log_path) in str(err.value)
+
 
 class _Echo(BaseHTTPRequestHandler):
     reply = "echoed content"
@@ -289,7 +297,7 @@ class TestAsk:
         gw = http_gateway(endpoint, max_retries=2)
         replies = count_replies(gw)
         decision, events = generative_decide(
-            {}, BehaviourProfile("You are a farmer."), gw,
+            {}, "You are a farmer.", gw,
             "Reply with a field count.", 10, 5, lambda: Decision(1, 1))
         assert (decision, events) == (Decision(1, 1), ["fallback"])
         assert handler.posts == 3

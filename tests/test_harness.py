@@ -20,8 +20,8 @@ from rivercommons import (ActivityClass, ConfigurationError, EcologyParams,
                           run_simulation, summarize, sweep)
 from rivercommons.cli import main
 from rivercommons.config import PIPELINES, InflowConfig, load_prompts
-from rivercommons.harness import (PIPELINE_TYPES, CsvInflow, RunArtifacts,
-                                  SyntheticInflow, river_series, seasonal_weights)
+from rivercommons.harness import (PIPELINE_TYPES, RunArtifacts, SyntheticInflow,
+                                  read_inflow_csv, river_series, seasonal_weights)
 from rivercommons.ecology import YearRecord
 from rivercommons.outputs import summary_row
 from conftest import g1_spec, short_config
@@ -167,6 +167,27 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_prompts(str(tmp_path))
 
+    @pytest.mark.parametrize("name,content,message", [
+        ("role", b"Plant \xb1 fields.", "^cannot read prompt file "),  # Latin-1
+        ("role", b"", " is blank$"),
+        ("balanced", b" \n\t\n", " is blank$"),
+    ])
+    def test_unusable_prompt_file_rejected_naming_it(self, tmp_path, name, content, message):
+        for other, text in load_prompts().items():
+            (tmp_path / f"{other}.txt").write_text(text, encoding="utf-8")
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match=message) as err:
+            load_prompts(str(tmp_path))
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["horizon", "n_households", "authority_window"])
+    def test_count_below_one_rejected(self, key):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict({"pipeline": "procedural", key: 0})
+        with pytest.raises(ConfigurationError, match=key):
+            RunConfig(pipeline="centralized", **{key: 0})
+
     def test_shipped_default_config_loads(self):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         cfg = load_config(os.path.join(here, "configs", "default.json"))
@@ -193,12 +214,14 @@ class TestInflow:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["year", "month", "inflow"])
-            for month in range(1, 13):
-                writer.writerow([2001, month, 10.0 * month])
-        inflow = CsvInflow(str(path))
-        assert inflow.year(0).annual_total == pytest.approx(780.0)
-        np.testing.assert_array_equal(inflow.year(7).monthly_inflow,
-                                      inflow.year(0).monthly_inflow)
+            for year in (2002, 2001):       # rows need not come in year order
+                for month in range(1, 13):
+                    writer.writerow([year, month, 10.0 * month * (year - 2000)])
+        years = read_inflow_csv(str(path))
+        assert [y.annual_total for y in years] == pytest.approx([780.0, 1560.0])
+        series = river_series(short_config(horizon=7, inflow=InflowConfig(csv_path=str(path))))
+        np.testing.assert_array_equal(series[6].monthly_inflow, series[0].monthly_inflow)
+        np.testing.assert_array_equal(series[7].monthly_inflow, years[1].monthly_inflow)
 
     def test_csv_missing_month_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -207,7 +230,7 @@ class TestInflow:
             writer.writerow(["year", "month", "inflow"])
             writer.writerow([2001, 1, 5.0])
         with pytest.raises(ConfigurationError):
-            CsvInflow(str(path))
+            read_inflow_csv(str(path))
 
     @staticmethod
     def write_csv(path, header, rows):
@@ -231,14 +254,14 @@ class TestInflow:
         rows[3] = [2001, 4] if cell is None else [2001, 4, cell]
         path = self.write_csv(tmp_path / "inflow.csv", header, rows)
         with pytest.raises(ConfigurationError) as err:
-            CsvInflow(path)
+            read_inflow_csv(path)
         assert path in str(err.value)
 
     def test_csv_duplicate_month_rejected(self, tmp_path):
         rows = [[2000, month, 50.0] for month in range(1, 13)] + [[2000, 5, 999.0]]
         path = self.write_csv(tmp_path / "inflow.csv", ["year", "month", "inflow"], rows)
         with pytest.raises(ConfigurationError, match="line 14: repeats year 2000 month 5") as err:
-            CsvInflow(path)
+            read_inflow_csv(path)
         assert path in str(err.value)
 
     @pytest.mark.parametrize("month", [0, 13])
@@ -247,7 +270,7 @@ class TestInflow:
         path = self.write_csv(tmp_path / "inflow.csv", ["year", "month", "inflow"], rows)
         with pytest.raises(ConfigurationError,
                            match=f"line 13: month must be 1 to 12, got {month}") as err:
-            CsvInflow(path)
+            read_inflow_csv(path)
         assert path in str(err.value)
 
     def test_csv_missing_months_named(self, tmp_path):
@@ -255,8 +278,35 @@ class TestInflow:
         rows += [[2001, m, 5.0] for m in range(1, 13) if m not in (3, 11)]
         path = self.write_csv(tmp_path / "inflow.csv", ["year", "month", "inflow"], rows)
         with pytest.raises(ConfigurationError, match="year 2001 lacks months 3, 11") as err:
-            CsvInflow(path)
+            read_inflow_csv(path)
         assert path in str(err.value)
+
+    @staticmethod
+    def unreadable_csv(tmp_path, kind):
+        """A csv_path that exists but cannot be read: a directory, or a file
+        that is not UTF-8."""
+        if kind == "directory":
+            return str(tmp_path)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"year,month,inflow\n2001,1,5.0 \xb1 0.5\n")
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_csv_rejected_naming_the_file(self, tmp_path, kind):
+        path = self.unreadable_csv(tmp_path, kind)
+        with pytest.raises(ConfigurationError, match="^cannot read inflow CSV ") as err:
+            read_inflow_csv(path)
+        assert path in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_csv_gives_each_sweep_cell_an_error_row(self, tmp_path, kind):
+        path = self.unreadable_csv(tmp_path, kind)
+        rows = sweep(short_config(horizon=2, inflow=InflowConfig(csv_path=path)),
+                     seeds=[0, 1])
+        assert [row["seed"] for row in rows] == [0, 1]
+        for row in rows:
+            assert row["error"].startswith(f"ConfigurationError: cannot read inflow CSV {path}")
+            assert row["min_budget_final"] == ""
 
     def test_seasonal_overflow_rejected_by_river_year(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -570,6 +620,16 @@ class TestSweep:
         (row,) = sweep(base)
         assert row["error"] == ""
         assert row["fallback_events"] == every_decision
+
+    def test_request_log_in_missing_directory_gives_error_rows(self, tmp_path):
+        log_path = str(tmp_path / "absent" / "requests.jsonl")
+        base = short_config(pipeline="generative", horizon=2,
+                            gateway=GatewayConfig(backend="stub", log_path=log_path))
+        rows = sweep(base, seeds=[0, 1])
+        assert [row["seed"] for row in rows] == [0, 1]
+        for row in rows:
+            assert row["error"].startswith(
+                f"ConfigurationError: cannot open request log {log_path}")
 
     def test_missing_fixture_recorded_as_configuration_error(self, tmp_path):
         from rivercommons import GatewayConfig

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rivercommons import (ActionSituationModel, ASKind, AuthorityState,
-                          BehaviourProfile, ConfigurationError, Decision,
+from rivercommons import (ActionSituationModel, ASKind, ConfigurationError, Decision,
                           EcologyParams, FishPopulation, Gateway, GatewayConfig,
-                          InvalidGameError, SimulationError, WorldState,
+                          InvalidGameError, RunConfig, SimulationError, WorldState,
                           YearRecord, action_situations, build_irrigation_game, centralized_allocate,
                           enumerate_pure_ne, expert_egta_decide,
                           generative_decide, is_epsilon_ne,
@@ -99,23 +98,25 @@ class TestDefaultFishTarget:
         assert default_fish_target(5, 9, 0) == 0
 
 
+def authority_config(params, n_households=9, max_fields=10):
+    return RunConfig(pipeline="centralized", ecology=params, n_households=n_households,
+                     max_fields=max_fields, authority_window=20)
+
+
 class TestCentralizedAllocate:
     def test_equal_shares_with_remainder(self, params):
-        authority = AuthorityState(400.0, [540.0], 20)
-        allocation = centralized_allocate(authority, params, 9, 10)
+        allocation = centralized_allocate(400.0, [540.0], authority_config(params))
         assert allocation == [4] * 9  # 40 supportable, 4 unallocated
 
     def test_zero_budget(self, params):
-        authority = AuthorityState(0.0, [540.0], 20)
-        assert centralized_allocate(authority, params, 9, 10) == [0] * 9
+        assert centralized_allocate(0.0, [540.0], authority_config(params)) == [0] * 9
 
     def test_zero_prediction(self, params):
-        authority = AuthorityState(1000.0, [0.0], 20)
-        assert centralized_allocate(authority, params, 9, 10) == [0] * 9
+        assert centralized_allocate(1000.0, [0.0], authority_config(params)) == [0] * 9
 
     def test_max_fields_cap(self, params):
-        authority = AuthorityState(1e9, [1e6], 20)
-        assert centralized_allocate(authority, params, 2, max_fields=10) == [10, 10]
+        config = authority_config(params, n_households=2, max_fields=10)
+        assert centralized_allocate(1e9, [1e6], config) == [10, 10]
 
 
 class TestExpertEgtaDecide:
@@ -253,7 +254,7 @@ def unmatched_gateway(tmp_path):
     return Gateway(GatewayConfig(backend="stub", fixture_path=str(path)))
 
 
-PROFILE = BehaviourProfile("You are a farmer.")
+SYSTEM = "You are a farmer."
 ROLE_TEMPLATE = ("Water {predicted_water}, budget {budget}. "
                  "Reply with a field count.")
 
@@ -274,7 +275,7 @@ def fallback_decision():
 class TestGenerativeDecide:
     def test_integer_reply(self, tmp_path):
         gw = stub_gateway(tmp_path, ["7"])
-        decision, events = generative_decide(view(), PROFILE, gw,
+        decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5,
                                              fallback_decision)
         assert decision == Decision(7, 2)
@@ -282,7 +283,7 @@ class TestGenerativeDecide:
 
     def test_out_of_range_clamped(self, tmp_path):
         gw = stub_gateway(tmp_path, ["12"])
-        decision, events = generative_decide(view(), PROFILE, gw,
+        decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5,
                                              fallback_decision)
         assert decision.fields_planted == 10
@@ -290,7 +291,7 @@ class TestGenerativeDecide:
 
     def test_json_reply_with_fish(self, tmp_path):
         gw = stub_gateway(tmp_path, ['{"fields": 4, "fish": 3}'])
-        decision, events = generative_decide(view(), PROFILE, gw,
+        decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5,
                                              fallback_decision)
         assert decision == Decision(4, 3)
@@ -298,7 +299,7 @@ class TestGenerativeDecide:
     def test_prose_falls_back_after_retries(self, tmp_path):
         gw = stub_gateway(tmp_path, ["no numbers here, sorry"])
         replies = count_replies(gw)
-        decision, events = generative_decide(view(), PROFILE, gw,
+        decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5,
                                              fallback_decision)
         assert decision == fallback_decision()
@@ -307,7 +308,7 @@ class TestGenerativeDecide:
 
     def test_recovers_on_second_attempt(self, tmp_path):
         gw = stub_gateway(tmp_path, ["nothing usable", "5"])
-        decision, events = generative_decide(view(), PROFILE, gw,
+        decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5,
                                              fallback_decision)
         assert decision.fields_planted == 5
@@ -316,7 +317,7 @@ class TestGenerativeDecide:
     def test_non_integer_field_count_retried(self, tmp_path):
         gw = stub_gateway(tmp_path, ['{"fields": "many"}', "4"])
         replies = count_replies(gw)
-        decision, events = generative_decide(view(), PROFILE, gw,
+        decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5,
                                              fallback_decision)
         assert decision == Decision(4, 2)
@@ -325,7 +326,7 @@ class TestGenerativeDecide:
 
     def test_transport_error_falls_back(self, tmp_path):
         gw = unmatched_gateway(tmp_path)
-        decision, events = generative_decide(view(), PROFILE, gw,
+        decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5,
                                              fallback_decision)
         assert decision == fallback_decision()
@@ -391,27 +392,27 @@ class TestNaiveEgtaDecide:
     def test_low_maps_to_low_action(self, tmp_path):
         gw = stub_gateway(tmp_path, ["low", "3"])
         decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
+                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(2, 3)
         assert events == []
 
     def test_high_maps_to_max(self, tmp_path):
         gw = stub_gateway(tmp_path, ["high", "2"])
         decision, _ = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                        PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
+                                        SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision.fields_planted == 10
 
     def test_integer_reply_clamped(self, tmp_path):
         gw = stub_gateway(tmp_path, ["7", "9"])
         decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
+                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(7, 5)
         assert events == ["clamp"]
 
     def test_unusable_replies_fall_back(self, tmp_path):
         gw = stub_gateway(tmp_path, ["shrug"])
         decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
+                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == fallback_decision()
         assert "fallback" in events
 
@@ -420,14 +421,14 @@ class TestNaiveEgtaDecide:
         # situation then gets "3".
         gw = stub_gateway(tmp_path, ["shrug", "shrug", "shrug", "3"])
         decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
+                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(fallback_decision().fields_planted, 3)
         assert events == ["fallback"]
 
     def test_unusable_fishing_reply_falls_back_for_fish_only(self, tmp_path):
         gw = stub_gateway(tmp_path, ["high", "shrug", "shrug", "shrug"])
         decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
+                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(10, fallback_decision().fish_target)
         assert events == ["fallback"]
 
@@ -435,7 +436,7 @@ class TestNaiveEgtaDecide:
         gw = stub_gateway(tmp_path, ['{"action": NaN}', "3"])
         replies = count_replies(gw)
         decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
+                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == Decision(3, 3)
         assert events == []
         assert len(replies) == 4
@@ -443,6 +444,6 @@ class TestNaiveEgtaDecide:
     def test_transport_error_falls_back(self, tmp_path):
         gw = unmatched_gateway(tmp_path)
         decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             PROFILE, gw, AS_TEMPLATE, 2, fallback_decision)
+                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
         assert decision == fallback_decision()
         assert events == ["fallback"]
