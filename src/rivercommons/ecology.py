@@ -180,31 +180,38 @@ def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> Rout
     """
     if any(f < 0 for f in planted_fields):
         raise ConfigurationError("planted field counts must be non-negative")
-    n = len(planted_fields)
-    n_irr = len(IRRIGATION_MONTHS)
-    monthly_demand = [params.w * f / n_irr for f in planted_fields]
-    delivered = [0.0] * n
-    node_inflow = [0.0] * n
-    lake = []
-    for month, flow in enumerate(river.monthly_inflow.tolist(), start=1):
-        if month not in IRRIGATION_MONTHS:
-            node_inflow = [v + flow for v in node_inflow]
-        else:
-            for i, demand in enumerate(monthly_demand):
-                node_inflow[i] += flow
-                if demand > 0:
-                    take = flow if flow < demand else demand  # min(demand, flow)
-                    delivered[i] += take
-                    flow -= take
+    monthly_demand = [params.w * f / len(IRRIGATION_MONTHS) for f in planted_fields]
+    delivered = [0.0] * len(planted_fields)
+    months = river.monthly_inflow.tolist()
+    # IRRIGATION_MONTHS is one run of months, May to September. Before it
+    # every node sees the whole flow, so one sum, added in month order from
+    # 0.0, is each node's inflow so far; after it each node adds October,
+    # November and December in that order.
+    start, stop = min(IRRIGATION_MONTHS) - 1, max(IRRIGATION_MONTHS)
+    head = 0.0
+    for flow in months[:start]:
+        head += flow
+    node_inflow = [head] * len(planted_fields)
+    lake = months[:start]
+    for flow in months[start:stop]:
+        for i, demand in enumerate(monthly_demand):
+            node_inflow[i] += flow
+            if demand > 0:
+                take = flow if flow < demand else demand  # min(demand, flow)
+                delivered[i] += take
+                flow -= take
         lake.append(flow)
-    return RoutedWater(tuple(delivered), np.array(lake), tuple(node_inflow))
+    october, november, december = tail = months[stop:]
+    node_inflow = [v + october + november + december for v in node_inflow]
+    return RoutedWater(tuple(delivered), np.array(lake + tail), tuple(node_inflow))
 
 
 def _irrigated_count(planted: int, delivered: float, w: float) -> int:
     if planted <= 0:
         return 0
     # Small epsilon absorbs float dust from the monthly demand split.
-    return min(planted, int(math.floor(delivered / w + 1e-9)))
+    fields = math.floor(delivered / w + 1e-9)
+    return fields if fields < planted else planted  # min(planted, fields)
 
 
 def crop_outcome(planted: int, delivered: float, irrigated: int, stress_in: float,
@@ -218,18 +225,21 @@ def crop_outcome(planted: int, delivered: float, irrigated: int, stress_in: floa
     if planted < 0 or delivered < 0:
         raise ConfigurationError("planted and delivered must be non-negative")
     per_field = params.y0 if total_irrigated_in_reach <= params.S else params.ys
-    deficit = 0.0 if planted == 0 else max(0.0, 1.0 - delivered / (params.w * planted))
-    stress_out = min(1.0, max(0.0, stress_in + deficit - params.stress_recovery))
+    # The clamps pick what max(0.0, x) and min(1.0, x) pick, -0.0 and NaN included.
+    deficit = 0.0 if planted == 0 else 1.0 - delivered / (params.w * planted)
+    stress = stress_in + (deficit if deficit > 0.0 else 0.0) - params.stress_recovery
+    stress_out = stress if 0.0 < stress < 1.0 else (1.0 if stress >= 1.0 else 0.0)
     income = irrigated * per_field * (1.0 - stress_out)
     return income, stress_out
 
 
-def _adult_sum(adults) -> float:
-    """The sum of the 8 adult classes in the order numpy's pairwise
-    `sum` adds 8 contiguous floats, so it equals `FishPopulation.adult_total`
-    bit for bit."""
-    a0, a1, a2, a3, a4, a5, a6, a7 = adults
-    return ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+def _sum8(values) -> float:
+    """The sum of 8 floats as numpy's `sum` adds 8 contiguous ones: pairwise,
+    then onto 0.0. So `_sum8` of the adult classes equals
+    `FishPopulation.adult_total` bit for bit; numpy adds a 9th to 15th float
+    to this one by one, in order."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = values
+    return 0.0 + (((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)))
 
 
 def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
@@ -245,22 +255,24 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     """
     if any(t < 0 for t in harvest_targets):
         raise ConfigurationError("harvest targets must be non-negative")
-    lake = np.asarray(lake_inflow_by_month, dtype=float)
+    lake = np.asarray(lake_inflow_by_month, dtype=float).tolist()
+    if len(lake) != 12:
+        raise ConfigurationError(f"lake inflow must have 12 months, got {len(lake)}")
     classes = pop.classes.tolist()
     adults = classes[ADULT]
     catches = [0.0] * len(harvest_targets)
     # The adult stock, summed as numpy sums it (the pairwise order of
-    # `_adult_sum` fixes the rounding, and with it every golden digest) and
+    # `_sum8` fixes the rounding, and with it every golden digest) and
     # summed again only after a harvest has changed the classes. After the
     # loop it is the post-harvest stock that spawns the larvae.
-    remaining = _adult_sum(adults)
+    remaining = _sum8(adults)
     for i in household_order:
         take = min(float(harvest_targets[i]), remaining)
         catches[i] = take
         if take > 0:
             f = 1.0 - take / remaining
             adults = [a * f for a in adults]
-            remaining = _adult_sum(adults)
+            remaining = _sum8(adults)
 
     old = classes[:ADULT.start] + adults
     new = [0.0] * N_FISH_CLASSES
@@ -270,7 +282,7 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     for k in range(5, 12):  # adults: constant survival, class 12 exits
         new[k + 1] = params.sigma_adult * old[k]
 
-    annual_lake = float(lake.sum())
+    annual_lake = _sum8(lake[:8]) + lake[8] + lake[9] + lake[10] + lake[11]
     scale = min(1.0, annual_lake / params.Q_ref)
     new[LARVA] = params.fecundity * remaining * scale
     if lake[MIGRATION_MONTH - 1] >= params.Q_min:
@@ -310,18 +322,17 @@ def advance_year(state: WorldState, river: RiverYear, decisions, params: Ecology
         [d.fish_target for d in decisions], downstream_first, params)
 
     year = state.year + 1
+    price, c, kappa = params.fish_price, params.c, params.kappa
     records = []
     for h, p, delivered, irr, node_inflow, catch in zip(
             state.households, planted, routed.delivered, irrigated, routed.node_inflow,
             catches):
         income, stress_out = crop_outcome(
             p, delivered, irr, h.stress, total_irrigated, params)
-        fish_income = params.fish_price * catch
-        budget = h.budget + income + fish_income - params.c * irr - params.kappa
+        fish_income = price * catch
         records.append(YearRecord(
-            year=year, household=h.household, planted=p, irrigated=irr,
-            delivered=delivered, node_inflow=node_inflow, stress=stress_out,
-            crop_income=income, catch=catch, fish_income=fish_income, budget=budget,
-            activity=classify_activity(irr, catch)))
+            year, h.household, p, irr, delivered, node_inflow, stress_out, income, catch,
+            fish_income, h.budget + income + fish_income - c * irr - kappa,
+            classify_activity(irr, catch)))
 
     return WorldState(households=tuple(records), fish=fish2, year=year), records

@@ -44,14 +44,6 @@ def _fmt(value):
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _record_cells(r: YearRecord) -> tuple:
-    """One records.csv row: the int columns as they are, repr of each float
-    and the activity's value."""
-    return (r.year, r.household, r.planted, r.irrigated, repr(r.delivered),
-            repr(r.node_inflow), repr(r.stress), repr(r.crop_income), repr(r.catch),
-            repr(r.fish_income), repr(r.budget), r.activity.value)
-
-
 def write_rows(fh, rows, columns):
     """CSV header plus one line per row mapping; missing cells are blank."""
     writer = csv.writer(fh)
@@ -106,11 +98,12 @@ def budgets_svg(records) -> str:
     zero_y = sy(0.0)
     parts.append(f'<line x1="{x0}" y1="{zero_y:.1f}" x2="{x1}" y2="{zero_y:.1f}" '
                  'stroke="#cccccc" stroke-dasharray="4 3"/>')
+    xs = {year: f"{sx(year):.1f}" for year in years}  # each year's x, formatted once
     n = len(by_household)
     for idx, (household, points) in enumerate(sorted(by_household.items())):
         hue = int(210 * idx / max(n - 1, 1))
         points.sort()
-        pts = " ".join(f"{sx(y):.1f},{sy(b):.1f}" for y, b in points)
+        pts = " ".join(f"{xs[y]},{sy(b):.1f}" for y, b in points)
         parts.append(f'<polyline fill="none" stroke="hsl({hue},70%,45%)" '
                      f'stroke-width="1.5" points="{pts}"/>')
         parts.append(f'<text x="{x1 + 4}" y="{sy(points[-1][1]):.1f}" '
@@ -173,7 +166,9 @@ def emit_outputs(artifacts, out_dir: str) -> dict:
         with open(paths["records"], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(YearRecord._fields)
-            writer.writerows(map(_record_cells, artifacts.records))
+            # csv writes a float (numpy's too) as float.__repr__ and the
+            # str-enum activity as its value.
+            writer.writerows(artifacts.records)
         cell = {name: getattr(artifacts.config, name) for name in GRID_FIELDS}
         paths["summary"] = os.path.join(out_dir, "summary.csv")
         write_summary_csv([summary_row(cell, artifacts)], paths["summary"])

@@ -6,15 +6,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .config import RunConfig
 from .ecology import Decision, EcologyParams, WorldState, YearRecord
 from .equilibrium import solve_symmetric_cpr
 from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
                      SimulationError, TransportError, finite_real)
-from .games import (ASKind, IrrigationGameSpec, _field_limits, build_cpr_fishing_game,
-                    fishing_income, solve_irrigation_game)
+from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game, fishing_income,
+                    solve_irrigation_game)
 from .gateway import Gateway, extract_structured, render_prompt
 
 
@@ -95,6 +93,17 @@ def solve_fishing_game(state: WorldState, params: EcologyParams, e_max: int,
     return solved[key]
 
 
+def _field_cap(fields: float, max_fields: int) -> float:
+    """np.clip(np.floor(fields + 1e-9), 0, max_fields), the clipped cap of
+    `games._field_limits`, on a Python float. Floor commutes with a clip to
+    whole bounds, so only a count inside them is floored, and ±inf (a budget
+    or inflow over a tiny c or w) gives a bound where math.floor would raise."""
+    fields += 1e-9
+    if 0.0 <= fields < max_fields:
+        return float(math.floor(fields))
+    return 0.0 if fields < 0.0 else float(max_fields)
+
+
 def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rng,
                        solved: dict) -> list:
     """Expert-guided pipeline: one irrigation game per consecutive pair, set
@@ -125,13 +134,14 @@ def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rng
         if not finite_real(getattr(h, name)):
             raise ConfigurationError(f"household {h.household} {name} must be a finite "
                                      f"number, got {getattr(h, name)!r}")
-    budgets = np.array([h.budget for h in hs], dtype=float)
-    lim_u, lim_d, water = _field_limits(budgets[:-1], budgets[1:], np.array(
-        [h.node_inflow for h in hs[:-1]], dtype=float), params.c, params.w)
-    keys = list(zip(np.clip(lim_u, 0, max_fields).tolist(),
-                    np.clip(lim_d, 0, max_fields).tolist(),
-                    np.minimum(water, 2 * max_fields + 1).tolist(),
-                    [fish_income] * (n - 1)))
+    c, w, top = params.c, params.w, float(2 * max_fields + 1)
+    keys = []
+    for up, down in zip(hs, hs[1:]):
+        water = float(up.node_inflow) / w
+        b_u = float(up.budget) / c
+        keys.append((_field_cap(b_u if b_u < water else water, max_fields),
+                     _field_cap(float(down.budget) / c, max_fields),
+                     water if water < top else top, fish_income))
     decisions = []
     for i, role in enumerate(upstream):
         pair = i if role else i - 1

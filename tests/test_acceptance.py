@@ -64,10 +64,12 @@ class TestAcceptance:
         from rivercommons import ecology
 
         violations = []
+        calls = {"route": 0, "step": 0}
         original_route = ecology.route_river
         original_step = ecology.step_fish
 
         def checked_route(river, planted, params):
+            calls["route"] += 1
             routed = original_route(river, planted, params)
             n_irr = len(ecology.IRRIGATION_MONTHS)
             demands = [params.w * f / n_irr for f in planted]
@@ -86,6 +88,7 @@ class TestAcceptance:
             return routed
 
         def checked_step(pop, lake, targets, order, params):
+            calls["step"] += 1
             pre_adults = float(pop.classes[ADULT].sum())
             pop2, catches = original_step(pop, lake, targets, order, params)
             if sum(catches) > pre_adults + 1e-9:
@@ -99,8 +102,9 @@ class TestAcceptance:
         for tau in (0.0, 0.25):
             run_simulation(RunConfig(pipeline="expert-egta", tau=tau, seed=5))
         report("criterion 4: monthly water conservation within 1e-9, fish "
-               "classes non-negative, catches bounded by adult stock",
-               violations == [])
+               "classes non-negative, catches bounded by adult stock, "
+               "checked in each of the 200 years",
+               violations == [] and calls == {"route": 200, "step": 200})
 
     def test_5_qualitative_pattern_on_shipped_defaults(self):
         report_dict = calibrate_check(RunConfig(pipeline="expert-egta",

@@ -246,6 +246,20 @@ class TestStepFish:
         assert catches[1] == 5.0
         assert catches[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("targets", [[-1.0], (0.0, -1e-9), [math.nan, -1.0],
+                                         np.array([3, -2])])
+    def test_negative_target_is_rejected(self, params, targets):
+        # A NaN before a negative target does not hide it.
+        with pytest.raises(ConfigurationError, match="harvest targets must be non-negative"):
+            step_fish(FishPopulation(np.full(N_FISH_CLASSES, 100.0)), np.zeros(12), targets,
+                      list(range(len(targets) - 1, -1, -1)), params)
+
+    @pytest.mark.parametrize("months", [11, 13])
+    def test_lake_of_other_than_12_months_is_rejected(self, params, months):
+        with pytest.raises(ConfigurationError, match=f"12 months, got {months}"):
+            step_fish(FishPopulation(np.full(N_FISH_CLASSES, 100.0)), np.zeros(months), [1.0],
+                      [0], params)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_harvest_bound_and_nonnegativity(self, seed):

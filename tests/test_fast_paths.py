@@ -3,7 +3,8 @@ and the output writers pinned to a slow reference.
 
 The references are the original per-cell and per-step loops, the original
 Fraction-arithmetic Lemke-Howson, the expert year that solves every pair game
-before it draws the roles, the numpy-scalar river routing and fishery step,
+before it draws the roles, the numpy pass that keyed its pair games, the
+numpy-scalar river routing and fishery step, the min/max crop-stress clamps,
 the per-cell records.csv and budget-chart writers, and the regex prompt
 renderer on a household view built whole each year, kept here so that any
 change to the fast paths must reproduce them exactly.
@@ -26,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationError,
-                          CprSolution, Decision, EcologyParams, FishPopulation,
+                          CprSolution, crop_outcome, Decision, EcologyParams, FishPopulation,
                           GatewayConfig, InvalidGameError,
                           IrrigationGameSpec, MixedProfile, RiverYear,
                           TemplateError, YearRecord, build_cpr_fishing_game,
@@ -239,6 +240,20 @@ def reference_pair_key(spec):
     return min(max(lim_u, 0.0), k), min(max(lim_d, 0.0), k), min(water, 2 * k + 1)
 
 
+def reference_numpy_year_keys(world, params, max_fields, fish_income):
+    """Every pair's key from one numpy pass over the year: `_field_limits` on
+    arrays, then np.clip and np.minimum."""
+    hs = world.households
+    budgets = np.array([h.budget for h in hs], dtype=float)
+    with np.errstate(over="ignore"):
+        lim_u, lim_d, water = _field_limits(budgets[:-1], budgets[1:], np.array(
+            [h.node_inflow for h in hs[:-1]], dtype=float), params.c, params.w)
+    return list(zip(np.clip(lim_u, 0, max_fields).tolist(),
+                    np.clip(lim_d, 0, max_fields).tolist(),
+                    np.minimum(water, 2 * max_fields + 1).tolist(),
+                    [fish_income] * (len(hs) - 1)))
+
+
 def played_pairs(n, roles):
     """The pair each household plays, drawn from `roles`, a generator in the
     state of the one `expert_egta_decide` is given."""
@@ -286,6 +301,24 @@ def key_boundary_years(draw, run=None):
         k, c, w = run[2], run[1].c, run[1].w
     budget, inflow = _key_boundaries(k, c, w)
     n = draw(st.integers(2, 9)) if run is None else run[0].n_households
+    households = [(draw(budget), draw(inflow)) for _ in range(n)]
+    return _world(households, draw(st.sampled_from([0.0, 1000.0]))), EcologyParams(c=c, w=w), k
+
+
+@st.composite
+def extreme_key_years(draw):
+    """(world, params, max_fields): an expert year whose budgets are negative,
+    zero, ordinary or so large that budget / c overflows to ±inf at a c of
+    1e-300, and whose inflows are zero, ordinary or overflow T / w."""
+    k = draw(st.integers(0, 12))
+    c = draw(st.sampled_from([10.0, 0.3, 1e-300]))
+    w = draw(st.sampled_from([10.0, 0.7, 1e-300]))
+    budget = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                                        1.7976931348623157e308]),
+                       _floats(-1e6, 1e6), st.integers(-3, k + 3).map(lambda n: n * c))
+    inflow = st.one_of(st.sampled_from([0.0, 1e300, 1.7976931348623157e308]),
+                       _floats(0.0, 1e6), st.integers(0, 3 * k + 5).map(lambda n: n * w))
+    n = draw(st.integers(2, 9))
     households = [(draw(budget), draw(inflow)) for _ in range(n)]
     return _world(households, draw(st.sampled_from([0.0, 1000.0]))), EcologyParams(c=c, w=w), k
 
@@ -371,6 +404,26 @@ class TestPairGameKey:
         for households, solves in [(shared, 1)] + [(split, 2) for split in splits]:
             solved = decide_counting_solves(_world(households), 0.25, EcologyParams(), 10, 0)
             assert len(solved) == solves, households
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(extreme_key_years(), key_boundary_years()), st.integers(0, 2 ** 32 - 1))
+    @example((_world([(1e300, 1e300), (-1e300, 0.0), (0.0, 0.0)]),
+              EcologyParams(c=1e-300, w=1e-300), 10), 0)
+    @example((_world([(-5.0, 0.0), (0.0, 0.0), (1e300, 60.0)]), EcologyParams(c=1e-300), 0), 3)
+    def test_year_keys_equal_numpy_key_pass(self, year, seed):
+        """The plain-float key pass gives each played pair the float key the
+        numpy pass over the year gives it, bit for bit; overflowing budgets
+        and inflows give the clipped bounds."""
+        world, params, k = year
+        fish_income = solve_fishing_game(world, params, 5, 1.0, {})[1]
+        keys = reference_numpy_year_keys(world, params, k, fish_income)
+        played = played_pairs(world.n_households, np.random.default_rng(seed))
+        solved = {}
+        expert_egta_decide(world, expert_config(0.25, params, k), (0, fish_income),
+                           np.random.default_rng(seed), solved)
+        expected = list(dict.fromkeys(keys[pair] for pair in played))
+        assert [_bits(key) for key in solved] == [_bits(key) for key in expected]
+        assert {type(v) for key in solved for v in key[:3]} == {float}
 
 
 # -- the expert year's pair solves -----------------------------------------------
@@ -1001,6 +1054,15 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def reference_crop_outcome(planted, delivered, irrigated, stress_in, total_irrigated_in_reach,
+                           params):
+    """The clamps as nested max and min calls."""
+    per_field = params.y0 if total_irrigated_in_reach <= params.S else params.ys
+    deficit = 0.0 if planted == 0 else max(0.0, 1.0 - delivered / (params.w * planted))
+    stress_out = min(1.0, max(0.0, stress_in + deficit - params.stress_recovery))
+    return irrigated * per_field * (1.0 - stress_out), stress_out
+
+
 # Zeros, whole numbers and arbitrary floats, so empty months and exact
 # withdrawals occur as well as rounding.
 _volumes = st.one_of(st.just(0.0), st.integers(0, 400).map(float), _floats(0.0, 1e4))
@@ -1046,7 +1108,58 @@ def wide_fishery_cases(draw):
             list(range(n - 1, -1, -1)), params)
 
 
+@st.composite
+def wide_lake_fishery_cases(draw):
+    """`fishery_cases` with lake months that are 0, anywhere from 1e-300 to
+    1e12, or of one magnitude in that range, where the order of the adds
+    sets the rounding, and a Q_ref of 1 to 8 times their numpy sum, so that
+    the larvae carry the bits of the annual lake total."""
+    pop, _, targets, order, params = draw(fishery_cases())
+    band = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e12]))
+    month = st.one_of(st.just(0.0), _floats(1e-300, 1e12),
+                      _floats(0.0, 1.0).map(lambda v: v * band))
+    lake = np.array(draw(st.lists(month, min_size=12, max_size=12)))
+    q_ref = max(float(lake.sum()) * draw(st.one_of(st.just(1.0), _floats(1.0, 8.0))), 1e-300)
+    return pop, lake, targets, order, replace(params, Q_ref=q_ref)
+
+
+_stresses = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.25, 0.75, 1.25, -0.5, math.nan,
+                                       math.inf, -math.inf]), _floats(-2.0, 2.0))
+
+
 class TestYearStep:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 12), st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf]),
+                                        _floats(0.0, 200.0)),
+           st.integers(0, 12), _stresses, st.integers(0, 100),
+           st.one_of(st.sampled_from([0.0, 0.25, 1.0]), _floats(0.0, 1.0)),
+           st.sampled_from([10.0, 0.7]))
+    @example(4, 40.0, 4, 1.0, 0, 0.0, 10.0)      # stress exactly 1.0
+    @example(4, 40.0, 4, 0.25, 0, 0.25, 10.0)    # stress exactly 0.0
+    @example(4, 20.0, 2, 0.5, 0, 0.0, 10.0)      # deficit 0.5 lifts stress to 1.0
+    @example(0, 0.0, 0, -0.0, 0, 0.0, 10.0)
+    @example(3, math.nan, 0, 0.5, 0, 0.25, 10.0)
+    @example(3, 0.0, 0, math.nan, 0, 0.25, 10.0)
+    def test_crop_outcome_equals_min_max_reference(self, planted, delivered, irrigated,
+                                                   stress_in, total, recovery, w):
+        params = EcologyParams(w=w, stress_recovery=recovery)
+        got = crop_outcome(planted, delivered, irrigated, stress_in, total, params)
+        expected = reference_crop_outcome(planted, delivered, irrigated, stress_in, total,
+                                          params)
+        assert _bits(got) == _bits(expected)
+        assert {type(v) for v in got} == {float}
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_lake_fishery_cases())
+    @example((FishPopulation(np.full(N_FISH_CLASSES, -0.0)), np.full(12, -0.0), [0, 3],
+              [1, 0], EcologyParams()))
+    def test_step_fish_wide_lake_equals_reference(self, case):
+        pop, lake, targets, order, params = case
+        fish, catches = step_fish(pop, lake, targets, order, params)
+        classes, ref_catches = reference_step_fish(pop, lake, targets, order, params)
+        assert fish.classes.tobytes() == classes.tobytes()
+        assert _bits(catches) == _bits(ref_catches)
+
     @settings(max_examples=200, deadline=None)
     @given(routing_cases())
     def test_route_river_equals_reference(self, case):
@@ -1174,6 +1287,8 @@ class TestOutputWriters:
     @given(record_lists)
     @example([YearRecord(1, 1, 3, 2, 0.1 + 0.2, 1e-310, -0.0, 1e22, 5e-324, 0.0,
                          -123.456, ActivityClass.BOTH)])
+    @example([YearRecord(1, 2, 3, 2, np.float64(1.5), 0.25, np.float64(-0.0), 1e22, 0.0,
+                         np.float64(0.1) + 0.2, np.float64(-123.456), ActivityClass.NONE)])
     def test_records_csv_and_budget_chart_equal_reference(self, records):
         artifacts = RunArtifacts(config=short_config(), records=records)
         with tempfile.TemporaryDirectory() as out:
