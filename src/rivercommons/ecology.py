@@ -41,6 +41,16 @@ class FishPopulation:
             raise ConfigurationError("fish abundances must be non-negative")
         object.__setattr__(self, "classes", c)
 
+    @classmethod
+    def _clipped(cls, values):
+        """The population of 13 floats clipped at 0 as `np.maximum(values, 0.0)`
+        clips them: a negative value or -0.0 becomes 0.0 and a NaN stays as it
+        is. The result passes the checks by construction, so they are not run."""
+        pop = object.__new__(cls)
+        object.__setattr__(pop, "classes", np.array(
+            [v if v > 0.0 or v != v else 0.0 for v in values]))
+        return pop
+
     @property
     def adult_total(self) -> float:
         return float(self.classes[ADULT].sum())
@@ -144,7 +154,8 @@ class Decision:
     fish_target: int
 
     def __post_init__(self):
-        if self.fields_planted < 0 or self.fish_target < 0:
+        # Written so that a NaN component fails it too.
+        if not (self.fields_planted >= 0 and self.fish_target >= 0):
             raise ConfigurationError("decision components must be non-negative")
 
 
@@ -287,7 +298,7 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     new[LARVA] = params.fecundity * remaining * scale
     if lake[MIGRATION_MONTH - 1] >= params.Q_min:
         new[LARVA] += params.M_mig
-    return FishPopulation(np.maximum(new, 0.0)), tuple(catches)
+    return FishPopulation._clipped(new), tuple(catches)
 
 
 def classify_activity(irrigated: int, catch: float) -> ActivityClass:

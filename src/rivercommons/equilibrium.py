@@ -7,7 +7,9 @@ returned profile is exact up to the final float conversion. The arithmetic is
 integer pivoting (von Stengel, "Computing equilibria for two-person games",
 Handbook of Game Theory vol. 3, 2002, section 2.6): the float payoffs are
 scaled to integers once, and each pivot keeps the tableau in Python ints over
-a common positive denominator, with no gcd per entry.
+a common positive denominator, with no gcd per entry. The tableau is compact:
+it stores only the nonbasic columns and the rhs, and a pivot exchanges the
+entering column for the leaving label's (`_Tableau`).
 """
 from __future__ import annotations
 
@@ -70,68 +72,88 @@ class MixedProfile:
 
 
 class _Tableau:
-    """One of the two Lemke-Howson tableaux, pivoted in exact integers.
+    """One of the two Lemke-Howson tableaux, compact and in exact integers.
 
-    Rows are [coeff_0 .. coeff_{m+n-1} | rhs] as Python ints; `basis[i]` is
-    the label of the variable currently basic in row i. The rational tableau
-    is `rows / det`: `det` is the previous pivot element (1 at the start) and
-    always positive, and every basic column holds `det` in its own row and 0
-    elsewhere. A pivot keeps that invariant without fractions: the pivot row
-    stays as it is and every other row, including one whose entering
-    coefficient f is 0, becomes `(a*p - f*b) // det`, a division that is
-    exact (von Stengel 2002, section 2.6).
+    The rational tableau is `full / det`, where `det` is the previous pivot
+    element (1 at the start) and always positive. Its basic columns are
+    `det` in their own row and 0 elsewhere, so they are not stored: each row
+    holds only the nonbasic columns and the rhs, as Python ints. `basis[i]` is
+    the label basic in row i, and `column[label]` is the stored column of a
+    nonbasic label, or -1 for a basic one.
 
-    The ratio test compares the full row (rhs first) lexicographically, which
-    both breaks ties deterministically and guarantees termination on
+    A pivot on entering column j, pivot row i and pivot element p keeps that
+    form without fractions (von Stengel 2002, section 2.6):
+    - every other row becomes `(a*p - f*b) // det` over the stored columns,
+      where f is its entry in column j; the division is exact;
+    - column j then holds the leaving label, which was basic in row i: `-f`
+      in each other row and the old `det` in row i;
+    - the new `det` is p.
+
+    The ratio test compares the full rows (rhs first) lexicographically,
+    which both breaks ties deterministically and guarantees termination on
     degenerate games. Since `det` is positive it compares the integer rows,
-    by cross-multiplication, and walks the coefficients only on a tie. The
-    payoff columns are the player's payoffs scaled by one positive constant
-    (`_integer_payoffs`). A positive column scaling multiplies each component
-    of the ratio tuple by a positive factor that is the same for every
-    candidate row, so the pivot sequence is the one the unscaled rational
-    tableau takes.
+    by cross-multiplication, and walks the labels in order only on a tie. A
+    basic label's entry is `det` in the row that holds it and 0 in the other,
+    so that row loses the tie. The payoff columns are the player's payoffs
+    scaled by one positive constant (`_integer_payoffs`). A positive column
+    scaling multiplies each component of the ratio tuple by a positive factor
+    that is the same for every candidate row, so the pivot sequence is the
+    one the unscaled rational tableau takes.
     """
 
-    def __init__(self, rows, basis):
+    def __init__(self, rows, basis, column):
         self.rows = rows
         self.basis = basis
+        self.column = column
         self.det = 1
 
     def pivot(self, entering):
         rows = self.rows
+        j = self.column[entering]
         i = best = p = None
         for k, r in enumerate(rows):
-            q = r[entering]
-            if q > 0 and (best is None or _lex_below(r, q, best, p)):
+            q = r[j]
+            if q > 0 and (best is None or self._lex_below(r, k, q, best, i, p)):
                 i, best, p = k, r, q
         if best is None:
             raise InvalidGameError("unbounded pivot ray (non-positive column)")
         det = self.det
         for k, r in enumerate(rows):
             if k != i:
-                f = r[entering]
-                rows[k] = [(a * p - f * b) // det for a, b in zip(r, best)]
+                f = r[j]
+                r = [(a * p - f * b) // det for a, b in zip(r, best)]
+                r[j] = -f
+                rows[k] = r
+        best[j] = det
         self.det = p
         leaving = self.basis[i]
         self.basis[i] = entering
+        self.column[leaving] = j
+        self.column[entering] = -1
         return leaving
 
-
-def _lex_below(r, p, s, q):
-    """True iff r / p precedes s / q lexicographically, rhs first (p, q > 0)."""
-    u, v = r[-1] * q, s[-1] * p
-    if u != v:
-        return u < v
-    for a, b in zip(r, s):
-        u, v = a * q, b * p
+    def _lex_below(self, r, k, p, s, h, q):
+        """True iff row r (index k) over p precedes row s (index h) over q
+        lexicographically, rhs first (p, q > 0)."""
+        u, v = r[-1] * q, s[-1] * p
         if u != v:
             return u < v
-    return False
+        basis = self.basis
+        for label, c in enumerate(self.column):
+            if c >= 0:
+                u, v = r[c] * q, s[c] * p
+                if u != v:
+                    return u < v
+            elif basis[k] == label:
+                return False
+            elif basis[h] == label:
+                return True
+        return False
 
 
 def _integer_payoffs(matrix, offset):
     """`matrix + offset` times one power of two, as nested lists of ints.
-    `offset` is an (n, d) ratio.
+    `matrix` is nested lists of floats and `offset` an (n, d) ratio.
 
     Every finite float is n / 2**e, so the largest denominator among the
     entries and the offset is a common one, and it is the scale. Each matrix
@@ -139,7 +161,7 @@ def _integer_payoffs(matrix, offset):
     it leaves the pivot sequence unchanged and multiplies that player's
     unnormalised strategy by a constant, which the normalisation removes.
     """
-    ratios = [[v.as_integer_ratio() for v in row] for row in matrix.tolist()]
+    ratios = [[v.as_integer_ratio() for v in row] for row in matrix]
     on, od = offset
     scale = max([od] + [d for row in ratios for _, d in row])
     shift = on * (scale // od)
@@ -152,14 +174,14 @@ def lemke_howson(game: BimatrixGame, initial_label: int = 0) -> MixedProfile:
     Labels 0..m-1 are row strategies, m..m+n-1 column strategies. The walk
     starts by dropping `initial_label` from the artificial equilibrium.
     """
-    a = game.row_payoffs
-    b = game.col_payoffs
-    m, n = a.shape
+    m, n = game.shape
     if not 0 <= initial_label < m + n:
         raise InvalidGameError(f"initial label {initial_label} out of range for {m}x{n} game")
+    a = game.row_payoffs.tolist()
+    b = game.col_payoffs.tolist()
 
     # Positive payoffs keep both polytopes bounded.
-    low = float(min(a.min(), b.min()))
+    low = min(min(map(min, a)), min(map(min, b)))
     offset = (0, 1)
     if low <= 0:
         ln, ld = low.as_integer_ratio()
@@ -167,17 +189,18 @@ def lemke_howson(game: BimatrixGame, initial_label: int = 0) -> MixedProfile:
     ai = _integer_payoffs(a, offset)
     bi = _integer_payoffs(b, offset)
 
-    # Row-player polytope: B^T x + s = 1 (n rows; slacks carry column labels).
+    # Row-player polytope: B^T x + s = 1 (n rows; slacks carry column labels,
+    # the x columns 0..m-1 are stored).
     tx = _Tableau(
-        rows=[[bi[i][j] for i in range(m)]
-              + [1 if k == j else 0 for k in range(n)] + [1]
-              for j in range(n)],
-        basis=[m + j for j in range(n)])
-    # Column-player polytope: A y + r = 1 (m rows; slacks carry row labels).
+        rows=[[*column, 1] for column in zip(*bi)],
+        basis=list(range(m, m + n)),
+        column=list(range(m)) + [-1] * n)
+    # Column-player polytope: A y + r = 1 (m rows; slacks carry row labels,
+    # the y columns m..m+n-1 are stored).
     ty = _Tableau(
-        rows=[[1 if k == i else 0 for k in range(m)] + ai[i] + [1]
-              for i in range(m)],
-        basis=list(range(m)))
+        rows=[[*row, 1] for row in ai],
+        basis=list(range(m)),
+        column=[-1] * m + list(range(n)))
 
     entering = initial_label
     tab = tx if initial_label < m else ty

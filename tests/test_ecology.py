@@ -48,6 +48,11 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             FishPopulation(np.full(N_FISH_CLASSES, -1.0))
 
+    @pytest.mark.parametrize("fields, fish", [(math.nan, 1), (1, math.nan), (-1, 0), (0, -1)])
+    def test_decision_rejects_negative_or_nan_component(self, fields, fish):
+        with pytest.raises(ConfigurationError, match="decision components must be non-negative"):
+            Decision(fields, fish)
+
     def test_river_year_validation(self):
         with pytest.raises(ConfigurationError):
             RiverYear(np.zeros(11))

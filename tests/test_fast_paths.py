@@ -840,6 +840,28 @@ def bimatrix_games(draw):
     return BimatrixGame(np.reshape(draw(cells), shape), np.reshape(draw(cells), shape))
 
 
+@st.composite
+def wide_degenerate_games(draw):
+    """Square games of 6 to 9 actions with entries in {0, 1, 2}: ties in the
+    ratio test reach the basic labels, whose columns the tableau keeps only
+    implicitly."""
+    k = draw(st.integers(6, 9))
+    cells = st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=k * k, max_size=k * k)
+    return BimatrixGame(np.reshape(draw(cells), (k, k)), np.reshape(draw(cells), (k, k)))
+
+
+# Pair games with no pure equilibrium, each with a single mixed equilibrium,
+# which Lemke-Howson reaches from every initial label.
+NO_PURE_EQUILIBRIUM = [
+    (IrrigationGameSpec(B_u=3.0, B_d=2.0, c=1.0, T=20.0, w=5.0, y0=11.0, ys=9.0, S=3.0,
+                        kappa=0.0, tau=1.0, F_u=0.0, F_d=0.0, max_fields=3),
+     [0.0, 0.0, 6 / 7, 1 / 7], [0.0, 1 / 3, 2 / 3, 0.0]),
+    (IrrigationGameSpec(B_u=4.0, B_d=2.0, c=1.0, T=50.0, w=10.0, y0=14.0, ys=12.0, S=4.0,
+                        kappa=0.0, tau=1.0, F_u=0.0, F_d=0.0, max_fields=4),
+     [0.0, 0.0, 0.0, 7 / 10, 3 / 10], [0.0, 2 / 5, 3 / 5, 0.0, 0.0]),
+]
+
+
 class TestLemkeHowson:
     @settings(max_examples=400, deadline=None)
     @given(bimatrix_games())
@@ -852,8 +874,25 @@ class TestLemkeHowson:
 
     @settings(max_examples=12, deadline=None)
     @given(irrigation_specs().map(lambda spec: replace(spec, max_fields=10)))
+    @example(NO_PURE_EQUILIBRIUM[0][0])
+    @example(NO_PURE_EQUILIBRIUM[1][0])
     def test_irrigation_games_equal_fraction_reference(self, spec):
         assert_same_as_reference(build_irrigation_game(spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_degenerate_games())
+    def test_wide_degenerate_games_equal_fraction_reference(self, game):
+        assert_same_as_reference(game)
+
+    @pytest.mark.parametrize("spec, row, col", NO_PURE_EQUILIBRIUM)
+    def test_no_pure_equilibrium_games_reach_their_mixed_equilibrium(self, spec, row, col):
+        game = build_irrigation_game(spec)
+        assert enumerate_pure_ne(game) == frozenset()
+        for label in range(sum(game.shape)):
+            profile = lemke_howson(game, label)
+            assert profile.row_dist.tolist() == row, label
+            assert profile.col_dist.tolist() == col, label
+            assert is_epsilon_ne(game, profile, 1e-9), label
 
 
 # -- symmetric CPR solve -----------------------------------------------------------
@@ -1199,6 +1238,20 @@ class TestYearStep:
         assert fish.classes.tobytes() == classes.tobytes()
         assert _bits(catches) == _bits(ref_catches)
         assert {type(c) for c in catches} == {float}
+
+    def test_step_fish_clips_edge_values_as_numpy_maximum(self):
+        # An infinite class makes a NaN juvenile, -0.0 classes age into -0.0
+        # and a negative lake makes negative larvae: np.maximum keeps the NaN
+        # and turns the other two into 0.0.
+        classes = np.array([math.inf, -0.0, 3.0, math.nan, 0.0, -0.0, 2.0] + [1.0] * 6)
+        pop, lake = FishPopulation(classes), np.full(12, -10.0)
+        fish, _ = step_fish(pop, lake, [0.0], [0], EcologyParams())
+        with np.errstate(invalid="ignore"):   # inf / inf on numpy scalars
+            expected, _ = reference_step_fish(pop, lake, [0.0], [0], EcologyParams())
+        assert fish.classes.tobytes() == expected.tobytes()
+        assert fish.classes.dtype == expected.dtype
+        assert math.isnan(fish.classes[1]) and math.isnan(fish.classes[4])
+        assert _bits(fish.classes[[0, 2, 6]]) == _bits([0.0, 0.0, 0.0])
 
     def test_capped_harvest_returns_python_floats(self):
         # The adult stock caps the second household's target.
