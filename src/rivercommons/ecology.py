@@ -37,6 +37,8 @@ class FishPopulation:
         c = np.asarray(self.classes, dtype=float)
         if c.shape != (N_FISH_CLASSES,):
             raise ConfigurationError(f"expected {N_FISH_CLASSES} age classes, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ConfigurationError(f"fish abundances must be finite, got {c.tolist()}")
         if (c < 0).any():
             raise ConfigurationError("fish abundances must be non-negative")
         object.__setattr__(self, "classes", c)
@@ -45,7 +47,9 @@ class FishPopulation:
     def _clipped(cls, values):
         """The population of 13 floats clipped at 0 as `np.maximum(values, 0.0)`
         clips them: a negative value or -0.0 becomes 0.0 and a NaN stays as it
-        is. The result passes the checks by construction, so they are not run."""
+        is. The checks are not run: the result is non-negative by construction,
+        and a non-finite value, which only a non-finite or overflowing step
+        gives, is kept as np.maximum keeps it."""
         pop = object.__new__(cls)
         object.__setattr__(pop, "classes", np.array(
             [v if v > 0.0 or v != v else 0.0 for v in values]))

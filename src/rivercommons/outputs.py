@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 from collections import Counter
 
@@ -52,9 +53,26 @@ def write_rows(fh, rows, columns):
         writer.writerow([_fmt(row.get(col, "")) for col in columns])
 
 
-def write_summary_csv(rows, path):
+def _write_new(path, text):
+    """Write text to path as a new file. An existing file there is removed
+    first rather than truncated, so it keeps its bytes under any other name
+    and closing the new file starts no writeback of the old one."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_rows(fh, rows, SWEEP_COLUMNS)
+        fh.write(text)
+
+
+def _summary_text(rows) -> str:
+    buf = io.StringIO()
+    write_rows(buf, rows, SWEEP_COLUMNS)
+    return buf.getvalue()
+
+
+def write_summary_csv(rows, path):
+    _write_new(path, _summary_text(rows))
 
 
 # -- minimal hand-rolled SVG charts (CSV is canonical; SVG is derived) ------
@@ -153,29 +171,35 @@ def activity_svg(records) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _records_text(records) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(YearRecord._fields)
+    # csv writes a float (numpy's too) as float.__repr__ and the str-enum
+    # activity as its value.
+    writer.writerows(records)
+    return buf.getvalue()
+
+
 def emit_outputs(artifacts, out_dir: str) -> dict:
-    """Write records.csv, summary.csv and the two derived SVG charts.
+    """Write records.csv, summary.csv and the two derived SVG charts, each as
+    a new file (see `_write_new`).
 
     Returns a name -> path map. Re-emission of identical artifacts produces
     identical bytes.
     """
+    records = artifacts.records
+    cell = {name: getattr(artifacts.config, name) for name in GRID_FIELDS}
+    files = (("records", "records.csv", _records_text(records)),
+             ("summary", "summary.csv", _summary_text([summary_row(cell, artifacts)])),
+             ("budgets", "budgets.svg", budgets_svg(records)),
+             ("activity", "activity.svg", activity_svg(records)))
     try:
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
-        paths["records"] = os.path.join(out_dir, "records.csv")
-        with open(paths["records"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(YearRecord._fields)
-            # csv writes a float (numpy's too) as float.__repr__ and the
-            # str-enum activity as its value.
-            writer.writerows(artifacts.records)
-        cell = {name: getattr(artifacts.config, name) for name in GRID_FIELDS}
-        paths["summary"] = os.path.join(out_dir, "summary.csv")
-        write_summary_csv([summary_row(cell, artifacts)], paths["summary"])
-        for name, chart in (("budgets", budgets_svg), ("activity", activity_svg)):
-            paths[name] = os.path.join(out_dir, name + ".svg")
-            with open(paths[name], "w", encoding="utf-8") as fh:
-                fh.write(chart(artifacts.records))
+        for key, filename, text in files:
+            paths[key] = os.path.join(out_dir, filename)
+            _write_new(paths[key], text)
         return paths
     except OSError as err:
         raise SimulationError(f"cannot write outputs under {out_dir}: {err}")

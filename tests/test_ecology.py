@@ -48,6 +48,13 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             FishPopulation(np.full(N_FISH_CLASSES, -1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fish_population_rejects_non_finite_class(self, bad):
+        with pytest.raises(ConfigurationError, match="fish abundances must be finite"):
+            FishPopulation([math.inf, -0.0, 3.0, math.nan] + [1.0] * 9)
+        with pytest.raises(ConfigurationError, match="fish abundances must be finite"):
+            FishPopulation([1.0] * 12 + [bad])
+
     @pytest.mark.parametrize("fields, fish", [(math.nan, 1), (1, math.nan), (-1, 0), (0, -1)])
     def test_decision_rejects_negative_or_nan_component(self, fields, fish):
         with pytest.raises(ConfigurationError, match="decision components must be non-negative"):

@@ -606,12 +606,21 @@ class TestExpertRun:
 
 # -- the fishing game kept for the run ---------------------------------------------
 
+def _unchecked_population(classes):
+    """A FishPopulation of `classes` as given, past the constructor's checks:
+    a non-finite class, which the constructor rejects, is what an overflowing
+    `step_fish` hands on unchecked."""
+    pop = FishPopulation(np.zeros(N_FISH_CLASSES))
+    object.__setattr__(pop, "classes", np.array(classes, dtype=float))
+    return pop
+
+
 def _stock_world(n, stock):
     """A world of n households whose whole adult stock sits in one class, so
-    that `adult_total` is `stock` exactly."""
+    that `adult_total` is `stock` exactly, a NaN stock included."""
     classes = np.zeros(N_FISH_CLASSES)
     classes[ADULT.start] = stock
-    return replace(_world([(100.0, 60.0)] * n), fish=FishPopulation(classes))
+    return replace(_world([(100.0, 60.0)] * n), fish=_unchecked_population(classes))
 
 
 def decide_recording_fishing(pipeline, world):
@@ -1243,8 +1252,8 @@ class TestYearStep:
         # An infinite class makes a NaN juvenile, -0.0 classes age into -0.0
         # and a negative lake makes negative larvae: np.maximum keeps the NaN
         # and turns the other two into 0.0.
-        classes = np.array([math.inf, -0.0, 3.0, math.nan, 0.0, -0.0, 2.0] + [1.0] * 6)
-        pop, lake = FishPopulation(classes), np.full(12, -10.0)
+        classes = [math.inf, -0.0, 3.0, math.nan, 0.0, -0.0, 2.0] + [1.0] * 6
+        pop, lake = _unchecked_population(classes), np.full(12, -10.0)
         fish, _ = step_fish(pop, lake, [0.0], [0], EcologyParams())
         with np.errstate(invalid="ignore"):   # inf / inf on numpy scalars
             expected, _ = reference_step_fish(pop, lake, [0.0], [0], EcologyParams())

@@ -23,7 +23,7 @@ from rivercommons.config import PIPELINES, InflowConfig, load_prompts
 from rivercommons.harness import (PIPELINE_TYPES, RunArtifacts, SyntheticInflow,
                                   read_inflow_csv, river_series, seasonal_weights)
 from rivercommons.ecology import YearRecord
-from rivercommons.outputs import summary_row
+from rivercommons.outputs import summary_row, write_summary_csv
 from conftest import g1_spec, short_config
 
 
@@ -668,6 +668,45 @@ class TestEmitOutputs:
         p2 = emit_outputs(art, str(tmp_path / "b"))
         for key in p1:
             assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
+
+    def test_shorter_run_over_longer_leaves_no_tail(self, tmp_path):
+        emit_outputs(run_simulation(short_config(horizon=100)), str(tmp_path / "out"))
+        short = run_simulation(short_config(horizon=1))
+        again = emit_outputs(short, str(tmp_path / "out"))
+        fresh = emit_outputs(short, str(tmp_path / "fresh"))
+        assert again.keys() == fresh.keys()
+        for key in fresh:
+            assert Path(again[key]).read_bytes() == Path(fresh[key]).read_bytes()
+
+    def test_reemission_writes_new_files_past_links(self, tmp_path):
+        out = tmp_path / "out"
+        paths = emit_outputs(run_simulation(short_config(horizon=3)), str(out))
+        old = {key: Path(path).read_bytes() for key, path in paths.items()}
+        os.link(paths["records"], tmp_path / "records-link.csv")
+        target = tmp_path / "elsewhere.svg"
+        target.write_text("kept")
+        os.unlink(paths["budgets"])
+        os.symlink(target, paths["budgets"])
+        new = emit_outputs(run_simulation(short_config(horizon=1)), str(out))
+        assert (tmp_path / "records-link.csv").read_bytes() == old["records"]
+        assert Path(new["records"]).read_bytes() != old["records"]
+        assert target.read_text() == "kept"
+        assert not Path(new["budgets"]).is_symlink()
+        assert Path(new["budgets"]).read_text().endswith("</svg>\n")
+
+    def test_directory_at_records_path_raises_simulation_error(self, tmp_path):
+        (tmp_path / "out" / "records.csv").mkdir(parents=True)
+        with pytest.raises(SimulationError, match="cannot write outputs"):
+            emit_outputs(run_simulation(short_config(horizon=1)), str(tmp_path / "out"))
+        assert (tmp_path / "out" / "records.csv").is_dir()
+
+    def test_summary_csv_over_longer_file_writes_exactly_the_rows(self, tmp_path):
+        rows = sweep(short_config(horizon=2), taus=(0.0, 0.5))
+        write_summary_csv(rows, tmp_path / "fresh.csv")
+        path = tmp_path / "sweep.csv"
+        path.write_text("x" * 100_000)
+        write_summary_csv(rows, path)
+        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
     def test_unwritable_dir_raises_simulation_error(self, tmp_path):
         blocker = tmp_path / "file"
