@@ -41,7 +41,6 @@ def _cmd_sweep(args):
     rows = sweep(base, pipelines=args.pipelines, taus=args.taus,
                  behaviours=args.profiles, seeds=args.seeds)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sweep.csv")
         write_summary_csv(rows, path)
         print(f"sweep: {path}")

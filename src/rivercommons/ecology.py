@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigurationError, check_fields
 
 N_FISH_CLASSES = 13
@@ -27,58 +25,63 @@ class ActivityClass(str, Enum):
     NONE = "none"
 
 
+def _checked_floats(values, count: int, what: str, unit: str) -> tuple:
+    """`values`, any sequence of `count` numbers (a numpy array too), as a
+    tuple of Python floats. Anything else, and a NaN, infinite or negative
+    value, is a ConfigurationError naming `what`."""
+    try:
+        floats = tuple(map(float, values))
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{what} must be a sequence of numbers: {err}") from err
+    if len(floats) != count:
+        raise ConfigurationError(f"expected {count} {what}, got {len(floats)}")
+    if not all(map(math.isfinite, floats)):
+        raise ConfigurationError(f"{unit} must be finite, got {list(floats)}")
+    if min(floats) < 0.0:
+        raise ConfigurationError(f"{unit} must be non-negative")
+    return floats
+
+
+def _numpy_sum(values) -> float:
+    """The sum of 8 to 15 floats as numpy's `sum` adds them: the first 8
+    pairwise, then onto 0.0, then each further one in order. It equals
+    `float(np.sum(values))` bit for bit, and that rounding fixes every
+    golden digest."""
+    a0, a1, a2, a3, a4, a5, a6, a7, *rest = values
+    total = 0.0 + (((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)))
+    for v in rest:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class FishPopulation:
     """13 age classes: 0 = larvae, 1-4 = juveniles, 5-12 = adults."""
 
-    classes: np.ndarray
+    classes: tuple
 
     def __post_init__(self):
-        c = np.asarray(self.classes, dtype=float)
-        if c.shape != (N_FISH_CLASSES,):
-            raise ConfigurationError(f"expected {N_FISH_CLASSES} age classes, got {c.shape}")
-        if not np.isfinite(c).all():
-            raise ConfigurationError(f"fish abundances must be finite, got {c.tolist()}")
-        if (c < 0).any():
-            raise ConfigurationError("fish abundances must be non-negative")
-        object.__setattr__(self, "classes", c)
-
-    @classmethod
-    def _clipped(cls, values):
-        """The population of 13 floats clipped at 0 as `np.maximum(values, 0.0)`
-        clips them: a negative value or -0.0 becomes 0.0 and a NaN stays as it
-        is. The checks are not run: the result is non-negative by construction,
-        and a non-finite value, which only a non-finite or overflowing step
-        gives, is kept as np.maximum keeps it."""
-        pop = object.__new__(cls)
-        object.__setattr__(pop, "classes", np.array(
-            [v if v > 0.0 or v != v else 0.0 for v in values]))
-        return pop
+        object.__setattr__(self, "classes", _checked_floats(
+            self.classes, N_FISH_CLASSES, "age classes", "fish abundances"))
 
     @property
     def adult_total(self) -> float:
-        return float(self.classes[ADULT].sum())
+        return _numpy_sum(self.classes[ADULT])
 
 
 @dataclass(frozen=True)
 class RiverYear:
     """Monthly inflow at the head of the river for one year (index 0 = January)."""
 
-    monthly_inflow: np.ndarray
+    monthly_inflow: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.monthly_inflow, dtype=float)
-        if v.shape != (12,):
-            raise ConfigurationError(f"monthly_inflow must have 12 entries, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ConfigurationError(f"inflows must be finite, got {v.tolist()}")
-        if (v < 0).any():
-            raise ConfigurationError("inflows must be non-negative")
-        object.__setattr__(self, "monthly_inflow", v)
+        object.__setattr__(self, "monthly_inflow", _checked_floats(
+            self.monthly_inflow, 12, "monthly inflows", "inflows"))
 
     @property
     def annual_total(self) -> float:
-        return float(self.monthly_inflow.sum())
+        return _numpy_sum(self.monthly_inflow)
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class EcologyParams:
 @dataclass(frozen=True)
 class RoutedWater:
     delivered: tuple            # annual volume delivered per household
-    lake_inflow_by_month: np.ndarray
+    lake_inflow_by_month: tuple  # what reaches the lake in each month
     node_inflow: tuple          # annual volume arriving at each node (before own withdrawal)
 
 
@@ -197,7 +200,7 @@ def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> Rout
         raise ConfigurationError("planted field counts must be non-negative")
     monthly_demand = [params.w * f / len(IRRIGATION_MONTHS) for f in planted_fields]
     delivered = [0.0] * len(planted_fields)
-    months = river.monthly_inflow.tolist()
+    months = river.monthly_inflow
     # IRRIGATION_MONTHS is one run of months, May to September. Before it
     # every node sees the whole flow, so one sum, added in month order from
     # 0.0, is each node's inflow so far; after it each node adds October,
@@ -207,7 +210,7 @@ def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> Rout
     for flow in months[:start]:
         head += flow
     node_inflow = [head] * len(planted_fields)
-    lake = months[:start]
+    lake = list(months[:start])
     for flow in months[start:stop]:
         for i, demand in enumerate(monthly_demand):
             node_inflow[i] += flow
@@ -218,7 +221,7 @@ def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> Rout
         lake.append(flow)
     october, november, december = tail = months[stop:]
     node_inflow = [v + october + november + december for v in node_inflow]
-    return RoutedWater(tuple(delivered), np.array(lake + tail), tuple(node_inflow))
+    return RoutedWater(tuple(delivered), (*lake, *tail), tuple(node_inflow))
 
 
 def _irrigated_count(planted: int, delivered: float, w: float) -> int:
@@ -248,15 +251,6 @@ def crop_outcome(planted: int, delivered: float, irrigated: int, stress_in: floa
     return income, stress_out
 
 
-def _sum8(values) -> float:
-    """The sum of 8 floats as numpy's `sum` adds 8 contiguous ones: pairwise,
-    then onto 0.0. So `_sum8` of the adult classes equals
-    `FishPopulation.adult_total` bit for bit; numpy adds a 9th to 15th float
-    to this one by one, in order."""
-    a0, a1, a2, a3, a4, a5, a6, a7 = values
-    return 0.0 + (((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)))
-
-
 def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
               household_order, params: EcologyParams):
     """One year of the lake fishery: harvest, aging, recruitment.
@@ -266,30 +260,30 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     adult classes. Larva and juvenile transitions use Beverton-Holt
     density-dependent survival sigma * A / (1 + A / K_juv); adults survive at
     sigma_adult and the oldest class exits. Lake inflow of at least Q_min in
-    MIGRATION_MONTH adds M_mig migrant larvae.
+    MIGRATION_MONTH adds M_mig migrant larvae. Each class is clipped at 0 as
+    `np.maximum(x, 0.0)` clips it (-0.0 too); a NaN or infinite class, which
+    only an overflowing step makes, fails the FishPopulation check.
     """
     if any(t < 0 for t in harvest_targets):
         raise ConfigurationError("harvest targets must be non-negative")
-    lake = np.asarray(lake_inflow_by_month, dtype=float).tolist()
+    lake = lake_inflow_by_month
     if len(lake) != 12:
         raise ConfigurationError(f"lake inflow must have 12 months, got {len(lake)}")
-    classes = pop.classes.tolist()
-    adults = classes[ADULT]
+    adults = pop.classes[ADULT]
     catches = [0.0] * len(harvest_targets)
-    # The adult stock, summed as numpy sums it (the pairwise order of
-    # `_sum8` fixes the rounding, and with it every golden digest) and
-    # summed again only after a harvest has changed the classes. After the
-    # loop it is the post-harvest stock that spawns the larvae.
-    remaining = _sum8(adults)
+    # The adult stock, summed as numpy sums it and summed again only after
+    # a harvest has changed the classes. After the loop it is the
+    # post-harvest stock that spawns the larvae.
+    remaining = _numpy_sum(adults)
     for i in household_order:
         take = min(float(harvest_targets[i]), remaining)
         catches[i] = take
         if take > 0:
             f = 1.0 - take / remaining
             adults = [a * f for a in adults]
-            remaining = _sum8(adults)
+            remaining = _numpy_sum(adults)
 
-    old = classes[:ADULT.start] + adults
+    old = [*pop.classes[:ADULT.start], *adults]
     new = [0.0] * N_FISH_CLASSES
     for k in range(0, 5):  # larvae and juveniles: density-dependent
         a = old[k]
@@ -297,12 +291,11 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     for k in range(5, 12):  # adults: constant survival, class 12 exits
         new[k + 1] = params.sigma_adult * old[k]
 
-    annual_lake = _sum8(lake[:8]) + lake[8] + lake[9] + lake[10] + lake[11]
-    scale = min(1.0, annual_lake / params.Q_ref)
+    scale = min(1.0, _numpy_sum(lake) / params.Q_ref)
     new[LARVA] = params.fecundity * remaining * scale
     if lake[MIGRATION_MONTH - 1] >= params.Q_min:
         new[LARVA] += params.M_mig
-    return FishPopulation._clipped(new), tuple(catches)
+    return FishPopulation([v if v > 0.0 or v != v else 0.0 for v in new]), tuple(catches)
 
 
 def classify_activity(irrigated: int, catch: float) -> ActivityClass:

@@ -4,6 +4,7 @@ resource fishing game, plus parsing of LLM-proposed game models.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,21 +44,29 @@ class IrrigationGameSpec:
             raise ConfigurationError("max_fields and tau must be non-negative")
 
 
-def _field_limits(B_u, B_d, T, c, w):
-    """Floored field caps min(B_u/c, T/w) and B_d/c, and the water T/w; scalars or arrays."""
-    water = T / w
-    return np.floor(np.minimum(B_u / c, water) + 1e-9), np.floor(B_d / c + 1e-9), water
+def field_cap(fields: float, max_fields: int) -> float:
+    """floor(fields + 1e-9) clipped to 0..max_fields, as a float: the fields a
+    quotient of budget or water allows in a pair game. Floor commutes with a
+    clip to whole bounds, so ±inf (a quotient over a tiny c or w) gives a
+    bound where math.floor would raise."""
+    fields += 1e-9
+    if 0.0 <= fields < max_fields:
+        return float(math.floor(fields))
+    return 0.0 if fields < 0.0 else float(max_fields)
 
 
 def _payoff_rule(s_u, s_d, spec: IrrigationGameSpec):
     """The irrigation payoff rule, elementwise over numpy-broadcast strategy
-    arrays (or scalars): (f_u, f_d, pi_u, pi_d).
+    arrays (or scalars) in 0..max_fields: (f_u, f_d, pi_u, pi_d).
 
-    Fields actually irrigated: each strategy capped by `_field_limits`, and
-    downstream also by the water upstream leaves. Payoffs are yield plus fishing
-    income, minus irrigation and consumption costs and the extraction tax.
+    Fields actually irrigated: upstream's strategy capped by the `field_cap`
+    of min(B_u / c, T / w), downstream's by the `field_cap` of B_d / c and by
+    the water upstream leaves. Payoffs are yield plus fishing income, minus
+    irrigation and consumption costs and the extraction tax.
     """
-    lim_u, lim_d, water = _field_limits(spec.B_u, spec.B_d, spec.T, spec.c, spec.w)
+    water, b_u = spec.T / spec.w, spec.B_u / spec.c
+    lim_u = field_cap(b_u if b_u < water else water, spec.max_fields)
+    lim_d = field_cap(spec.B_d / spec.c, spec.max_fields)
     f_u = np.maximum(0.0, np.minimum(s_u, lim_u))
     f_d = np.maximum(0.0, np.minimum(np.minimum(s_d, lim_d),
                                      np.floor(np.maximum(water - f_u, 0.0) + 1e-9)))

@@ -97,8 +97,7 @@ def read_inflow_csv(path: str) -> tuple[RiverYear, ...]:
         if lacking:
             raise ConfigurationError(
                 f"inflow CSV {path} year {y} lacks months {', '.join(map(str, lacking))}")
-    return tuple(RiverYear(np.array([table[y][m] for m in range(1, 13)]))
-                 for y in sorted(table))
+    return tuple(RiverYear([table[y][m] for m in range(1, 13)]) for y in sorted(table))
 
 
 # The river series of the last this many (inflow config, seed, horizon) keys are
@@ -111,10 +110,7 @@ def _synthetic_series(cfg: InflowConfig, cfg_repr: str, seed: int, horizon: int)
     # cfg_repr is part of the key because configs that compare equal can
     # still draw different bytes (mean_annual -0.0 and 0.0).
     inflow = SyntheticInflow(cfg, seed)
-    series = tuple(inflow.year(t) for t in range(horizon + 1))
-    for river in series:
-        river.monthly_inflow.flags.writeable = False
-    return series
+    return tuple(inflow.year(t) for t in range(horizon + 1))
 
 
 def river_series(config: RunConfig) -> tuple[RiverYear, ...]:

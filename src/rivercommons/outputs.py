@@ -65,6 +65,20 @@ def _write_new(path, text):
         fh.write(text)
 
 
+def _write_files(out_dir, files) -> dict:
+    """Make out_dir and write each (key, filename, text) of files in it with
+    `_write_new`. Returns a key -> path map; an OSError is a SimulationError."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        paths = {}
+        for key, filename, text in files:
+            paths[key] = os.path.join(out_dir, filename)
+            _write_new(paths[key], text)
+        return paths
+    except OSError as err:
+        raise SimulationError(f"cannot write outputs under {out_dir}: {err}") from err
+
+
 def _summary_text(rows) -> str:
     buf = io.StringIO()
     write_rows(buf, rows, SWEEP_COLUMNS)
@@ -72,7 +86,10 @@ def _summary_text(rows) -> str:
 
 
 def write_summary_csv(rows, path):
-    _write_new(path, _summary_text(rows))
+    """Write the SWEEP_COLUMNS rows to path as a new file, making its
+    directory; an OSError is a SimulationError, as in `emit_outputs`."""
+    out_dir, name = os.path.split(os.fspath(path))
+    _write_files(out_dir or os.curdir, (("summary", name, _summary_text(rows)),))
 
 
 # -- minimal hand-rolled SVG charts (CSV is canonical; SVG is derived) ------
@@ -190,16 +207,8 @@ def emit_outputs(artifacts, out_dir: str) -> dict:
     """
     records = artifacts.records
     cell = {name: getattr(artifacts.config, name) for name in GRID_FIELDS}
-    files = (("records", "records.csv", _records_text(records)),
-             ("summary", "summary.csv", _summary_text([summary_row(cell, artifacts)])),
-             ("budgets", "budgets.svg", budgets_svg(records)),
-             ("activity", "activity.svg", activity_svg(records)))
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        paths = {}
-        for key, filename, text in files:
-            paths[key] = os.path.join(out_dir, filename)
-            _write_new(paths[key], text)
-        return paths
-    except OSError as err:
-        raise SimulationError(f"cannot write outputs under {out_dir}: {err}")
+    return _write_files(out_dir, (
+        ("records", "records.csv", _records_text(records)),
+        ("summary", "summary.csv", _summary_text([summary_row(cell, artifacts)])),
+        ("budgets", "budgets.svg", budgets_svg(records)),
+        ("activity", "activity.svg", activity_svg(records))))

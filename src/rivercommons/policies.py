@@ -11,8 +11,8 @@ from .ecology import Decision, EcologyParams, WorldState, YearRecord
 from .equilibrium import solve_symmetric_cpr
 from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
                      SimulationError, TransportError, finite_real)
-from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game, fishing_income,
-                    solve_irrigation_game)
+from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game, field_cap,
+                    fishing_income, solve_irrigation_game)
 from .gateway import Gateway, extract_structured, render_prompt
 
 
@@ -37,6 +37,7 @@ def procedural_decide(household: YearRecord, params: EcologyParams, subsistence:
     Negative budget: plant nothing. Crop income below subsistence: plant one
     field more than last year if affordable, otherwise what the budget
     allows. Otherwise plant what the water that reached this node supports.
+    A quotient is clipped at max_fields before its floor, so inf plants max_fields.
     """
     if household.budget < 0:
         fields = 0
@@ -44,9 +45,9 @@ def procedural_decide(household: YearRecord, params: EcologyParams, subsistence:
         if household.budget >= (household.planted + 1) * params.c:
             fields = household.planted + 1
         else:
-            fields = int(math.floor(household.budget / params.c))
+            fields = math.floor(min(household.budget / params.c, max_fields))
     else:
-        fields = int(math.floor(household.node_inflow / params.w))
+        fields = math.floor(min(household.node_inflow / params.w, max_fields))
     fields = max(0, min(fields, max_fields))
     return Decision(fields, max(0, fish_target))
 
@@ -58,12 +59,14 @@ def centralized_allocate(budget: float, inflows, config: RunConfig):
 
     Total supportable fields = min(moving-average water / w, budget / c);
     each household receives the floor of an equal share, at most max_fields;
-    the remainder stays unallocated.
+    the remainder stays unallocated. Both quotients are clipped at n *
+    max_fields before their floor, so inf (a tiny c or w) gives max_fields each.
     """
     params, n = config.ecology, config.n_households
     predicted = moving_average_predict(inflows, config.authority_window)
-    by_water = int(math.floor(predicted / params.w))
-    by_budget = int(math.floor(max(budget, 0.0) / params.c))
+    most = n * config.max_fields
+    by_water = math.floor(min(predicted / params.w, most))
+    by_budget = math.floor(min(max(budget, 0.0) / params.c, most))
     total = max(0, min(by_water, by_budget))
     return [min(total // n, config.max_fields)] * n
 
@@ -91,17 +94,6 @@ def solve_fishing_game(state: WorldState, params: EcologyParams, e_max: int,
         solved[key] = e_star, fishing_income(e_star, (n - 1) * e_star, stock,
                                              params.fish_price)
     return solved[key]
-
-
-def _field_cap(fields: float, max_fields: int) -> float:
-    """np.clip(np.floor(fields + 1e-9), 0, max_fields), the clipped cap of
-    `games._field_limits`, on a Python float. Floor commutes with a clip to
-    whole bounds, so only a count inside them is floored, and ±inf (a budget
-    or inflow over a tiny c or w) gives a bound where math.floor would raise."""
-    fields += 1e-9
-    if 0.0 <= fields < max_fields:
-        return float(math.floor(fields))
-    return 0.0 if fields < 0.0 else float(max_fields)
 
 
 def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rng,
@@ -139,8 +131,8 @@ def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rng
     for up, down in zip(hs, hs[1:]):
         water = float(up.node_inflow) / w
         b_u = float(up.budget) / c
-        keys.append((_field_cap(b_u if b_u < water else water, max_fields),
-                     _field_cap(float(down.budget) / c, max_fields),
+        keys.append((field_cap(b_u if b_u < water else water, max_fields),
+                     field_cap(float(down.budget) / c, max_fields),
                      water if water < top else top, fish_income))
     decisions = []
     for i, role in enumerate(upstream):

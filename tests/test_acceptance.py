@@ -89,11 +89,11 @@ class TestAcceptance:
 
         def checked_step(pop, lake, targets, order, params):
             calls["step"] += 1
-            pre_adults = float(pop.classes[ADULT].sum())
+            pre_adults = float(np.sum(pop.classes[ADULT]))
             pop2, catches = original_step(pop, lake, targets, order, params)
             if sum(catches) > pre_adults + 1e-9:
                 violations.append(("harvest", sum(catches)))
-            if (pop2.classes < 0).any():
+            if (np.array(pop2.classes) < 0).any():
                 violations.append(("negative", None))
             return pop2, catches
 

@@ -55,6 +55,24 @@ class TestTypes:
         with pytest.raises(ConfigurationError, match="fish abundances must be finite"):
             FishPopulation([1.0] * 12 + [bad])
 
+    @pytest.mark.parametrize("make, count", [(FishPopulation, N_FISH_CLASSES), (RiverYear, 12)])
+    def test_state_holds_a_tuple_of_python_floats(self, make, count):
+        for values in (np.arange(count, dtype=np.float32), list(range(count)),
+                       tuple(np.arange(count, dtype=float))):
+            held = make(values)
+            held = held.classes if make is FishPopulation else held.monthly_inflow
+            assert held == tuple(float(v) for v in range(count))
+            assert {type(v) for v in held} == {float}
+
+    @pytest.mark.parametrize("make, count", [(FishPopulation, N_FISH_CLASSES), (RiverYear, 12)])
+    @pytest.mark.parametrize("bad", ["rows", "scalar", "word", "short", "long"])
+    def test_state_rejects_what_is_not_its_numbers(self, make, count, bad):
+        values = {"rows": np.ones((count, 1)), "scalar": 3.0,
+                  "word": ["one"] * count, "short": [1.0] * (count - 1),
+                  "long": np.ones(count + 1)}[bad]
+        with pytest.raises(ConfigurationError):
+            make(values)
+
     @pytest.mark.parametrize("fields, fish", [(math.nan, 1), (1, math.nan), (-1, 0), (0, -1)])
     def test_decision_rejects_negative_or_nan_component(self, fields, fish):
         with pytest.raises(ConfigurationError, match="decision components must be non-negative"):
@@ -63,6 +81,8 @@ class TestTypes:
     def test_river_year_validation(self):
         with pytest.raises(ConfigurationError):
             RiverYear(np.zeros(11))
+        with pytest.raises(ConfigurationError, match="inflows must be non-negative"):
+            RiverYear([1.0] * 11 + [-1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_river_year_rejects_non_finite_inflow(self, bad):
@@ -85,7 +105,7 @@ class TestRouteRiver:
         routed = route_river(river, [3, 3, 6], replace(params, w=10.0))
         # Demand is split over 5 irrigation months, only one carries water.
         assert routed.delivered == (6.0, 6.0, 12.0)
-        assert routed.lake_inflow_by_month.sum() == pytest.approx(76.0)
+        assert np.sum(routed.lake_inflow_by_month) == pytest.approx(76.0)
 
     def test_zero_demand_identity(self, params):
         river = RiverYear(np.linspace(1, 12, 12))
@@ -99,7 +119,7 @@ class TestRouteRiver:
         routed = route_river(river, [15], params)
         # Only the wet month's share of the demand can be withdrawn.
         assert routed.delivered[0] == pytest.approx(20.0)
-        assert routed.lake_inflow_by_month.sum() == pytest.approx(0.0)
+        assert np.sum(routed.lake_inflow_by_month) == pytest.approx(0.0)
 
     def test_node_inflow_decreases_downstream(self, params):
         river = RiverYear(np.full(12, 50.0))
@@ -130,7 +150,7 @@ class TestRouteRiver:
             assert lake >= -1e-12
         total_delivered = sum(routed.delivered)
         assert abs(river.annual_total
-                   - total_delivered - routed.lake_inflow_by_month.sum()) <= 1e-9
+                   - total_delivered - np.sum(routed.lake_inflow_by_month)) <= 1e-9
         for p, d in zip(planted, routed.delivered):
             assert d <= params.w * p + 1e-9
 
@@ -220,7 +240,7 @@ class TestStepFish:
         pop, catches = step_fish(FishPopulation(classes), np.zeros(12),
                                  [25.0], [0], params)
         assert catches == (10.0,)
-        assert pop.classes[ADULT].sum() == pytest.approx(0.0, abs=1e-12)
+        assert np.sum(pop.classes[ADULT]) == pytest.approx(0.0, abs=1e-12)
 
     def test_beverton_holt_half_capacity(self):
         params = EcologyParams(fecundity=0.0, M_mig=0.0)
@@ -284,7 +304,7 @@ class TestStepFish:
                                  rng.uniform(0, 100, size=12), targets,
                                  [2, 1, 0], params)
         assert sum(catches) <= pre_adults + 1e-9
-        assert (pop.classes >= 0).all()
+        assert (np.array(pop.classes) >= 0).all()
 
 
 class TestClassifyActivity:

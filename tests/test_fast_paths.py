@@ -40,7 +40,7 @@ from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationErro
 from rivercommons.config import BEHAVIOURS, load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
-from rivercommons.games import _field_limits, _payoff_rule
+from rivercommons.games import _payoff_rule
 from rivercommons.harness import RunArtifacts, _ExpertEgta, _initial_state, river_series
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import default_fish_target, solve_fishing_game
@@ -229,6 +229,13 @@ def reference_pair_specs(state, tau, params, pair_stress_threshold, max_fields, 
         y0=params.y0, ys=params.ys, S=pair_stress_threshold, kappa=params.kappa, tau=tau,
         F_u=fish_income, F_d=fish_income, max_fields=max_fields)
         for up, down in zip(state.households, state.households[1:])]
+
+
+def _field_limits(B_u, B_d, T, c, w):
+    """Floored field caps min(B_u/c, T/w) and B_d/c, and the water T/w, on
+    scalars or numpy arrays: the numpy rule that `games.field_cap` clips."""
+    water = T / w
+    return np.floor(np.minimum(B_u / c, water) + 1e-9), np.floor(B_d / c + 1e-9), water
 
 
 def reference_pair_key(spec):
@@ -608,10 +615,9 @@ class TestExpertRun:
 
 def _unchecked_population(classes):
     """A FishPopulation of `classes` as given, past the constructor's checks:
-    a non-finite class, which the constructor rejects, is what an overflowing
-    `step_fish` hands on unchecked."""
+    a non-finite class, which the constructor rejects."""
     pop = FishPopulation(np.zeros(N_FISH_CLASSES))
-    object.__setattr__(pop, "classes", np.array(classes, dtype=float))
+    object.__setattr__(pop, "classes", tuple(map(float, classes)))
     return pop
 
 
@@ -1023,7 +1029,7 @@ def reference_route_river(river, planted_fields, params):
 def reference_step_fish(pop, lake_inflow_by_month, harvest_targets, household_order,
                         params):
     lake = np.asarray(lake_inflow_by_month, dtype=float)
-    classes = pop.classes.copy()
+    classes = np.array(pop.classes)
     catches = [0.0] * len(harvest_targets)
     for i in household_order:
         remaining = classes[ADULT].sum()
@@ -1056,7 +1062,7 @@ def reference_route_river_min(river, planted_fields, params):
     delivered = [0.0] * n
     node_inflow = [0.0] * n
     lake = []
-    for month, flow in enumerate(river.monthly_inflow.tolist(), start=1):
+    for month, flow in enumerate(river.monthly_inflow, start=1):
         irrigating = month in IRRIGATION_MONTHS
         for i in range(n):
             node_inflow[i] += flow
@@ -1072,7 +1078,7 @@ def reference_step_fish_array_harvest(pop, lake_inflow_by_month, harvest_targets
                                       household_order, params):
     """The harvest on the numpy adult slice, summed by numpy after each catch."""
     lake = np.asarray(lake_inflow_by_month, dtype=float)
-    classes = pop.classes.copy()
+    classes = np.array(pop.classes)
     catches = [0.0] * len(harvest_targets)
     remaining = float(classes[ADULT].sum())
     for i in household_order:
@@ -1171,6 +1177,17 @@ def wide_lake_fishery_cases(draw):
     return pop, lake, targets, order, replace(params, Q_ref=q_ref)
 
 
+def summed_values(count):
+    """`count` values that are 0.0, -0.0, anywhere from 1e-300 to 1e12, or
+    of one magnitude in that range, where the order of the adds sets the
+    rounding."""
+    def values(band):
+        value = st.one_of(st.sampled_from([0.0, -0.0]), _floats(1e-300, 1e12),
+                          _floats(0.0, 1.0).map(lambda v: v * band))
+        return st.lists(value, min_size=count, max_size=count)
+    return st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e12]).flatmap(values)
+
+
 _stresses = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.25, 0.75, 1.25, -0.5, math.nan,
                                        math.inf, -math.inf]), _floats(-2.0, 2.0))
 
@@ -1205,7 +1222,7 @@ class TestYearStep:
         pop, lake, targets, order, params = case
         fish, catches = step_fish(pop, lake, targets, order, params)
         classes, ref_catches = reference_step_fish(pop, lake, targets, order, params)
-        assert fish.classes.tobytes() == classes.tobytes()
+        assert _bits(fish.classes) == classes.tobytes()
         assert _bits(catches) == _bits(ref_catches)
 
     @settings(max_examples=200, deadline=None)
@@ -1215,7 +1232,7 @@ class TestYearStep:
         routed = route_river(river, planted, params)
         delivered, lake, node_inflow = reference_route_river(river, planted, params)
         assert routed.delivered == delivered and routed.node_inflow == node_inflow
-        assert routed.lake_inflow_by_month.tobytes() == lake.tobytes()
+        assert _bits(routed.lake_inflow_by_month) == lake.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(fishery_cases())
@@ -1223,7 +1240,7 @@ class TestYearStep:
         pop, lake, targets, order, params = case
         fish, catches = step_fish(pop, lake, targets, order, params)
         classes, ref_catches = reference_step_fish(pop, lake, targets, order, params)
-        assert fish.classes.tobytes() == classes.tobytes()
+        assert _bits(fish.classes) == classes.tobytes()
         assert catches == ref_catches
         assert {type(c) for c in catches} == {float}
 
@@ -1235,7 +1252,7 @@ class TestYearStep:
         delivered, lake, node_inflow = reference_route_river_min(river, planted, params)
         assert _bits(routed.delivered) == _bits(delivered)
         assert _bits(routed.node_inflow) == _bits(node_inflow)
-        assert routed.lake_inflow_by_month.tobytes() == lake.tobytes()
+        assert _bits(routed.lake_inflow_by_month) == lake.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(fishery_cases(), wide_fishery_cases()))
@@ -1244,23 +1261,40 @@ class TestYearStep:
         fish, catches = step_fish(pop, lake, targets, order, params)
         classes, ref_catches = reference_step_fish_array_harvest(pop, lake, targets, order,
                                                                  params)
-        assert fish.classes.tobytes() == classes.tobytes()
+        assert _bits(fish.classes) == classes.tobytes()
         assert _bits(catches) == _bits(ref_catches)
         assert {type(c) for c in catches} == {float}
 
+    @settings(max_examples=300, deadline=None)
+    @given(summed_values(12), summed_values(N_FISH_CLASSES))
+    @example([-0.0] * 12, [-0.0] * N_FISH_CLASSES)   # numpy's sum is 0.0
+    def test_totals_equal_numpy_sum(self, monthly, classes):
+        """`annual_total` and `adult_total` add as numpy's sum adds, signed
+        zeros included."""
+        total = RiverYear(monthly).annual_total
+        adults = FishPopulation(classes).adult_total
+        assert type(total) is float and type(adults) is float
+        assert _bits(total) == _bits(np.sum(np.array(monthly)))
+        assert _bits(adults) == _bits(np.sum(np.array(classes)[ADULT]))
+
     def test_step_fish_clips_edge_values_as_numpy_maximum(self):
-        # An infinite class makes a NaN juvenile, -0.0 classes age into -0.0
-        # and a negative lake makes negative larvae: np.maximum keeps the NaN
-        # and turns the other two into 0.0.
+        # -0.0 classes age into -0.0 and a negative lake makes negative
+        # larvae: np.maximum turns both into 0.0.
+        classes = [0.0, -0.0, 3.0, 5.0, 0.0, -0.0, 2.0] + [1.0] * 6
+        pop, lake = FishPopulation(classes), np.full(12, -10.0)
+        fish, _ = step_fish(pop, lake, [0.0], [0], EcologyParams())
+        expected, _ = reference_step_fish(pop, lake, [0.0], [0], EcologyParams())
+        assert _bits(fish.classes) == expected.tobytes()
+        assert {type(v) for v in fish.classes} == {float}
+        assert _bits([fish.classes[i] for i in (0, 2, 6)]) == _bits([0.0, 0.0, 0.0])
+
+    def test_step_fish_rejects_a_non_finite_class_it_makes(self):
+        # An infinite class makes a NaN juvenile, which np.maximum would keep;
+        # the population it would make fails the FishPopulation check.
         classes = [math.inf, -0.0, 3.0, math.nan, 0.0, -0.0, 2.0] + [1.0] * 6
         pop, lake = _unchecked_population(classes), np.full(12, -10.0)
-        fish, _ = step_fish(pop, lake, [0.0], [0], EcologyParams())
-        with np.errstate(invalid="ignore"):   # inf / inf on numpy scalars
-            expected, _ = reference_step_fish(pop, lake, [0.0], [0], EcologyParams())
-        assert fish.classes.tobytes() == expected.tobytes()
-        assert fish.classes.dtype == expected.dtype
-        assert math.isnan(fish.classes[1]) and math.isnan(fish.classes[4])
-        assert _bits(fish.classes[[0, 2, 6]]) == _bits([0.0, 0.0, 0.0])
+        with pytest.raises(ConfigurationError, match="fish abundances must be finite"):
+            step_fish(pop, lake, [0.0], [0], EcologyParams())
 
     def test_capped_harvest_returns_python_floats(self):
         # The adult stock caps the second household's target.
@@ -1272,7 +1306,7 @@ class TestYearStep:
                                                        EcologyParams())
         assert catches == ref_catches == (5.0, 5.0)
         assert type(ref_catches[0]) is not float and type(catches[0]) is float
-        assert fish.classes.tobytes() == ref_classes.tobytes()
+        assert _bits(fish.classes) == ref_classes.tobytes()
 
 
 # -- records.csv and the budget chart ---------------------------------------------

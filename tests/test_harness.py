@@ -316,14 +316,18 @@ class TestInflow:
 
     def test_missing_csv_falls_back_to_synthetic(self, tmp_path):
         cfg = short_config(inflow=InflowConfig(csv_path=str(tmp_path / "absent.csv")))
-        assert ([r.monthly_inflow.tobytes() for r in river_series(cfg)]
+        assert ([_bits(r.monthly_inflow) for r in river_series(cfg)]
                 == fresh_bytes(cfg.inflow, cfg.seed, cfg.horizon))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
 
 
 def fresh_bytes(cfg, seed, horizon):
     """Each year's monthly inflow bytes, drawn without the series cache."""
     inflow = SyntheticInflow(cfg, seed)
-    return [inflow.year(t).monthly_inflow.tobytes() for t in range(horizon + 1)]
+    return [_bits(inflow.year(t).monthly_inflow) for t in range(horizon + 1)]
 
 
 class TestRiverSeries:
@@ -340,10 +344,10 @@ class TestRiverSeries:
     def test_cached_series_equals_fresh_draws(self, cfg, seed, horizon):
         config = short_config(seed=seed, horizon=horizon, inflow=cfg)
         series = river_series(config)
-        assert [r.monthly_inflow.tobytes() for r in series] == fresh_bytes(cfg, seed, horizon)
+        assert [_bits(r.monthly_inflow) for r in series] == fresh_bytes(cfg, seed, horizon)
         assert river_series(config) is series
         for river in series:
-            with pytest.raises(ValueError, match="read-only"):
+            with pytest.raises(TypeError, match="does not support item assignment"):
                 river.monthly_inflow[0] = 1.0
 
     def test_signed_zero_mean_keeps_its_own_bytes(self):
@@ -352,7 +356,7 @@ class TestRiverSeries:
         for mean in (0.0, -0.0, 0.0):
             cfg = InflowConfig(mean_annual=mean)
             series = river_series(short_config(inflow=cfg))
-            assert [r.monthly_inflow.tobytes() for r in series] == fresh_bytes(cfg, 7, 5)
+            assert [_bits(r.monthly_inflow) for r in series] == fresh_bytes(cfg, 7, 5)
 
     def test_failing_config_raises_on_every_call(self):
         config = short_config(inflow=InflowConfig(shape_power=1e6))
@@ -515,6 +519,29 @@ class TestRunSimulation:
         art = run_simulation(cfg)
         # With no budget the authority can never allocate fields.
         assert all(r.planted == 0 for r in art.records)
+
+
+    def test_overflowing_fish_step_raises_in_its_year(self):
+        # Fecundity 1e308 spawns an infinite larva class in year 1, which
+        # would carry on as NaN juveniles and a NaN adult stock.
+        cfg = RunConfig(pipeline="procedural", horizon=1,
+                        ecology=EcologyParams(fecundity=1e308))
+        with pytest.raises(ConfigurationError, match="fish abundances must be finite"):
+            run_simulation(cfg)
+
+    @pytest.mark.parametrize("pipeline", ["procedural", "centralized"])
+    @pytest.mark.parametrize("coefficient", ["w", "c"])
+    def test_tiny_coefficient_gives_clipped_field_counts(self, pipeline, coefficient):
+        # An inflow or budget over 5e-324 is inf, which math.floor cannot
+        # take; clipped first, it allows max_fields. Year 1 is planted from
+        # the water (the year-0 crop income is the subsistence), so a tiny w
+        # lets everyone plant max_fields.
+        cfg = short_config(pipeline=pipeline, horizon=4,
+                           ecology=EcologyParams(**{coefficient: 5e-324}))
+        records = run_simulation(cfg).records
+        assert all(0 <= r.planted <= cfg.max_fields for r in records)
+        if coefficient == "w":
+            assert {r.planted for r in records if r.year == 1} == {cfg.max_fields}
 
 
 class TestSummarize:
@@ -787,6 +814,24 @@ class TestCli:
                      "--seeds", "0", "1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 4
+
+    def test_sweep_out_makes_its_directory(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "new" / "out"
+        assert main(["sweep", "--config", cfg, "--taus", "0", "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows == capsys.readouterr().out.splitlines()[1:]
+
+    @pytest.mark.parametrize("blocked", ["csv_is_a_directory", "out_is_a_file"])
+    def test_unwritable_sweep_out_exit_code(self, tmp_path, capsys, blocked):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        if blocked == "csv_is_a_directory":
+            (out / "sweep.csv").mkdir(parents=True)
+        else:
+            out.write_text("x")
+        assert main(["sweep", "--config", cfg, "--taus", "0", "--out", str(out)]) == 2
+        assert "error: cannot write outputs under" in capsys.readouterr().err
 
     def test_solve_game_subcommand(self, tmp_path, capsys):
         game = tmp_path / "game.json"
