@@ -26,9 +26,9 @@ decisions = [Decision(10, 2)] * n
 
 print(f"\n{'year':>4} {'delivered':>28} {'stress':>24} {'adults':>8}")
 for _ in range(8):
-    state, records = advance_year(state, river, decisions, params)
-    delivered = " ".join(f"{r.delivered:5.0f}" for r in records)
-    stress = " ".join(f"{r.stress:4.2f}" for r in records)
+    state = advance_year(state, river, decisions, params)
+    delivered = " ".join(f"{r.delivered:5.0f}" for r in state.households)
+    stress = " ".join(f"{r.stress:4.2f}" for r in state.households)
     print(f"{state.year:>4} {delivered:>28} {stress:>24} "
           f"{state.fish.adult_total:8.0f}")
 

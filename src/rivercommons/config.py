@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .ecology import EcologyParams
+from .ecology import N_FISH_CLASSES, EcologyParams, _checked_floats
 from .errors import ConfigurationError, check_fields
 from .gateway import GatewayConfig
 
@@ -74,7 +74,9 @@ class RunConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.max_fields < 0 or self.e_max < 0 or self.low_action < 0:
             raise ConfigurationError("action bounds must be non-negative")
-        object.__setattr__(self, "initial_fish", tuple(map(float, self.initial_fish)))
+        # The fish rule: 13 finite, non-negative age classes.
+        object.__setattr__(self, "initial_fish", _checked_floats(
+            self.initial_fish, N_FISH_CLASSES, "initial_fish classes", "initial_fish"))
 
 
 def _build_section(cls, data, name):

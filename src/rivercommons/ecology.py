@@ -5,6 +5,7 @@ the annual budget update that ties them together.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -27,8 +28,12 @@ class ActivityClass(str, Enum):
 
 def _checked_floats(values, count: int, what: str, unit: str) -> tuple:
     """`values`, any sequence of `count` numbers (a numpy array too), as a
-    tuple of Python floats. Anything else, and a NaN, infinite or negative
-    value, is a ConfigurationError naming `what`."""
+    tuple of Python floats. Anything else, text and unordered collections
+    included, and a NaN, infinite or negative value, is a ConfigurationError
+    naming `what`."""
+    if isinstance(values, (str, bytes, bytearray, Set, Mapping)):
+        raise ConfigurationError(f"{what} must be a sequence of numbers, "
+                                 f"got a {type(values).__name__}")
     try:
         floats = tuple(map(float, values))
     except (TypeError, ValueError) as err:
@@ -311,13 +316,12 @@ def classify_activity(irrigated: int, catch: float) -> ActivityClass:
 def advance_year(state: WorldState, river: RiverYear, decisions, params: EcologyParams):
     """Run one simulation year on `river`: routing, crops, fishery, budget update.
 
-    Returns the successor WorldState and one YearRecord per household; the
-    successor holds those same records. Budgets may go negative (debt).
+    Returns the successor WorldState, whose households are the year's
+    YearRecords, one per household. Budgets may go negative (debt).
     """
     n = state.n_households
     if len(decisions) != n:
-        raise ConfigurationError(
-            f"expected {n} decisions, got {len(decisions)}")
+        raise ConfigurationError(f"expected {n} decisions, got {len(decisions)}")
     planted = [d.fields_planted for d in decisions]
     routed = route_river(river, planted, params)
     irrigated = [_irrigated_count(p, d, params.w)
@@ -343,4 +347,4 @@ def advance_year(state: WorldState, river: RiverYear, decisions, params: Ecology
             fish_income, h.budget + income + fish_income - c * irr - kappa,
             classify_activity(irr, catch)))
 
-    return WorldState(households=tuple(records), fish=fish2, year=year), records
+    return WorldState(households=tuple(records), fish=fish2, year=year)

@@ -55,18 +55,28 @@ def field_cap(fields: float, max_fields: int) -> float:
     return 0.0 if fields < 0.0 else float(max_fields)
 
 
+def pair_caps(B_u, B_d, T, c, w, max_fields: int) -> tuple:
+    """(lim_u, lim_d, water): the `field_cap`s of min(B_u / c, T / w) and of
+    B_d / c, and the water T / w clipped at 2 * max_fields + 1. `_payoff_rule`
+    reads the budgets and water only through these, so specs with equal caps
+    and other fields build bit-identical games. The clip changes no cell:
+    above it, downstream's water bound exceeds max_fields whatever f_u is."""
+    water, b_u, top = T / w, B_u / c, float(2 * max_fields + 1)
+    return (field_cap(b_u if b_u < water else water, max_fields),
+            field_cap(B_d / c, max_fields), water if water < top else top)
+
+
 def _payoff_rule(s_u, s_d, spec: IrrigationGameSpec):
     """The irrigation payoff rule, elementwise over numpy-broadcast strategy
     arrays (or scalars) in 0..max_fields: (f_u, f_d, pi_u, pi_d).
 
-    Fields actually irrigated: upstream's strategy capped by the `field_cap`
-    of min(B_u / c, T / w), downstream's by the `field_cap` of B_d / c and by
-    the water upstream leaves. Payoffs are yield plus fishing income, minus
-    irrigation and consumption costs and the extraction tax.
+    Fields actually irrigated: each strategy capped by its `pair_caps`
+    bound, and downstream's also by the water upstream leaves. Payoffs are
+    yield plus fishing income, minus irrigation and consumption costs and
+    the extraction tax.
     """
-    water, b_u = spec.T / spec.w, spec.B_u / spec.c
-    lim_u = field_cap(b_u if b_u < water else water, spec.max_fields)
-    lim_d = field_cap(spec.B_d / spec.c, spec.max_fields)
+    lim_u, lim_d, water = pair_caps(spec.B_u, spec.B_d, spec.T, spec.c, spec.w,
+                                    spec.max_fields)
     f_u = np.maximum(0.0, np.minimum(s_u, lim_u))
     f_d = np.maximum(0.0, np.minimum(np.minimum(s_d, lim_d),
                                      np.floor(np.maximum(water - f_u, 0.0) + 1e-9)))

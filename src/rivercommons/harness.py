@@ -15,7 +15,7 @@ import numpy as np
 from .config import InflowConfig, RunConfig, load_prompts
 from .ecology import (Decision, FishPopulation, RiverYear, WorldState,
                       YearRecord, advance_year)
-from .errors import ConfigurationError, RiverCommonsError
+from .errors import ConfigurationError, RiverCommonsError, SimulationError
 from .games import parse_llm_game
 from .gateway import Gateway
 from .outputs import GRID_FIELDS, summarize, summary_row
@@ -150,10 +150,10 @@ def _initial_state(config: RunConfig, year0: RiverYear) -> WorldState:
 
 class _Procedural:
     """The procedural pipeline and the base of the other four: its rule is
-    the LLM pipelines' fallback, and its hooks do nothing. `fish_targets`
-    holds each household's constant fish target, fixed for the run."""
+    the LLM pipelines' fallback; its hooks do nothing, and it has no `events`.
+    `fish_targets` holds each household's constant fish target for the run."""
 
-    as_models = ()
+    as_models = events = ()
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         self.config = config
@@ -167,10 +167,10 @@ class _Procedural:
                                  self.fish_targets[h.household - 1])
 
     def decide(self, state: WorldState):
-        """(one Decision per household, "fallback" and "clamp" events)."""
-        return [self.rule(h) for h in state.households], ()
+        """One Decision per household."""
+        return [self.rule(h) for h in state.households]
 
-    def end_year(self, river: RiverYear, year_records: list):
+    def end_year(self, river: RiverYear, state: WorldState):
         pass
 
     def close(self):
@@ -187,13 +187,13 @@ class _Centralized(_Procedural):
 
     def decide(self, state: WorldState):
         allocation = centralized_allocate(self.budget, self.inflows, self.config)
-        return [Decision(a, t) for a, t in zip(allocation, self.fish_targets)], ()
+        return [Decision(a, t) for a, t in zip(allocation, self.fish_targets)]
 
-    def end_year(self, river: RiverYear, year_records: list):
+    def end_year(self, river: RiverYear, state: WorldState):
         cfg = self.config
         self.inflows.append(river.annual_total)
-        crop = sum(r.crop_income for r in year_records)
-        irr_cost = cfg.ecology.c * sum(r.irrigated for r in year_records)
+        crop = sum(r.crop_income for r in state.households)
+        irr_cost = cfg.ecology.c * sum(r.irrigated for r in state.households)
         consumption = cfg.ecology.kappa * cfg.n_households
         self.budget += crop - irr_cost - consumption
 
@@ -213,7 +213,7 @@ class _ExpertEgta(_Procedural):
         cfg = self.config
         fishing = solve_fishing_game(state, cfg.ecology, cfg.e_max, cfg.effort_cost,
                                      self.fishing)
-        return expert_egta_decide(state, cfg, fishing, self.rng, self.solved), ()
+        return expert_egta_decide(state, cfg, fishing, self.rng, self.solved)
 
 
 class _Generative(_Procedural):
@@ -221,13 +221,14 @@ class _Generative(_Procedural):
     prompts and behaviour's `system` prompt of the LLM pipelines, asked once
     per household. `views` holds each household's prompt entries that are
     fixed for the run; each year adds the rounded inflow, crop income and
-    budget of its record."""
+    budget of its record. Each household's events join the run's `events`."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.prompts = load_prompts(config.prompts_dir)
         self.system = self.prompts[config.behaviour]
         self.gateway = Gateway(config.gateway)
+        self.events = []
         self.views = [{
             "water_per_field": config.ecology.w,
             "irrigation_cost": config.ecology.c,
@@ -238,17 +239,16 @@ class _Generative(_Procedural):
         } for target in self.fish_targets]
 
     def decide(self, state: WorldState):
-        decisions, events = [], []
+        decisions = []
         for h, fixed in zip(state.households, self.views):
             tags = {"year": state.year + 1, "household": h.household,
                     "pipeline": self.config.pipeline}
             view = dict(fixed, predicted_water=round(h.node_inflow, 2),
                         past_yield=round(h.crop_income, 2), budget=round(h.budget, 2))
-            decision, household_events = self.decide_one(
-                view, lambda h=h: self.rule(h), tags)
+            decision, events = self.decide_one(view, lambda h=h: self.rule(h), tags)
             decisions.append(decision)
-            events.extend(household_events)
-        return decisions, events
+            self.events.extend(events)
+        return decisions
 
     def decide_one(self, view: dict, fallback, tags: dict):
         return generative_decide(view, self.system, self.gateway, self.prompts["role"],
@@ -285,23 +285,27 @@ def run_simulation(config: RunConfig) -> RunArtifacts:
     artifacts (and byte-identical CSV output) for every pipeline when the
     gateway uses the stub backend. The river comes from `river_series`, so
     runs that share the inflow config, seed and horizon share one synthetic
-    draw."""
+    draw. A ConfigurationError of the year step, such as an overflowing fish
+    class, is raised as a SimulationError naming its year."""
     series = river_series(config)
     state = _initial_state(config, series[0])
     pipeline = PIPELINE_TYPES[config.pipeline](config, series[0])
-    records, fallbacks, clamps = [], 0, 0
+    records = []
     try:
         for river in series[1:]:
-            decisions, events = pipeline.decide(state)
-            state, year_records = advance_year(state, river, decisions, config.ecology)
-            pipeline.end_year(river, year_records)
-            records.extend(year_records)
-            fallbacks += events.count("fallback")
-            clamps += events.count("clamp")
+            decisions = pipeline.decide(state)
+            try:
+                state = advance_year(state, river, decisions, config.ecology)
+            except ConfigurationError as err:
+                raise SimulationError(f"year step failed: {err}",
+                                      year=state.year + 1) from err
+            pipeline.end_year(river, state)
+            records.extend(state.households)
     finally:
         pipeline.close()
-    return RunArtifacts(config=config, records=records, fallback_events=fallbacks,
-                        clamp_events=clamps, as_models=list(pipeline.as_models))
+    events = pipeline.events
+    return RunArtifacts(config, records, events.count("fallback"), events.count("clamp"),
+                        list(pipeline.as_models))
 
 
 def sweep(base: RunConfig, pipelines=None, taus=None, behaviours=None, seeds=None):

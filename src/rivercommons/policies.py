@@ -11,8 +11,8 @@ from .ecology import Decision, EcologyParams, WorldState, YearRecord
 from .equilibrium import solve_symmetric_cpr
 from .errors import (ConfigurationError, RiverCommonsError, SchemaError,
                      SimulationError, TransportError, finite_real)
-from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game, field_cap,
-                    fishing_income, solve_irrigation_game)
+from .games import (ASKind, IrrigationGameSpec, build_cpr_fishing_game, fishing_income,
+                    pair_caps, solve_irrigation_game)
 from .gateway import Gateway, extract_structured, render_prompt
 
 
@@ -106,14 +106,12 @@ def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rng
     in its own pair, 0 downstream in the pair above. Household 1 is always
     upstream and the last always downstream. One pass checks every pair's
     budgets and inflow as float fields (`finite_real`) and keys its game by
-    its clipped caps and the year's fishing income. Equal keys build
-    bit-identical games: every other spec field is fixed for the run, floor
-    commutes with min, caps bind only in 0..max_fields and water of
-    2 * max_fields + 1 never binds downstream. So `solved`, which maps keys
-    to selected cells, belongs to one run: pass the same dict every year of
-    that run (and a fresh one to each run), and a spec is built and solved
-    once per key that some household plays in the run. A failing solve is
-    not stored."""
+    its `games.pair_caps` and the year's fishing income; every other spec
+    field is fixed for the run, so equal keys build equal games. So
+    `solved`, which maps keys to selected cells, belongs to one run: pass
+    the same dict every year of that run (and a fresh one to each run), and
+    a spec is built and solved once per key that some household plays in
+    the run. A failing solve is not stored."""
     params, max_fields = config.ecology, config.max_fields
     n, hs = state.n_households, state.households
     if n < 2:
@@ -126,14 +124,8 @@ def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rng
         if not finite_real(getattr(h, name)):
             raise ConfigurationError(f"household {h.household} {name} must be a finite "
                                      f"number, got {getattr(h, name)!r}")
-    c, w, top = params.c, params.w, float(2 * max_fields + 1)
-    keys = []
-    for up, down in zip(hs, hs[1:]):
-        water = float(up.node_inflow) / w
-        b_u = float(up.budget) / c
-        keys.append((field_cap(b_u if b_u < water else water, max_fields),
-                     field_cap(float(down.budget) / c, max_fields),
-                     water if water < top else top, fish_income))
+    keys = [(*pair_caps(up.budget, down.budget, up.node_inflow, params.c, params.w,
+                        max_fields), fish_income) for up, down in zip(hs, hs[1:])]
     decisions = []
     for i, role in enumerate(upstream):
         pair = i if role else i - 1

@@ -73,6 +73,21 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             make(values)
 
+    @pytest.mark.parametrize("make, count, what", [
+        (FishPopulation, N_FISH_CLASSES, "age classes"), (RiverYear, 12, "monthly inflows")])
+    @pytest.mark.parametrize("kind", [str, bytes, bytearray, set, frozenset, dict])
+    def test_state_rejects_text_and_unordered_collections(self, make, count, what, kind):
+        """Text and unordered collections of the right size, each of whose
+        entries `float` takes, are not sequences of numbers."""
+        values = {str: "1" * count, bytes: bytes(range(count)),
+                  bytearray: bytearray(range(count)), set: set(map(float, range(count))),
+                  frozenset: frozenset(map(float, range(count))),
+                  dict: dict.fromkeys(map(float, range(count)), 1.0)}[kind]
+        assert len(values) == count and all(float(v) >= 0.0 for v in values)
+        with pytest.raises(ConfigurationError,
+                           match=f"^{what} must be a sequence of numbers, got a {kind.__name__}$"):
+            make(values)
+
     @pytest.mark.parametrize("fields, fish", [(math.nan, 1), (1, math.nan), (-1, 0), (0, -1)])
     def test_decision_rejects_negative_or_nan_component(self, fields, fish):
         with pytest.raises(ConfigurationError, match="decision components must be non-negative"):
@@ -322,33 +337,33 @@ class TestAdvanceYear:
     def test_consumption_only(self, params):
         state = make_state(n=3, budget=100.0)
         decisions = [Decision(0, 0)] * 3
-        state2, records = advance_year(state, even_river(), decisions, params)
-        for h, r in zip(state2.households, records):
+        state2 = advance_year(state, even_river(), decisions, params)
+        for h in state2.households:
             assert h.budget == pytest.approx(100.0 - params.kappa)
-            assert r.activity is ActivityClass.NONE
+            assert h.activity is ActivityClass.NONE
         assert state2.year == 1
 
     def test_single_household_arithmetic(self, params):
         state = make_state(n=1, budget=1000.0)
-        _, records = advance_year(state, even_river(10000.0), [Decision(5, 0)], params)
-        r = records[0]
+        r, = advance_year(state, even_river(10000.0), [Decision(5, 0)], params).households
         assert r.irrigated == 5
         expected = 5 * params.y0 - 5 * params.c - params.kappa
         assert r.budget - 1000.0 == pytest.approx(expected)
 
     def test_symmetry(self, params):
         state = make_state(n=2, budget=500.0)
-        _, records = advance_year(state, even_river(10000.0),
-                                  [Decision(3, 0), Decision(3, 0)], params)
-        a, b = records
+        a, b = advance_year(state, even_river(10000.0),
+                            [Decision(3, 0), Decision(3, 0)], params).households
         assert (a.planted, a.irrigated, a.crop_income, a.catch, a.budget) == \
                (b.planted, b.irrigated, b.crop_income, b.catch, b.budget)
 
     def test_next_state_holds_the_records(self, params):
         state = make_state(n=3, budget=200.0, fish=np.full(N_FISH_CLASSES, 50.0))
         decisions = [Decision(4, 2), Decision(6, 1), Decision(2, 3)]
-        state2, records = advance_year(state, even_river(3000.0), decisions, params)
-        assert state2.households == tuple(records)
+        state2 = advance_year(state, even_river(3000.0), decisions, params)
+        assert type(state2) is WorldState and type(state2.households) is tuple
+        assert [(type(r), r.year, r.household, r.planted) for r in state2.households] \
+            == [(YearRecord, 1, 1, 4), (YearRecord, 1, 2, 6), (YearRecord, 1, 3, 2)]
 
     def test_decision_count_mismatch(self, params):
         with pytest.raises(ConfigurationError):
@@ -358,16 +373,16 @@ class TestAdvanceYear:
         fish = np.full(N_FISH_CLASSES, 50.0)
         state = make_state(n=3, budget=200.0, fish=fish)
         decisions = [Decision(4, 2), Decision(6, 1), Decision(2, 3)]
-        state2, records = advance_year(state, even_river(3000.0), decisions, params)
-        for before, r in zip(state.households, records):
+        state2 = advance_year(state, even_river(3000.0), decisions, params)
+        for before, r in zip(state.households, state2.households):
             delta = r.crop_income + r.fish_income - params.c * r.irrigated \
                 - params.kappa
             assert r.budget - before.budget == pytest.approx(delta, abs=1e-9)
 
     def test_records_capture_water_accounting(self, params):
         state = make_state(n=2)
-        _, records = advance_year(state, even_river(500.0),
-                                  [Decision(5, 0), Decision(5, 0)], params)
-        for r in records:
+        state2 = advance_year(state, even_river(500.0),
+                              [Decision(5, 0), Decision(5, 0)], params)
+        for r in state2.households:
             assert r.delivered <= params.w * r.planted + 1e-9
             assert r.node_inflow >= r.delivered - 1e-9

@@ -40,7 +40,7 @@ from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationErro
 from rivercommons.config import BEHAVIOURS, load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
-from rivercommons.games import _payoff_rule
+from rivercommons.games import _payoff_rule, pair_caps
 from rivercommons.harness import RunArtifacts, _ExpertEgta, _initial_state, river_series
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import default_fish_target, solve_fishing_game
@@ -116,6 +116,8 @@ class TestIrrigationTable:
         row, col = reference_matrices(spec)
         assert game.row_payoffs.tobytes() == row.tobytes()
         assert game.col_payoffs.tobytes() == col.tobytes()
+        assert pair_caps(spec.B_u, spec.B_d, spec.T, spec.c, spec.w, spec.max_fields) \
+            == reference_pair_key(spec)
 
     @settings(max_examples=150, deadline=None)
     @given(irrigation_specs(), st.data())

@@ -76,6 +76,8 @@ class TestConfig:
         ({"inflow": {"csv_path": 7}}, "csv_path"),
         ({"initial_fish": 5}, "initial_fish"),
         ({"initial_fish": ["a"] * 13}, "initial_fish"),
+        ({"initial_fish": [250.0] * 12}, "initial_fish"),
+        ({"initial_fish": [-1.0] * 13}, "initial_fish"),
     ])
     def test_wrongly_typed_value_rejected(self, data, key):
         with pytest.raises(ConfigurationError) as err:
@@ -134,7 +136,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"^{field} must be "):
             cls(**kwargs)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "250"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "250", -1.0])
     def test_python_built_initial_fish_entry_rejected(self, value):
         with pytest.raises(ConfigurationError, match="initial_fish"):
             RunConfig(initial_fish=(250.0,) * 12 + (value,))
@@ -480,11 +482,11 @@ class TestRunSimulation:
         budgets, capped = [], []
 
         def recording_advance_year(state, river, decisions, params):
-            state2, records = advance_year(state, river, decisions, params)
+            state2 = advance_year(state, river, decisions, params)
             budgets.extend(h.budget for h in state2.households)
-            capped.append(sum(r.catch for r in records)
+            capped.append(sum(r.catch for r in state2.households)
                           < sum(d.fish_target for d in decisions))
-            return state2, records
+            return state2
 
         monkeypatch.setattr("rivercommons.harness.advance_year", recording_advance_year)
         art = run_simulation(RunConfig(pipeline=pipeline, seed=1))
@@ -523,11 +525,17 @@ class TestRunSimulation:
 
     def test_overflowing_fish_step_raises_in_its_year(self):
         # Fecundity 1e308 spawns an infinite larva class in year 1, which
-        # would carry on as NaN juveniles and a NaN adult stock.
+        # would carry on as NaN juveniles and a NaN adult stock. The run
+        # names the year; a sweep row carries that name.
         cfg = RunConfig(pipeline="procedural", horizon=1,
                         ecology=EcologyParams(fecundity=1e308))
-        with pytest.raises(ConfigurationError, match="fish abundances must be finite"):
+        with pytest.raises(SimulationError, match="fish abundances must be finite") as info:
             run_simulation(cfg)
+        assert info.value.year == 1
+        assert type(info.value.__cause__) is ConfigurationError
+        row, = sweep(replace(cfg, horizon=6), seeds=[0])
+        assert row["error"].startswith("SimulationError: ")
+        assert row["error"].endswith("[year=1]")
 
     @pytest.mark.parametrize("pipeline", ["procedural", "centralized"])
     @pytest.mark.parametrize("coefficient", ["w", "c"])

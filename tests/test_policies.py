@@ -135,7 +135,7 @@ class TestExpertEgtaDecide:
         config = short_config(pipeline="expert-egta", n_households=2, e_max=5,
                               effort_cost=1.0, ecology=params)
         pipeline = _ExpertEgta(config, river_series(config)[0])
-        decisions, _ = pipeline.decide(world)
+        decisions = pipeline.decide(world)
         assert all(d.fish_target == 5 for d in decisions)
         assert pipeline.fishing[10] == (5, 25.0)
 
