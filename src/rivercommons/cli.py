@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import load_config, load_json_object
 from .equilibrium import BimatrixGame, enumerate_pure_ne, lemke_howson, select_equilibrium
-from .errors import ConfigurationError, RiverCommonsError
+from .errors import ConfigurationError, RiverCommonsError, SimulationError
 from .harness import CALIBRATE_MIN_HORIZON, CALIBRATE_TAUS, calibrate_check, run_simulation, sweep
 from .outputs import (SUMMARY_FIELDS, SWEEP_COLUMNS, emit_outputs, summarize,
                       write_rows, write_summary_csv)
@@ -22,8 +22,11 @@ def _cmd_run(args):
     if args.out and not config.gateway.log_path:
         # Only pipelines that open a gateway write this log; a stale one goes.
         log_path = os.path.join(args.out, "requests.jsonl")
-        os.makedirs(args.out, exist_ok=True)
-        Path(log_path).unlink(missing_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            Path(log_path).unlink(missing_ok=True)
+        except OSError as err:
+            raise SimulationError(f"cannot write outputs under {args.out}: {err}") from err
         config = replace(config, gateway=replace(config.gateway, log_path=log_path))
     artifacts = run_simulation(config)
     if args.out:

@@ -274,27 +274,34 @@ def step_fish(pop: FishPopulation, lake_inflow_by_month, harvest_targets,
     lake = lake_inflow_by_month
     if len(lake) != 12:
         raise ConfigurationError(f"lake inflow must have 12 months, got {len(lake)}")
-    adults = pop.classes[ADULT]
+    c0, c1, c2, c3, c4, a0, a1, a2, a3, a4, a5, a6, a7 = pop.classes
     catches = [0.0] * len(harvest_targets)
-    # The adult stock, summed as numpy sums it and summed again only after
-    # a harvest has changed the classes. After the loop it is the
+    # The adult stock, summed in `_numpy_sum`'s order and summed again only
+    # after a harvest has rescaled the adults. After the loop it is the
     # post-harvest stock that spawns the larvae.
-    remaining = _numpy_sum(adults)
+    remaining = 0.0 + (((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)))
     for i in household_order:
-        take = min(float(harvest_targets[i]), remaining)
+        target = float(harvest_targets[i])
+        take = remaining if remaining < target else target  # min(target, remaining)
         catches[i] = take
         if take > 0:
             f = 1.0 - take / remaining
-            adults = [a * f for a in adults]
-            remaining = _numpy_sum(adults)
+            a0 *= f
+            a1 *= f
+            a2 *= f
+            a3 *= f
+            a4 *= f
+            a5 *= f
+            a6 *= f
+            a7 *= f
+            remaining = 0.0 + (((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)))
 
-    old = [*pop.classes[:ADULT.start], *adults]
-    new = [0.0] * N_FISH_CLASSES
-    for k in range(0, 5):  # larvae and juveniles: density-dependent
-        a = old[k]
-        new[k + 1] = params.sigma_larva * a / (1.0 + a / params.K_juv)
-    for k in range(5, 12):  # adults: constant survival, class 12 exits
-        new[k + 1] = params.sigma_adult * old[k]
+    # Each class ages into the next; a7, the oldest, exits.
+    sigma, K, adult = params.sigma_larva, params.K_juv, params.sigma_adult
+    new = [0.0, sigma * c0 / (1.0 + c0 / K), sigma * c1 / (1.0 + c1 / K),
+           sigma * c2 / (1.0 + c2 / K), sigma * c3 / (1.0 + c3 / K),
+           sigma * c4 / (1.0 + c4 / K), adult * a0, adult * a1, adult * a2, adult * a3,
+           adult * a4, adult * a5, adult * a6]
 
     scale = min(1.0, _numpy_sum(lake) / params.Q_ref)
     new[LARVA] = params.fecundity * remaining * scale
@@ -328,7 +335,7 @@ def advance_year(state: WorldState, river: RiverYear, decisions, params: Ecology
                  for p, d in zip(planted, routed.delivered)]
     total_irrigated = sum(irrigated)
 
-    downstream_first = list(range(n - 1, -1, -1))
+    downstream_first = range(n - 1, -1, -1)
     fish2, catches = step_fish(
         state.fish, routed.lake_inflow_by_month,
         [d.fish_target for d in decisions], downstream_first, params)

@@ -199,21 +199,29 @@ class _Centralized(_Procedural):
 
 
 class _ExpertEgta(_Procedural):
-    """The expert pipeline's run state: its own generator, which draws each
-    middle household's pair role, and one memo per game, each kept for the
-    run: `fishing` for the CPR fishing game (`policies.solve_fishing_game`)
-    and `solved` for the pair games (`policies.expert_egta_decide`)."""
+    """The expert pipeline's run state: `roles`, each year's middle-household
+    pair roles, drawn in one call from a generator seeded by the run's seed
+    (row t for the decision made at year t); and one memo per game, each kept
+    for the run: `fishing` for the CPR fishing game
+    (`policies.solve_fishing_game`) and `solved` for the pair games
+    (`policies.expert_egta_decide`)."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
-        self.rng = np.random.default_rng(config.seed)
+        n = config.n_households
+        if n < 2:
+            raise ConfigurationError("expert pipeline needs at least 2 households")
+        # One call draws the same values in the same order, and leaves the
+        # generator in the same state, as one n - 2 draw per year.
+        self.roles = np.random.default_rng(config.seed).integers(
+            2, size=(config.horizon, n - 2)).tolist()
         self.fishing, self.solved = {}, {}
 
     def decide(self, state: WorldState):
         cfg = self.config
         fishing = solve_fishing_game(state, cfg.ecology, cfg.e_max, cfg.effort_cost,
                                      self.fishing)
-        return expert_egta_decide(state, cfg, fishing, self.rng, self.solved)
+        return expert_egta_decide(state, cfg, fishing, self.roles[state.year], self.solved)
 
 
 class _Generative(_Procedural):

@@ -96,30 +96,31 @@ def solve_fishing_game(state: WorldState, params: EcologyParams, e_max: int,
     return solved[key]
 
 
-def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rng,
+def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, roles,
                        solved: dict) -> list:
     """Expert-guided pipeline: one irrigation game per consecutive pair, set
     by the run config's `tau`, `ecology`, `pair_stress_threshold` and
     `max_fields` and by the year's fishing game `fishing` = (e_star,
-    fish_income) from `solve_fishing_game`. Each middle household's role is
-    drawn uniformly from the seeded run RNG, in household order: 1 plays upstream
-    in its own pair, 0 downstream in the pair above. Household 1 is always
-    upstream and the last always downstream. One pass checks every pair's
-    budgets and inflow as float fields (`finite_real`) and keys its game by
-    its `games.pair_caps` and the year's fishing income; every other spec
-    field is fixed for the run, so equal keys build equal games. So
-    `solved`, which maps keys to selected cells, belongs to one run: pass
-    the same dict every year of that run (and a fresh one to each run), and
-    a spec is built and solved once per key that some household plays in
-    the run. A failing solve is not stored."""
+    fish_income) from `solve_fishing_game`. `roles` holds each middle
+    household's pair role for the year, in household order, as the run's
+    seeded generator drew it: 1 plays upstream in its own pair, 0 downstream
+    in the pair above. Household 1 is always upstream and the last always
+    downstream. One pass checks every pair's budgets and inflow as float
+    fields (`finite_real`) and keys its game by its `games.pair_caps` and the
+    year's fishing income; every other spec field is fixed for the run, so
+    equal keys build equal games. So `solved`, which maps keys to selected
+    cells, belongs to one run: pass the same dict every year of that run
+    (and a fresh one to each run), and a spec is built and solved once per
+    key that some household plays in the run. A failing solve is not
+    stored."""
     params, max_fields = config.ecology, config.max_fields
     n, hs = state.n_households, state.households
     if n < 2:
         raise ConfigurationError("expert pipeline needs at least 2 households")
+    if len(roles) != n - 2:
+        raise ConfigurationError(f"expected {n - 2} middle-household roles, got {len(roles)}")
     e_star, fish_income = fishing
-    # One call draws the same values, and leaves the generator in the same
-    # state, as n - 2 scalar draws.
-    upstream = [1] + rng.integers(2, size=n - 2).tolist() + [0]
+    upstream = [1, *roles, 0]
     for h, name in [(h, "budget") for h in hs] + [(h, "node_inflow") for h in hs[:-1]]:
         if not finite_real(getattr(h, name)):
             raise ConfigurationError(f"household {h.household} {name} must be a finite "

@@ -40,6 +40,12 @@ def expert_config(tau=0.0, ecology=None, max_fields=10):
                      max_fields=max_fields, pair_stress_threshold=6.0)
 
 
+def year_roles(n, rng):
+    """One year's middle-household roles for `expert_egta_decide`: n - 2
+    draws from `rng` in one call, as a row of the expert run's role table."""
+    return rng.integers(2, size=n - 2).tolist()
+
+
 def count_replies(gateway):
     """A list that gets each reply `gateway.complete` returns, through a
     wrapper set on the instance."""

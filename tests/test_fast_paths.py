@@ -9,7 +9,6 @@ the per-cell records.csv and budget-chart writers, and the regex prompt
 renderer on a household view built whole each year, kept here so that any
 change to the fast paths must reproduce them exactly.
 """
-import copy
 import csv
 import io
 import itertools
@@ -44,7 +43,7 @@ from rivercommons.games import _payoff_rule, pair_caps
 from rivercommons.harness import RunArtifacts, _ExpertEgta, _initial_state, river_series
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import default_fish_target, solve_fishing_game
-from conftest import expert_config, pure_profile, short_config
+from conftest import expert_config, pure_profile, short_config, year_roles
 
 
 # -- irrigation payoff table ---------------------------------------------------
@@ -263,10 +262,15 @@ def reference_numpy_year_keys(world, params, max_fields, fish_income):
                     [fish_income] * (len(hs) - 1)))
 
 
-def played_pairs(n, roles):
-    """The pair each household plays, drawn from `roles`, a generator in the
-    state of the one `expert_egta_decide` is given."""
-    upstream = [1] + [int(roles.integers(2)) for _ in range(n - 2)] + [0]
+def scalar_roles(n, rng):
+    """A year's middle-household roles as n - 2 scalar draws from `rng`: the
+    reference for one row of an expert run's role table."""
+    return [int(rng.integers(2)) for _ in range(n - 2)]
+
+
+def played_pairs(roles):
+    """The pair each household plays, given the middle households' `roles`."""
+    upstream = [1, *roles, 0]
     return [i if role else i - 1 for i, role in enumerate(upstream)]
 
 
@@ -360,7 +364,7 @@ def decide_counting_solves(world, tau, params, max_fields, seed):
         patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
         expert_egta_decide(world, expert_config(tau, params, max_fields),
                            solve_fishing_game(world, params, 5, 1.0, {}),
-                           np.random.default_rng(seed), {})
+                           year_roles(world.n_households, np.random.default_rng(seed)), {})
     return solved
 
 
@@ -379,7 +383,8 @@ class TestPairGameKey:
         fish_income = solve_fishing_game(world, params, 5, 1.0, {})[1]
         specs = reference_pair_specs(world, tau, params, 6.0, k, fish_income)
         first_of_key = {}
-        for pair in played_pairs(world.n_households, np.random.default_rng(seed)):
+        for pair in played_pairs(scalar_roles(world.n_households,
+                                              np.random.default_rng(seed))):
             first_of_key.setdefault(reference_pair_key(specs[pair]), specs[pair])
         solved = decide_counting_solves(world, tau, params, k, seed)
         assert solved == list(first_of_key.values())
@@ -426,10 +431,10 @@ class TestPairGameKey:
         world, params, k = year
         fish_income = solve_fishing_game(world, params, 5, 1.0, {})[1]
         keys = reference_numpy_year_keys(world, params, k, fish_income)
-        played = played_pairs(world.n_households, np.random.default_rng(seed))
+        played = played_pairs(scalar_roles(world.n_households, np.random.default_rng(seed)))
         solved = {}
         expert_egta_decide(world, expert_config(0.25, params, k), (0, fish_income),
-                           np.random.default_rng(seed), solved)
+                           year_roles(world.n_households, np.random.default_rng(seed)), solved)
         expected = list(dict.fromkeys(keys[pair] for pair in played))
         assert [_bits(key) for key in solved] == [_bits(key) for key in expected]
         assert {type(v) for key in solved for v in key[:3]} == {float}
@@ -463,7 +468,8 @@ class TestExpertYear:
         rng = np.random.default_rng(seed)
         expected_rng = np.random.default_rng(seed)
         got = expert_egta_decide(world, expert_config(tau, params),
-                                 solve_fishing_game(world, params, 5, 1.0, {}), rng, {})
+                                 solve_fishing_game(world, params, 5, 1.0, {}),
+                                 year_roles(world.n_households, rng), {})
         expected = reference_expert_egta_decide(world, tau, params, 6.0, 10, 5, 1.0,
                                                 expected_rng)
         assert got == expected
@@ -482,12 +488,12 @@ class TestExpertYear:
             solved.append(int(spec.B_u / c))
             return solve_irrigation_game(spec)
 
-        played = set(played_pairs(n, np.random.default_rng(seed)))
+        played = set(played_pairs(scalar_roles(n, np.random.default_rng(seed))))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
             expert_egta_decide(world, expert_config(0.25),
                                solve_fishing_game(world, EcologyParams(), 5, 1.0, {}),
-                               np.random.default_rng(seed), {})
+                               year_roles(n, np.random.default_rng(seed)), {})
         assert sorted(solved) == sorted(set(solved)) == sorted(played)
         assert {0, n - 2} <= set(solved)
 
@@ -502,6 +508,9 @@ class TestExpertYear:
                                  for w in (world, fished))
         config, solved, built, run = expert_config(0.25), [], [], {}
 
+        def roles():
+            return year_roles(9, np.random.default_rng(0))
+
         def counting(spec):
             solved.append(spec)
             return solve_irrigation_game(spec)
@@ -513,13 +522,13 @@ class TestExpertYear:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
             patch.setattr("rivercommons.policies.IrrigationGameSpec", building)
-            first = expert_egta_decide(world, config, fishing, np.random.default_rng(0), run)
+            first = expert_egta_decide(world, config, fishing, roles(), run)
             assert [spec.B_u for spec in solved] == [100.0]
-            expert_egta_decide(fished, config, more_fishing, np.random.default_rng(0), run)
+            expert_egta_decide(fished, config, more_fishing, roles(), run)
             assert len(solved) == 2 and solved[1].F_u > solved[0].F_u == 0.0
-            again = expert_egta_decide(world, config, fishing, np.random.default_rng(0), run)
+            again = expert_egta_decide(world, config, fishing, roles(), run)
             assert len(solved) == 2 and again == first
-            fresh = expert_egta_decide(world, config, fishing, np.random.default_rng(0), {})
+            fresh = expert_egta_decide(world, config, fishing, roles(), {})
         assert len(solved) == 3 and solved[2].F_u == 0.0
         assert built == [100.0] * 3
         assert fresh == first
@@ -546,14 +555,14 @@ def expert_runs(draw):
     return [replace(w, fish=_world([], draw(stock)).fish) for w in worlds], params, k
 
 
-def played_pair_games(world, config, fishing, rng):
+def played_pair_games(world, config, fishing, roles):
     """(reference_pair_key, fishing income) of each pair the households of
-    one expert year play, from the role draws of a copy of `rng`."""
+    one expert year play, given the year's middle-household `roles`."""
     fish_income = fishing[1]
     specs = reference_pair_specs(world, config.tau, config.ecology,
                                  config.pair_stress_threshold, config.max_fields, fish_income)
     return {(reference_pair_key(specs[pair]), fish_income)
-            for pair in played_pairs(world.n_households, copy.deepcopy(rng))}
+            for pair in played_pairs(roles)}
 
 
 def solved_games(specs):
@@ -581,10 +590,11 @@ class TestExpertRun:
 
         for world in worlds:
             fishing = solve_fishing_game(world, params, 5, 1.0, {})
-            games |= played_pair_games(world, config, fishing, rng)
+            roles = year_roles(world.n_households, rng)
+            games |= played_pair_games(world, config, fishing, roles)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr("rivercommons.policies.solve_irrigation_game", counting)
-                got = expert_egta_decide(world, config, fishing, rng, solved)
+                got = expert_egta_decide(world, config, fishing, roles, solved)
             expected = reference_expert_egta_decide(world, tau, params, 6.0, k, 5, 1.0,
                                                     expected_rng)
             assert got == expected
@@ -698,12 +708,12 @@ class TestKeptFishingGame:
         def run(every_year):
             decisions, stocks, solves = [], [], []
 
-            def recording(state, run_config, fishing, rng, solved):
+            def recording(state, run_config, fishing, roles, solved):
                 if every_year:
                     fishing = solve_fishing_game(state, config.ecology, config.e_max,
                                                  config.effort_cost, {})
                 stocks.append(state.fish.adult_total)
-                decisions.append(expert_egta_decide(state, run_config, fishing, rng, solved))
+                decisions.append(expert_egta_decide(state, run_config, fishing, roles, solved))
                 return decisions[-1]
 
             def counting(*args):
@@ -731,6 +741,30 @@ class TestKeptFishingGame:
         assert (one.integers(2, size=size).tolist()
                 == [int(scalar.integers(2)) for _ in range(size)])
         assert one.bit_generator.state == scalar.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(1, 150))
+    def test_role_table_rows_equal_successive_draws(self, seed, n, horizon):
+        """Row t of an expert run's role table is the (t + 1)-th draw of
+        n - 2 roles from a generator seeded by the run's seed, as plain ints,
+        and the one call leaves its generator in the state that the
+        successive draws leave."""
+        config = RunConfig(pipeline="expert-egta", n_households=n, horizon=horizon, seed=seed)
+        default_rng, made = np.random.default_rng, []
+
+        def recording(*args):
+            made.append(default_rng(*args))
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", recording)
+            pipeline = _ExpertEgta(config, RiverYear([100.0] * 12))
+        successive = np.random.default_rng(seed)
+        assert pipeline.roles == [successive.integers(2, size=n - 2).tolist()
+                                  for _ in range(horizon)]
+        assert {type(role) for row in pipeline.roles for role in row} <= {int}
+        assert len(made) == 1
+        assert made[0].bit_generator.state == successive.bit_generator.state
 
 
 # -- Lemke-Howson ------------------------------------------------------------------
@@ -1179,6 +1213,29 @@ def wide_lake_fishery_cases(draw):
     return pop, lake, targets, order, replace(params, Q_ref=q_ref)
 
 
+# Zero, negative zero, subnormal and ordinary abundances.
+_edge_abundances = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.225e-308]),
+                             _floats(0.0, 2.2e-308), _floats(0.0, 1e4))
+
+
+@st.composite
+def ordered_fishery_cases(draw):
+    """Classes that are 0.0, -0.0, subnormal or ordinary; targets below, equal
+    to, one ulp above or far above the adult stock; and the households
+    harvesting in a `range`, a list or any permutation."""
+    pop = FishPopulation(draw(st.lists(_edge_abundances, min_size=N_FISH_CLASSES,
+                                       max_size=N_FISH_CLASSES)))
+    stock = pop.adult_total
+    n = draw(st.integers(1, 9))
+    target = st.one_of(st.integers(0, 40), _floats(0.0, 2.0 * stock + 1.0),
+                       st.sampled_from([stock, math.nextafter(stock, math.inf), 1e13]))
+    targets = draw(st.lists(target, min_size=n, max_size=n))
+    order = draw(st.sampled_from([range(n - 1, -1, -1), list(range(n - 1, -1, -1)),
+                                  list(range(n))]) | st.permutations(range(n)))
+    lake = draw(st.lists(_volumes, min_size=12, max_size=12))
+    return pop, np.array(lake), targets, order, EcologyParams()
+
+
 def summed_values(count):
     """`count` values that are 0.0, -0.0, anywhere from 1e-300 to 1e12, or
     of one magnitude in that range, where the order of the adds sets the
@@ -1226,6 +1283,26 @@ class TestYearStep:
         classes, ref_catches = reference_step_fish(pop, lake, targets, order, params)
         assert _bits(fish.classes) == classes.tobytes()
         assert _bits(catches) == _bits(ref_catches)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_fishery_cases())
+    @example((FishPopulation([0.0] * 5 + [-0.0, 5e-324, 0.0, 2.225e-308] + [-0.0] * 4),
+              np.full(12, 50.0), [5e-324, 3, 2.225e-308 + 5e-324], range(2, -1, -1),
+              EcologyParams()))
+    @example((FishPopulation([1.0] * N_FISH_CLASSES), np.full(12, 50.0), [8.0, 8.0, 1.0],
+              [0, 2, 1], EcologyParams()))
+    @example((FishPopulation([-0.0] * N_FISH_CLASSES), np.full(12, 50.0), [2, 0.0, 5e-324],
+              range(3), EcologyParams()))
+    def test_step_fish_any_order_and_edge_classes_equal_reference(self, case):
+        """Bit for bit the reference, whatever the household order, at targets
+        that take the whole stock or more, and on zero, negative-zero and
+        subnormal classes."""
+        pop, lake, targets, order, params = case
+        fish, catches = step_fish(pop, lake, targets, order, params)
+        classes, ref_catches = reference_step_fish(pop, lake, targets, order, params)
+        assert _bits(fish.classes) == classes.tobytes()
+        assert _bits(catches) == _bits(ref_catches)
+        assert {type(c) for c in catches} == {float}
 
     @settings(max_examples=200, deadline=None)
     @given(routing_cases())

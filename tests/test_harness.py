@@ -806,6 +806,18 @@ class TestCli:
         assert (out / "records.csv").exists()
         assert not (out / "requests.jsonl").exists()
 
+    @pytest.mark.parametrize("pipeline", ["procedural", "generative"])
+    @pytest.mark.parametrize("blocked", ["log_is_a_directory", "out_is_a_file"])
+    def test_unwritable_run_out_exit_code(self, tmp_path, capsys, pipeline, blocked):
+        cfg = self.write_config(tmp_path, pipeline=pipeline)
+        out = tmp_path / "out"
+        if blocked == "log_is_a_directory":
+            (out / "requests.jsonl").mkdir(parents=True)
+        else:
+            out.write_text("x")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: cannot write outputs under" in capsys.readouterr().err
+
     def test_project_script_entry_point_runs(self, capsys):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -10,13 +10,13 @@ from rivercommons import (ActionSituationModel, ASKind, ConfigurationError, Deci
                           enumerate_pure_ne, expert_egta_decide,
                           generative_decide, is_epsilon_ne,
                           moving_average_predict, naive_egta_decide,
-                          parse_llm_game, procedural_decide, sweep)
+                          parse_llm_game, procedural_decide, run_simulation, sweep)
 from rivercommons.ecology import N_FISH_CLASSES
 from rivercommons.harness import _ExpertEgta, river_series
 from rivercommons.policies import (default_fish_target, map_abstract_action,
                                    solve_fishing_game)
 from conftest import (count_replies, expert_config, g1_spec, pure_profile,
-                      short_config)
+                      short_config, year_roles)
 
 
 def household(index=1, budget=1000.0, crop_income=100.0, planted=0, node_inflow=0.0):
@@ -126,7 +126,7 @@ class TestExpertEgtaDecide:
         spec = EcologyParams(ys=25.0)
         decisions = expert_egta_decide(world, expert_config(0.0, spec),
                                        solve_fishing_game(world, spec, 5, 1.0, {}),
-                                       np.random.default_rng(0), {})
+                                       year_roles(2, np.random.default_rng(0)), {})
         assert [d.fields_planted for d in decisions] == [6, 0]
         assert all(d.fish_target == 0 for d in decisions)
 
@@ -145,7 +145,7 @@ class TestExpertEgtaDecide:
             world = make_world(n=5)
             decisions = expert_egta_decide(world, expert_config(0.25, params),
                                            solve_fishing_game(world, params, 5, 1.0, {}),
-                                           np.random.default_rng(99), {})
+                                           year_roles(5, np.random.default_rng(99)), {})
             results.append([d.fields_planted for d in decisions])
         assert results[0] == results[1]
 
@@ -153,7 +153,7 @@ class TestExpertEgtaDecide:
         world = make_world(n=3, node_inflow=10000.0)
         decisions = expert_egta_decide(world, expert_config(1.0, params),
                                        solve_fishing_game(world, params, 5, 1.0, {}),
-                                       np.random.default_rng(0), {})
+                                       year_roles(3, np.random.default_rng(0)), {})
         # tau=1 pair equilibrium is (1, 5): ends fixed, middle picks either.
         assert decisions[0].fields_planted == 1
         assert decisions[2].fields_planted == 5
@@ -167,7 +167,7 @@ class TestExpertEgtaDecide:
         params = EcologyParams(ys=25.0)
         decisions = expert_egta_decide(world, expert_config(0.0, params),
                                        solve_fishing_game(world, params, 5, 1.0, {}),
-                                       np.random.default_rng(0), {})
+                                       year_roles(2, np.random.default_rng(0)), {})
         cell = (decisions[0].fields_planted, decisions[1].fields_planted)
         assert cell in pure
         assert is_epsilon_ne(game, pure_profile(*cell, 11, 11), 1e-9)
@@ -176,8 +176,27 @@ class TestExpertEgtaDecide:
         world = make_world(n=1)
         with pytest.raises(ConfigurationError):
             expert_egta_decide(world, expert_config(0.0, params),
-                               solve_fishing_game(world, params, 5, 1.0, {}),
-                               np.random.default_rng(0), {})
+                               solve_fishing_game(world, params, 5, 1.0, {}), [], {})
+
+    def test_single_household_run_rejected_before_the_role_draw(self):
+        """A one-household expert run has no role table to draw (its size
+        would be negative): the run raises the typed error, and a sweep
+        records it as the cell's error."""
+        config = short_config(pipeline="expert-egta", n_households=1, horizon=3)
+        with pytest.raises(ConfigurationError,
+                           match="^expert pipeline needs at least 2 households$"):
+            run_simulation(config)
+        rows = sweep(config, seeds=[0, 1])
+        assert [row["error"] for row in rows] == [
+            "ConfigurationError: expert pipeline needs at least 2 households"] * 2
+
+    @pytest.mark.parametrize("n, roles", [(2, [1]), (3, []), (4, [0]), (4, [0, 1, 1])])
+    def test_roles_of_another_household_count_rejected(self, params, n, roles):
+        world = make_world(n=n)
+        with pytest.raises(ConfigurationError,
+                           match=f"^expected {n - 2} middle-household roles, got {len(roles)}$"):
+            expert_egta_decide(world, expert_config(0.0, params),
+                               solve_fishing_game(world, params, 5, 1.0, {}), roles, {})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "5"])
     @pytest.mark.parametrize("index, name", [(1, "budget"), (2, "budget"), (1, "node_inflow")])
@@ -199,7 +218,7 @@ class TestExpertEgtaDecide:
             expert_egta_decide(WorldState(tuple(households), world.fish),
                                expert_config(0.0, params),
                                solve_fishing_game(world, params, 5, 1.0, {}),
-                               np.random.default_rng(6), {})
+                               year_roles(4, np.random.default_rng(6)), {})
         assert solved == []
 
     def test_last_household_inflow_is_not_read(self, params):
@@ -209,10 +228,10 @@ class TestExpertEgtaDecide:
         nan_world = WorldState(world.households[:-1] + (last,), world.fish)
         assert (expert_egta_decide(nan_world, expert_config(0.25, params),
                                    solve_fishing_game(nan_world, params, 5, 1.0, {}),
-                                   np.random.default_rng(0), {})
+                                   year_roles(3, np.random.default_rng(0)), {})
                 == expert_egta_decide(world, expert_config(0.25, params),
                                       solve_fishing_game(world, params, 5, 1.0, {}),
-                                      np.random.default_rng(0), {}))
+                                      year_roles(3, np.random.default_rng(0)), {}))
 
     def test_game_error_becomes_simulation_error(self, monkeypatch, params):
         def invalid(spec):
@@ -223,7 +242,7 @@ class TestExpertEgtaDecide:
         with pytest.raises(SimulationError) as err:
             expert_egta_decide(world, expert_config(0.0, params),
                                solve_fishing_game(world, params, 5, 1.0, {}),
-                               np.random.default_rng(0), {})
+                               year_roles(3, np.random.default_rng(0)), {})
         assert (err.value.year, err.value.pair) == (1, 1)
         assert isinstance(err.value.__cause__, InvalidGameError)
         rows = sweep(short_config(pipeline="expert-egta", horizon=2))
