@@ -19,8 +19,8 @@ from .errors import (ConfigurationError, InvalidGameError, RiverCommonsError,
 from .games import (ActionSituationModel, ASKind, IrrigationGameSpec,
                     build_cpr_fishing_game, build_irrigation_game,
                     parse_llm_game, solve_irrigation_game)
-from .gateway import (ChatRequest, Gateway, GatewayConfig, extract_structured,
-                      render_prompt, request_fingerprint)
+from .gateway import (ChatRequest, Gateway, GatewayConfig, bind_prompt,
+                      extract_structured, render_prompt, request_fingerprint)
 from .harness import RunArtifacts, calibrate_check, run_simulation, sweep
 from .outputs import emit_outputs, summarize
 from .policies import (action_situations, centralized_allocate, expert_egta_decide,

@@ -81,11 +81,11 @@ def request_fingerprint(request: ChatRequest) -> str:
 class Gateway:
     """Chat-completion client with one retry loop, request logging and a stub mode.
 
-    The stub replays a fixture: a JSON array of {fingerprint (optional),
-    response} entries. A request is answered by the next unused entry whose
-    fingerprint matches; absent a match, by the next entry in the
-    unfingerprinted pool (cycling), which keeps arbitrarily long runs fully
-    deterministic from a small fixture.
+    The stub replays a fixture: a JSON array of {fingerprint (optional; a
+    string, or null for the pool), response} entries. A request is answered
+    by the next unused entry whose fingerprint matches; absent a match, by
+    the next entry in the unfingerprinted pool (cycling), which keeps
+    arbitrarily long runs fully deterministic from a small fixture.
     """
 
     def __init__(self, config: GatewayConfig):
@@ -104,11 +104,15 @@ class Gateway:
                 raise ConfigurationError("fixture must be a non-empty JSON array of "
                                          "objects with a response")
             replies = {}
-            for entry in entries:
-                response = entry["response"]
+            for i, entry in enumerate(entries):
+                fingerprint, response = entry.get("fingerprint"), entry["response"]
+                if not (fingerprint is None or isinstance(fingerprint, str)):
+                    raise ConfigurationError(
+                        f"fixture entry {i} has a fingerprint that is not a string: "
+                        f"{fingerprint!r}")
                 if not isinstance(response, str):
                     response = json.dumps(response)
-                replies.setdefault(entry.get("fingerprint"), []).append(response)
+                replies.setdefault(fingerprint, []).append(response)
             self._replies = {fp: itertools.cycle(r) for fp, r in replies.items()}
 
     def ask(self, messages: tuple, parse, tags: dict = None):
@@ -205,11 +209,29 @@ def _compile(template: str):
     return pieces, frozenset(pieces[1::2])
 
 
-def render_prompt(template: str, variables: dict) -> str:
-    """Exact single-pass substitution of each `{identifier}` placeholder by
-    `str` of its value; every other brace stays as it is, and unresolved names
+def bind_prompt(template: str, fixed: dict):
+    """The compiled pieces of `template` with each placeholder that `fixed`
+    names filled by `str` of its value and merged into the literals around
+    it, for `render_prompt`. A filled value is literal text from then on, so
+    rendering the bound pieces with `variables` equals rendering the template
+    with `{**variables, **fixed}`."""
+    pieces, _ = _compile(template)
+    bound = [pieces[0]]
+    for i in range(1, len(pieces), 2):
+        name, literal = pieces[i], pieces[i + 1]
+        if name in fixed:
+            bound[-1] += str(fixed[name]) + literal
+        else:
+            bound += [name, literal]
+    return tuple(bound), frozenset(bound[1::2])
+
+
+def render_prompt(template, variables: dict) -> str:
+    """Exact single-pass substitution of each `{identifier}` placeholder of a
+    template string, or of the names left in `bind_prompt`'s pieces, by `str`
+    of its value; every other brace stays as it is, and unresolved names
     raise TemplateError."""
-    pieces, names = _compile(template)
+    pieces, names = _compile(template) if isinstance(template, str) else template
     if not variables.keys() >= names:
         raise TemplateError(names.difference(variables))
     parts = list(pieces)

@@ -17,7 +17,7 @@ from .ecology import (Decision, FishPopulation, RiverYear, WorldState,
                       YearRecord, advance_year)
 from .errors import ConfigurationError, RiverCommonsError, SimulationError
 from .games import parse_llm_game
-from .gateway import Gateway
+from .gateway import Gateway, bind_prompt
 from .outputs import GRID_FIELDS, summarize, summary_row
 from .policies import (action_situations, centralized_allocate, default_fish_target,
                        expert_egta_decide, generative_decide, naive_egta_decide,
@@ -227,60 +227,74 @@ class _ExpertEgta(_Procedural):
 class _Generative(_Procedural):
     """The generative pipeline and the base of the naive one: the gateway,
     prompts and behaviour's `system` prompt of the LLM pipelines, asked once
-    per household. `views` holds each household's prompt entries that are
-    fixed for the run; each year adds the rounded inflow, crop income and
-    budget of its record. Each household's events join the run's `events`."""
+    per household. At its first year the pipeline binds each household's
+    `questions` to the household's prompt entries that are fixed for the run
+    (`gateway.bind_prompt`), so each year renders only the rounded inflow,
+    crop income and budget of its record. `parsed` is the run's reply memo,
+    and each household's events join the run's `events`."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.prompts = load_prompts(config.prompts_dir)
         self.system = self.prompts[config.behaviour]
         self.gateway = Gateway(config.gateway)
-        self.events = []
-        self.views = [{
-            "water_per_field": config.ecology.w,
-            "irrigation_cost": config.ecology.c,
-            "subsistence": config.subsistence,
-            "max_fields": config.max_fields,
-            "e_max": config.e_max,
-            "default_fish_target": target,
-        } for target in self.fish_targets]
+        self.events, self.parsed, self.questions = [], {}, None
+
+    def fixed_entries(self):
+        """Each household's prompt entries that are fixed for the run."""
+        cfg = self.config
+        return [{"water_per_field": cfg.ecology.w, "irrigation_cost": cfg.ecology.c,
+                 "subsistence": cfg.subsistence, "max_fields": cfg.max_fields,
+                 "e_max": cfg.e_max, "default_fish_target": target}
+                for target in self.fish_targets]
+
+    def bind_questions(self):
+        """Each household's role prompt, bound to its fixed entries."""
+        return [bind_prompt(self.prompts["role"], fixed) for fixed in self.fixed_entries()]
 
     def decide(self, state: WorldState):
+        if self.questions is None:
+            self.questions = self.bind_questions()
         decisions = []
-        for h, fixed in zip(state.households, self.views):
+        for h, question in zip(state.households, self.questions):
             tags = {"year": state.year + 1, "household": h.household,
                     "pipeline": self.config.pipeline}
-            view = dict(fixed, predicted_water=round(h.node_inflow, 2),
-                        past_yield=round(h.crop_income, 2), budget=round(h.budget, 2))
-            decision, events = self.decide_one(view, lambda h=h: self.rule(h), tags)
+            view = {"predicted_water": round(h.node_inflow, 2),
+                    "past_yield": round(h.crop_income, 2), "budget": round(h.budget, 2)}
+            decision, events = self.decide_one(question, view, h, tags)
             decisions.append(decision)
             self.events.extend(events)
         return decisions
 
-    def decide_one(self, view: dict, fallback, tags: dict):
-        return generative_decide(view, self.system, self.gateway, self.prompts["role"],
-                                 self.config.max_fields, self.config.e_max, fallback, tags)
+    def decide_one(self, question, view: dict, h: YearRecord, tags: dict):
+        cfg = self.config
+        return generative_decide(view, self.system, self.gateway, question, cfg.max_fields,
+                                 cfg.e_max, self.fish_targets[h.household - 1],
+                                 lambda: self.rule(h), self.parsed, tags)
 
     def close(self):
         self.gateway.close()
 
 
 class _NaiveEgta(_Generative):
-    def decide(self, state: WorldState):
-        if not self.as_models:
-            # Step 1 of the naive pipeline: one extraction question at run start,
-            # and the run's two action situations picked from its models.
-            cfg = self.config
-            self.as_models = self.gateway.ask((("user", self.prompts["as_extraction"]),),
-                                              parse_llm_game, {"stage": "as_extraction"})
-            self.situations = action_situations(self.as_models, cfg.max_fields, cfg.e_max)
-        return super().decide(state)
+    def bind_questions(self):
+        """Step 1 of the naive pipeline: one extraction question at run
+        start, the run's two action situations picked from its models, and
+        each household's action prompt for each situation, bound to its
+        fixed entries and the situation's variables."""
+        cfg = self.config
+        self.as_models = self.gateway.ask((("user", self.prompts["as_extraction"]),),
+                                          parse_llm_game, {"stage": "as_extraction"})
+        situations = action_situations(self.as_models, cfg.max_fields, cfg.e_max)
+        template = self.prompts["as_action"]
+        return [tuple((None if values is None else bind_prompt(template, fixed | values), high)
+                      for values, high in situations)
+                for fixed in self.fixed_entries()]
 
-    def decide_one(self, view: dict, fallback, tags: dict):
-        return naive_egta_decide(self.situations, view, self.system, self.gateway,
-                                 self.prompts["as_action"], self.config.low_action,
-                                 fallback, tags)
+    def decide_one(self, question, view: dict, h: YearRecord, tags: dict):
+        return naive_egta_decide(question, view, self.system, self.gateway,
+                                 self.config.low_action, lambda: self.rule(h), self.parsed,
+                                 tags)
 
 
 PIPELINE_TYPES = {"procedural": _Procedural, "generative": _Generative,

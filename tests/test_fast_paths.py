@@ -7,9 +7,12 @@ before it draws the roles, the numpy pass that keyed its pair games, the
 numpy-scalar river routing and fishery step, the min/max crop-stress clamps,
 the per-cell records.csv and budget-chart writers, and the regex prompt
 renderer on a household view built whole each year, kept here so that any
-change to the fast paths must reproduce them exactly.
+change to the fast paths must reproduce them exactly. The LLM runs' outputs
+are pinned as digests taken before the runs bound their prompts and parsed
+each reply text once.
 """
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rivercommons.policies as policies
 from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationError,
                           CprSolution, crop_outcome, Decision, EcologyParams, FishPopulation,
                           GatewayConfig, InvalidGameError,
@@ -32,7 +36,7 @@ from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationErro
                           TemplateError, YearRecord, build_cpr_fishing_game,
                           build_irrigation_game, emit_outputs,
                           enumerate_pure_ne, expert_egta_decide, is_epsilon_ne,
-                          lemke_howson, render_prompt,
+                          bind_prompt, lemke_howson, render_prompt,
                           route_river, RunConfig, run_simulation,
                           select_equilibrium, solve_irrigation_game,
                           solve_symmetric_cpr, step_fish, WorldState)
@@ -1508,6 +1512,18 @@ def packaged_case(name):
     return template, {n: values[i % len(values)] for i, n in enumerate(names)}
 
 
+def packaged_bound_case(name):
+    """A packaged prompt, the entries the LLM pipelines bind to it for a run
+    (one of them holding `{budget}`, a name each year fills) and a year's
+    entries."""
+    fixed = {"water_per_field": "{budget}", "irrigation_cost": 10.0, "subsistence": 50,
+             "max_fields": 10, "e_max": 5, "default_fish_target": 2,
+             "as_name": "lake {predicted_water}", "as_actions": "high, low",
+             "as_participants": 2}
+    year = {"predicted_water": 0.1 + 0.2, "past_yield": 60.0, "budget": -12.5}
+    return PACKAGED_PROMPTS[name], fixed, year
+
+
 class _StrDiffersFromFormat:
     def __str__(self):
         return "by str"
@@ -1545,6 +1561,20 @@ class TestRenderPrompt:
     def test_equals_regex_renderer(self, template, variables):
         assert _render_outcome(render_prompt, template, variables) \
             == _render_outcome(reference_render_prompt, template, variables)
+
+    @settings(max_examples=400, deadline=None)
+    @given(prompt_templates, prompt_variables, prompt_variables)
+    @example(*packaged_bound_case("role"))
+    @example(*packaged_bound_case("as_action"))
+    @example("{a} and {b} and {a}", {"a": "{b}"}, {"b": 1})
+    def test_bound_equals_regex_renderer_on_merged_variables(self, template, fixed,
+                                                             variables):
+        """Rendering `bind_prompt(template, fixed)` with `variables` is the
+        reference render with `fixed` over `variables`, the same text or the
+        same missing names."""
+        assert _render_outcome(lambda t, v: render_prompt(bind_prompt(t, fixed), v),
+                               template, variables) \
+            == _render_outcome(reference_render_prompt, template, {**variables, **fixed})
 
 
 def reference_household_view(config, h):
@@ -1589,6 +1619,25 @@ NOISY_REPLIES = [
 ]
 
 
+def llm_stub_config(tmp_path, pipeline, noisy, log, **overrides):
+    """A short LLM run on the shipped fixture, or on NOISY_REPLIES, that logs
+    its requests to `tmp_path / log`."""
+    gateway = GatewayConfig(log_path=str(tmp_path / log))
+    if noisy:
+        fixture = tmp_path / "noisy.json"
+        fixture.write_text(json.dumps(NOISY_REPLIES), encoding="utf-8")
+        gateway = replace(gateway, fixture_path=str(fixture))
+    return short_config(pipeline=pipeline, gateway=gateway, **overrides)
+
+
+def logged_questions(path):
+    """The (user prompt, reply) of each household question in a request log."""
+    with open(path, encoding="utf-8") as fh:
+        entries = [json.loads(line) for line in fh]
+    return [(entry["messages"][-1]["content"], entry["response"]) for entry in entries
+            if entry["tags"].get("stage") != "as_extraction"]
+
+
 class TestPromptBytes:
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("behaviour", BEHAVIOURS)
@@ -1598,13 +1647,8 @@ class TestPromptBytes:
         """Every prompt a short LLM run logs is the regex renderer's output on
         the household's view of the year, merged for the naive pipeline with
         its situation's as_* values, in situation order."""
-        gateway = GatewayConfig(log_path=str(tmp_path / "requests.jsonl"))
-        if noisy:
-            fixture = tmp_path / "noisy.json"
-            fixture.write_text(json.dumps(NOISY_REPLIES), encoding="utf-8")
-            gateway = replace(gateway, fixture_path=str(fixture))
-        config = short_config(pipeline=pipeline, behaviour=behaviour, horizon=3,
-                              gateway=gateway)
+        config = llm_stub_config(tmp_path, pipeline, noisy, "requests.jsonl",
+                                 behaviour=behaviour, horizon=3)
         artifacts = run_simulation(config)
         records = {(h.year, h.household): h for h in artifacts.records}
         records.update({(0, h.household): h for h in
@@ -1631,3 +1675,57 @@ class TestPromptBytes:
                 assert [text for text, _ in itertools.groupby(texts)] == [
                     reference_render_prompt(prompts["as_action"], {**view, **values})
                     for values in reference_situation_values(artifacts.as_models)]
+
+
+class TestReplyMemo:
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("pipeline", ["generative", "naive-egta"])
+    def test_each_reply_text_is_parsed_once_per_run(self, tmp_path, monkeypatch, pipeline,
+                                                    noisy):
+        """A counting wrapper on `policies.extract_structured`: each distinct
+        reply text a run receives is parsed once, by the naive pipeline once
+        per situation it answers, and the next run parses them again."""
+        parsed_texts = []
+        extract = policies.extract_structured
+        monkeypatch.setattr(policies, "extract_structured",
+                            lambda text: parsed_texts.append(text) or extract(text))
+        for run in range(2):
+            parsed_texts.clear()
+            config = llm_stub_config(tmp_path, pipeline, noisy, f"run{run}.jsonl",
+                                     horizon=20)
+            names = [m.name for m in run_simulation(config).as_models]
+            questions = logged_questions(tmp_path / f"run{run}.jsonl")
+            answered = {(next((n for n in names if f'"{n}"' in prompt), None), reply)
+                        for prompt, reply in questions}
+            assert len(questions) > 3 * len(answered)
+            assert sorted(parsed_texts) == sorted(reply for _, reply in answered)
+
+
+# sha256 of records.csv and requests.jsonl, and the fallback and clamp counts, of
+# 20-year runs on the shipped fixture and on NOISY_REPLIES, as the LLM pipelines
+# wrote them before they bound their prompts and kept a reply memo.
+LLM_RUN_DIGESTS = {
+    ("generative", False): (
+        "fa0a1d84bd6fb73590dcbfb20b8132da2188ef822f2f7d9ab9a9f5232893dc8d",
+        "6d97d5851e6190cf500f97f6227adb4cd776ab520ff2101c15bdef1f110afb67", 0, 0),
+    ("generative", True): (
+        "d77fc720ef7b9b3292c71eb31a2a0724b2afd87a89b5d7129aee1701037d68d3",
+        "9f23065988652d7a938b6880e40a15fde7eda1eed55a153a14152fda8f1c78c2", 0, 120),
+    ("naive-egta", False): (
+        "a6942e3570ffdcb03039b9797a498243f6796976a49051740be23a7abba3e936",
+        "4a82e2b841330b124f7b7d38cf1343d9cb50fb70d55b370901a8f7635295002f", 0, 0),
+    ("naive-egta", True): (
+        "1cceb392607d5c777bc754c0272a5c321b74dbbb491731890b522ee76a19495d",
+        "a0bade13415d6add42ce46b0b0adbad0f2fd4624a000ab8649f590673a5b9f23", 0, 90),
+}
+
+
+@pytest.mark.parametrize("pipeline,noisy", sorted(LLM_RUN_DIGESTS))
+def test_llm_run_outputs_equal_pinned_digests(tmp_path, pipeline, noisy):
+    artifacts = run_simulation(llm_stub_config(tmp_path, pipeline, noisy, "requests.jsonl",
+                                               horizon=20))
+    paths = emit_outputs(artifacts, str(tmp_path / "out"))
+    digests = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                    for path in (paths["records"], tmp_path / "requests.jsonl"))
+    assert (*digests, artifacts.fallback_events, artifacts.clamp_events) \
+        == LLM_RUN_DIGESTS[pipeline, noisy]

@@ -9,7 +9,7 @@ import pytest
 import rivercommons
 from rivercommons import (ChatRequest, ConfigurationError,
                           Decision, Gateway, GatewayConfig, RunConfig,
-                          SchemaError, TemplateError, TransportError,
+                          SchemaError, TemplateError, TransportError, bind_prompt,
                           extract_structured, generative_decide, render_prompt,
                           request_fingerprint, run_simulation)
 from rivercommons.config import load_prompts
@@ -107,6 +107,17 @@ class TestStubBackend:
             path.write_text(content, encoding="utf-8")
         with pytest.raises(ConfigurationError):
             Gateway(GatewayConfig(backend="stub", fixture_path=str(path)))
+
+    @pytest.mark.parametrize("fingerprint", [["0" * 16], {"fp": "0" * 16}, 7])
+    def test_non_string_fingerprint_rejected(self, tmp_path, fingerprint):
+        with pytest.raises(ConfigurationError, match="fixture entry 1 has a fingerprint"):
+            stub_gateway(tmp_path, [{"response": "a"},
+                                    {"fingerprint": fingerprint, "response": "b"}])
+
+    def test_null_fingerprint_joins_the_pool(self, tmp_path):
+        gw = stub_gateway(tmp_path, [{"fingerprint": None, "response": "a"},
+                                     {"response": "b"}])
+        assert [gw.complete(user_request(f"q{i}")) for i in range(3)] == ["a", "b", "a"]
 
     def test_only_fingerprinted_entries_and_no_match(self, tmp_path):
         gw = stub_gateway(tmp_path, [{"fingerprint": "0" * 16,
@@ -298,7 +309,7 @@ class TestAsk:
         replies = count_replies(gw)
         decision, events = generative_decide(
             {}, "You are a farmer.", gw,
-            "Reply with a field count.", 10, 5, lambda: Decision(1, 1))
+            "Reply with a field count.", 10, 5, 0, lambda: Decision(1, 1), {})
         assert (decision, events) == (Decision(1, 1), ["fallback"])
         assert handler.posts == 3
         assert len(replies) == 1      # only the prose reply arrived
@@ -393,6 +404,16 @@ class TestRenderPrompt:
         template = 'reply as {"fields": <n>} using {budget}'
         assert render_prompt(template, {"budget": 5}) == \
             'reply as {"fields": <n>} using 5'
+
+    def test_bound_names_are_rendered_once(self):
+        bound = bind_prompt("{a} then {b} then {a}", {"a": "{b}"})
+        assert bound == (("{b} then ", "b", " then {b}"), frozenset({"b"}))
+        assert render_prompt(bound, {"b": 1}) == "{b} then 1 then {b}"
+
+    def test_bound_prompt_names_only_unbound_missing(self):
+        with pytest.raises(TemplateError) as err:
+            render_prompt(bind_prompt("{a} {b} {c}", {"b": 2}), {})
+        assert err.value.missing == ("a", "c")
 
 
 class TestExtractStructured:

@@ -666,6 +666,17 @@ class TestSweep:
             assert row["error"].startswith(
                 f"ConfigurationError: cannot open request log {log_path}")
 
+    def test_non_string_fingerprint_gives_error_rows(self, tmp_path):
+        fixture = tmp_path / "listed.json"
+        fixture.write_text(json.dumps([{"fingerprint": ["0" * 16], "response": "7"}]))
+        base = short_config(pipeline="generative", horizon=2,
+                            gateway=GatewayConfig(backend="stub", fixture_path=str(fixture)))
+        rows = sweep(base, seeds=[0, 1])
+        assert [row["seed"] for row in rows] == [0, 1]
+        for row in rows:
+            assert row["error"].startswith(
+                "ConfigurationError: fixture entry 0 has a fingerprint that is not a string")
+
     def test_missing_fixture_recorded_as_configuration_error(self, tmp_path):
         from rivercommons import GatewayConfig
         base = short_config(

@@ -3,17 +3,20 @@ import json
 import numpy as np
 import pytest
 
+import rivercommons.policies as policies
 from rivercommons import (ActionSituationModel, ASKind, ConfigurationError, Decision,
                           EcologyParams, FishPopulation, Gateway, GatewayConfig,
-                          InvalidGameError, RunConfig, SimulationError, WorldState,
-                          YearRecord, action_situations, build_irrigation_game, centralized_allocate,
-                          enumerate_pure_ne, expert_egta_decide,
+                          InvalidGameError, RunConfig, SchemaError, SimulationError,
+                          WorldState, YearRecord, action_situations, bind_prompt,
+                          build_irrigation_game, centralized_allocate,
+                          enumerate_pure_ne, expert_egta_decide, extract_structured,
                           generative_decide, is_epsilon_ne,
                           moving_average_predict, naive_egta_decide,
                           parse_llm_game, procedural_decide, run_simulation, sweep)
 from rivercommons.ecology import N_FISH_CLASSES
 from rivercommons.harness import _ExpertEgta, river_series
-from rivercommons.policies import (default_fish_target, map_abstract_action,
+from rivercommons.policies import (_parse_once, _reply_to_fields_and_fish,
+                                   default_fish_target, map_abstract_action,
                                    solve_fishing_game)
 from conftest import (count_replies, expert_config, g1_spec, pure_profile,
                       short_config, year_roles)
@@ -295,32 +298,32 @@ class TestGenerativeDecide:
     def test_integer_reply(self, tmp_path):
         gw = stub_gateway(tmp_path, ["7"])
         decision, events = generative_decide(view(), SYSTEM, gw,
-                                             ROLE_TEMPLATE, 10, 5,
-                                             fallback_decision)
+                                             ROLE_TEMPLATE, 10, 5, 2,
+                                             fallback_decision, {})
         assert decision == Decision(7, 2)
         assert events == []
 
     def test_out_of_range_clamped(self, tmp_path):
         gw = stub_gateway(tmp_path, ["12"])
         decision, events = generative_decide(view(), SYSTEM, gw,
-                                             ROLE_TEMPLATE, 10, 5,
-                                             fallback_decision)
+                                             ROLE_TEMPLATE, 10, 5, 2,
+                                             fallback_decision, {})
         assert decision.fields_planted == 10
         assert events == ["clamp"]
 
     def test_json_reply_with_fish(self, tmp_path):
         gw = stub_gateway(tmp_path, ['{"fields": 4, "fish": 3}'])
         decision, events = generative_decide(view(), SYSTEM, gw,
-                                             ROLE_TEMPLATE, 10, 5,
-                                             fallback_decision)
+                                             ROLE_TEMPLATE, 10, 5, 2,
+                                             fallback_decision, {})
         assert decision == Decision(4, 3)
 
     def test_prose_falls_back_after_retries(self, tmp_path):
         gw = stub_gateway(tmp_path, ["no numbers here, sorry"])
         replies = count_replies(gw)
         decision, events = generative_decide(view(), SYSTEM, gw,
-                                             ROLE_TEMPLATE, 10, 5,
-                                             fallback_decision)
+                                             ROLE_TEMPLATE, 10, 5, 2,
+                                             fallback_decision, {})
         assert decision == fallback_decision()
         assert events == ["fallback"]
         assert len(replies) == 3  # initial call + max_retries
@@ -328,8 +331,8 @@ class TestGenerativeDecide:
     def test_recovers_on_second_attempt(self, tmp_path):
         gw = stub_gateway(tmp_path, ["nothing usable", "5"])
         decision, events = generative_decide(view(), SYSTEM, gw,
-                                             ROLE_TEMPLATE, 10, 5,
-                                             fallback_decision)
+                                             ROLE_TEMPLATE, 10, 5, 2,
+                                             fallback_decision, {})
         assert decision.fields_planted == 5
         assert events == []
 
@@ -337,19 +340,82 @@ class TestGenerativeDecide:
         gw = stub_gateway(tmp_path, ['{"fields": "many"}', "4"])
         replies = count_replies(gw)
         decision, events = generative_decide(view(), SYSTEM, gw,
-                                             ROLE_TEMPLATE, 10, 5,
-                                             fallback_decision)
+                                             ROLE_TEMPLATE, 10, 5, 2,
+                                             fallback_decision, {})
         assert decision == Decision(4, 2)
         assert events == []
         assert len(replies) == 2
 
+    @pytest.mark.parametrize("reply", [
+        '{"fields": true, "fish": 1}', '{"fields_planted": false}',
+        '{"fields": 2, "fish": false}', '{"fields": 2, "fish_target": true}',
+        '{"fields": 2, "catch": true}'])
+    def test_boolean_count_in_reply_object_falls_back(self, tmp_path, reply):
+        gw = stub_gateway(tmp_path, [reply])
+        replies = count_replies(gw)
+        decision, events = generative_decide(view(), SYSTEM, gw,
+                                             ROLE_TEMPLATE, 10, 5, 2,
+                                             fallback_decision, {})
+        assert (decision, events) == (fallback_decision(), ["fallback"])
+        assert len(replies) == 3
+        with pytest.raises(SchemaError, match="boolean count"):
+            _reply_to_fields_and_fish(reply)
+
+    def test_reply_memo_parses_each_text_once_across_questions(self, tmp_path,
+                                                              monkeypatch):
+        # Every send still counts: the memo answers the repeated unusable
+        # reply's second and third sends, and the next question's first.
+        gw = stub_gateway(tmp_path, ["no numbers"] * 4 + ["4"])
+        replies = count_replies(gw)
+        parsed_texts = []
+        monkeypatch.setattr(policies, "extract_structured",
+                            lambda text: parsed_texts.append(text) or extract_structured(text))
+        parsed = {}
+        decisions = [generative_decide(view(), SYSTEM, gw, ROLE_TEMPLATE, 10, 5, 2,
+                                       fallback_decision, parsed) for _ in range(2)]
+        assert decisions == [(fallback_decision(), ["fallback"]), (Decision(4, 2), [])]
+        assert replies == ["no numbers"] * 4 + ["4"]
+        assert parsed_texts == ["no numbers", "4"]
+        assert parsed["4"] == (4, None)
+
     def test_transport_error_falls_back(self, tmp_path):
         gw = unmatched_gateway(tmp_path)
         decision, events = generative_decide(view(), SYSTEM, gw,
-                                             ROLE_TEMPLATE, 10, 5,
-                                             fallback_decision)
+                                             ROLE_TEMPLATE, 10, 5, 2,
+                                             fallback_decision, {})
         assert decision == fallback_decision()
         assert events == ["fallback"]
+
+
+class TestParseOnce:
+    def test_value_and_schema_error_are_stored_once(self):
+        calls = []
+
+        def parse(text):
+            calls.append(text)
+            if text == "bad":
+                raise SchemaError("unusable")
+            return len(text), None
+
+        parsed, raised = {}, []
+        for _ in range(2):
+            assert _parse_once(parsed, "good", parse, "good") == (4, None)
+            with pytest.raises(SchemaError, match="^unusable$") as err:
+                _parse_once(parsed, ("bad", 5), parse, "bad")
+            raised.append(err.value)
+        assert calls == ["good", "bad"]
+        assert parsed == {"good": (4, None), ("bad", 5): "unusable"}
+        assert raised[0] is not raised[1]
+
+    def test_other_exceptions_are_not_stored(self):
+        def parse(text):
+            raise TypeError("a bug")
+
+        parsed = {}
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                _parse_once(parsed, "text", parse, "text")
+        assert parsed == {}
 
 
 class TestMapAbstractAction:
@@ -380,6 +446,10 @@ AS_MODELS = parse_llm_game(json.dumps([
 ]))
 
 AS_TEMPLATE = "Situation {as_name} with {as_participants} players: {as_actions}."
+# AS_TEMPLATE bound to each of AS_MODELS' two situations, as the naive
+# pipeline binds its action prompt once per run.
+SITUATION_PROMPTS = tuple((bind_prompt(AS_TEMPLATE, values), high)
+                          for values, high in action_situations(AS_MODELS, 10, 5))
 
 
 def other_model(name, participants=3):
@@ -410,28 +480,28 @@ class TestActionSituations:
 class TestNaiveEgtaDecide:
     def test_low_maps_to_low_action(self, tmp_path):
         gw = stub_gateway(tmp_path, ["low", "3"])
-        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
+        decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
+                                             fallback_decision, {})
         assert decision == Decision(2, 3)
         assert events == []
 
     def test_high_maps_to_max(self, tmp_path):
         gw = stub_gateway(tmp_path, ["high", "2"])
-        decision, _ = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                        SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
+        decision, _ = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
+                                        fallback_decision, {})
         assert decision.fields_planted == 10
 
     def test_integer_reply_clamped(self, tmp_path):
         gw = stub_gateway(tmp_path, ["7", "9"])
-        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
+        decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
+                                             fallback_decision, {})
         assert decision == Decision(7, 5)
         assert events == ["clamp"]
 
     def test_unusable_replies_fall_back(self, tmp_path):
         gw = stub_gateway(tmp_path, ["shrug"])
-        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
+        decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
+                                             fallback_decision, {})
         assert decision == fallback_decision()
         assert "fallback" in events
 
@@ -439,30 +509,30 @@ class TestNaiveEgtaDecide:
         # Three unusable irrigation replies exhaust the retries; the fishing
         # situation then gets "3".
         gw = stub_gateway(tmp_path, ["shrug", "shrug", "shrug", "3"])
-        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
+        decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
+                                             fallback_decision, {})
         assert decision == Decision(fallback_decision().fields_planted, 3)
         assert events == ["fallback"]
 
     def test_unusable_fishing_reply_falls_back_for_fish_only(self, tmp_path):
         gw = stub_gateway(tmp_path, ["high", "shrug", "shrug", "shrug"])
-        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
+        decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
+                                             fallback_decision, {})
         assert decision == Decision(10, fallback_decision().fish_target)
         assert events == ["fallback"]
 
     def test_non_finite_action_retried(self, tmp_path):
         gw = stub_gateway(tmp_path, ['{"action": NaN}', "3"])
         replies = count_replies(gw)
-        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
+        decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
+                                             fallback_decision, {})
         assert decision == Decision(3, 3)
         assert events == []
         assert len(replies) == 4
 
     def test_transport_error_falls_back(self, tmp_path):
         gw = unmatched_gateway(tmp_path)
-        decision, events = naive_egta_decide(action_situations(AS_MODELS, 10, 5), view(),
-                                             SYSTEM, gw, AS_TEMPLATE, 2, fallback_decision)
+        decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
+                                             fallback_decision, {})
         assert decision == fallback_decision()
         assert events == ["fallback"]
