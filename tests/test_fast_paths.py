@@ -200,10 +200,21 @@ class TestPureEquilibria:
 
     @settings(max_examples=200, deadline=None)
     @given(irrigation_specs())
+    @example(IrrigationGameSpec(B_u=2.0, B_d=1.0, c=1.0, T=6.0, w=3.0, y0=9.0, ys=6.0,
+                                S=1.0, kappa=0.0, tau=1.0, max_fields=2))
     def test_selected_irrigation_cell_is_pure_equilibrium(self, spec):
+        """The selected cell is a pure equilibrium whenever the game has one.
+        The tax term can leave none (the example); then the cell is the most
+        probable action on each side of the Lemke-Howson equilibrium."""
         game = build_irrigation_game(spec)
         i, j = solve_irrigation_game(spec)
-        assert is_epsilon_ne(game, pure_profile(i, j, *game.shape), 1e-9)
+        if enumerate_pure_ne(game):
+            assert is_epsilon_ne(game, pure_profile(i, j, *game.shape), 1e-9)
+        else:
+            profile = lemke_howson(game)
+            assert is_epsilon_ne(game, profile, 1e-9)
+            assert (i, j) == (int(np.argmax(profile.row_dist)),
+                              int(np.argmax(profile.col_dist)))
 
 
 # -- the expert year: the solve-all reference and the pair-game key ---------------
