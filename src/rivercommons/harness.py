@@ -230,15 +230,15 @@ class _Generative(_Procedural):
     per household. At its first year the pipeline binds each household's
     `questions` to the household's prompt entries that are fixed for the run
     (`gateway.bind_prompt`), so each year renders only the rounded inflow,
-    crop income and budget of its record. `parsed` is the run's reply memo,
-    and each household's events join the run's `events`."""
+    crop income and budget of its record. Each household's events join the
+    run's `events`."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.prompts = load_prompts(config.prompts_dir)
         self.system = self.prompts[config.behaviour]
         self.gateway = Gateway(config.gateway)
-        self.events, self.parsed, self.questions = [], {}, None
+        self.events, self.questions = [], None
 
     def fixed_entries(self):
         """Each household's prompt entries that are fixed for the run."""
@@ -270,7 +270,7 @@ class _Generative(_Procedural):
         cfg = self.config
         return generative_decide(view, self.system, self.gateway, question, cfg.max_fields,
                                  cfg.e_max, self.fish_targets[h.household - 1],
-                                 lambda: self.rule(h), self.parsed, tags)
+                                 lambda: self.rule(h), tags)
 
     def close(self):
         self.gateway.close()
@@ -293,8 +293,7 @@ class _NaiveEgta(_Generative):
 
     def decide_one(self, question, view: dict, h: YearRecord, tags: dict):
         return naive_egta_decide(question, view, self.system, self.gateway,
-                                 self.config.low_action, lambda: self.rule(h), self.parsed,
-                                 tags)
+                                 self.config.low_action, lambda: self.rule(h), tags)
 
 
 PIPELINE_TYPES = {"procedural": _Procedural, "generative": _Generative,

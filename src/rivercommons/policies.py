@@ -151,29 +151,9 @@ def _clamp(value: int, high: int):
     return clamped, clamped != int(value)
 
 
-def _parse_once(parsed: dict, key, parse, *args):
-    """`parse(*args)`, computed once per `key` of `parsed`, the run's reply
-    memo. The first call stores the value, or the message of the SchemaError
-    it raises; each later call returns that value, or raises a new
-    SchemaError with that message, so a repeated unusable reply still uses up
-    one send of `Gateway.ask`. The parses here return a tuple or an int,
-    never a str, so a stored str is a message. Any other exception
-    propagates and nothing is stored."""
-    if key not in parsed:
-        try:
-            parsed[key] = parse(*args)
-        except SchemaError as err:
-            parsed[key] = str(err)
-    outcome = parsed[key]
-    if isinstance(outcome, str):
-        raise SchemaError(outcome)
-    return outcome
-
-
-def _reply_to_fields_and_fish(text: str):
-    """Interpret a reply's structured value as (fields, fish_target); a
+def _reply_to_fields_and_fish(value):
+    """Interpret a structured gateway reply as (fields, fish_target); a
     boolean is never a count."""
-    value = extract_structured(text)
     if isinstance(value, bool):
         raise SchemaError(f"cannot interpret reply value {value!r}")
     if isinstance(value, int):
@@ -203,7 +183,7 @@ def _ask(gateway: Gateway, system: str, prompt: str, parse, tags):
 
 def generative_decide(view: dict, system: str, gateway: Gateway, role,
                       max_fields: int, e_max: int, default_fish: int,
-                      fallback, parsed: dict, tags: dict = None):
+                      fallback, tags: dict = None):
     """LLM role-play pipeline for one household.
 
     Renders the role prompt `role` (a template, or the household's prompt
@@ -211,16 +191,13 @@ def generative_decide(view: dict, system: str, gateway: Gateway, role,
     asks it after the system prompt `system`, parses an integer field count
     (and optional fish target, else `default_fish`) from the reply, clamps
     out-of-range values, and falls back to `fallback()` when the gateway's
-    sends run out without a usable reply. Each reply text is parsed once per
-    run: `parsed` is the run's reply memo (`_parse_once`), keyed by the text,
-    so pass the same dict every year of one run and a fresh one to each run.
+    sends run out without a usable reply.
 
     Returns (Decision, events) where events is a list of strings among
     {"clamp", "fallback"}.
     """
     reply = _ask(gateway, system, render_prompt(role, view),
-                 lambda text: _parse_once(parsed, text, _reply_to_fields_and_fish, text),
-                 tags)
+                 lambda text: _reply_to_fields_and_fish(extract_structured(text)), tags)
     if reply is None:
         return fallback(), ["fallback"]
     fields, fish = reply
@@ -285,7 +262,7 @@ def action_situations(as_models, max_fields: int, e_max: int) -> tuple:
 
 
 def naive_egta_decide(questions, view: dict, system: str, gateway: Gateway,
-                      low_action: int, fallback, parsed: dict, tags: dict = None):
+                      low_action: int, fallback, tags: dict = None):
     """Naive pipeline: query one action per action situation. `questions`
     holds, for each of `action_situations`' two situations, the household's
     action prompt (a template, or one bound once per run by
@@ -294,9 +271,7 @@ def naive_egta_decide(questions, view: dict, system: str, gateway: Gateway,
     high action. Each prompt is rendered with the year's `view`; the first
     answer drives the field choice, the second the fish target. A component
     without a usable reply, or without a situation, comes from `fallback()`.
-    Each reply text is parsed once per run and high action: `parsed` is the
-    run's reply memo, as in generative_decide, for one `low_action`. Returns
-    (Decision, events) like generative_decide.
+    Returns (Decision, events) like generative_decide.
     """
     events = []
     chosen = []
@@ -304,8 +279,7 @@ def naive_egta_decide(questions, view: dict, system: str, gateway: Gateway,
         action = None
         if prompt is not None:
             action = _ask(gateway, system, render_prompt(prompt, view),
-                          lambda text: _parse_once(parsed, (text, high), _reply_to_action,
-                                                   text, high, low_action), tags)
+                          lambda text: _reply_to_action(text, high, low_action), tags)
         if action is not None:
             action, clamped = _clamp(action, high)
             if clamped:

@@ -8,8 +8,8 @@ numpy-scalar river routing and fishery step, the min/max crop-stress clamps,
 the per-cell records.csv and budget-chart writers, and the regex prompt
 renderer on a household view built whole each year, kept here so that any
 change to the fast paths must reproduce them exactly. The LLM runs' outputs
-are pinned as digests taken before the runs bound their prompts and parsed
-each reply text once.
+are pinned as digests taken before the runs bound their prompts once per
+run.
 """
 import csv
 import hashlib
@@ -28,7 +28,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import rivercommons.policies as policies
 from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationError,
                           CprSolution, crop_outcome, Decision, EcologyParams, FishPopulation,
                           GatewayConfig, InvalidGameError,
@@ -1641,14 +1640,6 @@ def llm_stub_config(tmp_path, pipeline, noisy, log, **overrides):
     return short_config(pipeline=pipeline, gateway=gateway, **overrides)
 
 
-def logged_questions(path):
-    """The (user prompt, reply) of each household question in a request log."""
-    with open(path, encoding="utf-8") as fh:
-        entries = [json.loads(line) for line in fh]
-    return [(entry["messages"][-1]["content"], entry["response"]) for entry in entries
-            if entry["tags"].get("stage") != "as_extraction"]
-
-
 class TestPromptBytes:
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("behaviour", BEHAVIOURS)
@@ -1688,33 +1679,9 @@ class TestPromptBytes:
                     for values in reference_situation_values(artifacts.as_models)]
 
 
-class TestReplyMemo:
-    @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("pipeline", ["generative", "naive-egta"])
-    def test_each_reply_text_is_parsed_once_per_run(self, tmp_path, monkeypatch, pipeline,
-                                                    noisy):
-        """A counting wrapper on `policies.extract_structured`: each distinct
-        reply text a run receives is parsed once, by the naive pipeline once
-        per situation it answers, and the next run parses them again."""
-        parsed_texts = []
-        extract = policies.extract_structured
-        monkeypatch.setattr(policies, "extract_structured",
-                            lambda text: parsed_texts.append(text) or extract(text))
-        for run in range(2):
-            parsed_texts.clear()
-            config = llm_stub_config(tmp_path, pipeline, noisy, f"run{run}.jsonl",
-                                     horizon=20)
-            names = [m.name for m in run_simulation(config).as_models]
-            questions = logged_questions(tmp_path / f"run{run}.jsonl")
-            answered = {(next((n for n in names if f'"{n}"' in prompt), None), reply)
-                        for prompt, reply in questions}
-            assert len(questions) > 3 * len(answered)
-            assert sorted(parsed_texts) == sorted(reply for _, reply in answered)
-
-
 # sha256 of records.csv and requests.jsonl, and the fallback and clamp counts, of
 # 20-year runs on the shipped fixture and on NOISY_REPLIES, as the LLM pipelines
-# wrote them before they bound their prompts and kept a reply memo.
+# wrote them before they bound their prompts once per run.
 LLM_RUN_DIGESTS = {
     ("generative", False): (
         "fa0a1d84bd6fb73590dcbfb20b8132da2188ef822f2f7d9ab9a9f5232893dc8d",

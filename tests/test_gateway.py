@@ -309,7 +309,7 @@ class TestAsk:
         replies = count_replies(gw)
         decision, events = generative_decide(
             {}, "You are a farmer.", gw,
-            "Reply with a field count.", 10, 5, 0, lambda: Decision(1, 1), {})
+            "Reply with a field count.", 10, 5, 0, lambda: Decision(1, 1))
         assert (decision, events) == (Decision(1, 1), ["fallback"])
         assert handler.posts == 3
         assert len(replies) == 1      # only the prose reply arrived

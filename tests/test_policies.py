@@ -3,19 +3,18 @@ import json
 import numpy as np
 import pytest
 
-import rivercommons.policies as policies
 from rivercommons import (ActionSituationModel, ASKind, ConfigurationError, Decision,
                           EcologyParams, FishPopulation, Gateway, GatewayConfig,
                           InvalidGameError, RunConfig, SchemaError, SimulationError,
                           WorldState, YearRecord, action_situations, bind_prompt,
                           build_irrigation_game, centralized_allocate,
-                          enumerate_pure_ne, expert_egta_decide, extract_structured,
+                          enumerate_pure_ne, expert_egta_decide,
                           generative_decide, is_epsilon_ne,
                           moving_average_predict, naive_egta_decide,
                           parse_llm_game, procedural_decide, run_simulation, sweep)
 from rivercommons.ecology import N_FISH_CLASSES
 from rivercommons.harness import _ExpertEgta, river_series
-from rivercommons.policies import (_parse_once, _reply_to_fields_and_fish,
+from rivercommons.policies import (_reply_to_fields_and_fish,
                                    default_fish_target, map_abstract_action,
                                    solve_fishing_game)
 from conftest import (count_replies, expert_config, g1_spec, pure_profile,
@@ -299,7 +298,7 @@ class TestGenerativeDecide:
         gw = stub_gateway(tmp_path, ["7"])
         decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == Decision(7, 2)
         assert events == []
 
@@ -307,7 +306,7 @@ class TestGenerativeDecide:
         gw = stub_gateway(tmp_path, ["12"])
         decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision.fields_planted == 10
         assert events == ["clamp"]
 
@@ -315,7 +314,7 @@ class TestGenerativeDecide:
         gw = stub_gateway(tmp_path, ['{"fields": 4, "fish": 3}'])
         decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == Decision(4, 3)
 
     def test_prose_falls_back_after_retries(self, tmp_path):
@@ -323,7 +322,7 @@ class TestGenerativeDecide:
         replies = count_replies(gw)
         decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == fallback_decision()
         assert events == ["fallback"]
         assert len(replies) == 3  # initial call + max_retries
@@ -332,7 +331,7 @@ class TestGenerativeDecide:
         gw = stub_gateway(tmp_path, ["nothing usable", "5"])
         decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision.fields_planted == 5
         assert events == []
 
@@ -341,7 +340,7 @@ class TestGenerativeDecide:
         replies = count_replies(gw)
         decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == Decision(4, 2)
         assert events == []
         assert len(replies) == 2
@@ -355,67 +354,19 @@ class TestGenerativeDecide:
         replies = count_replies(gw)
         decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert (decision, events) == (fallback_decision(), ["fallback"])
         assert len(replies) == 3
         with pytest.raises(SchemaError, match="boolean count"):
-            _reply_to_fields_and_fish(reply)
-
-    def test_reply_memo_parses_each_text_once_across_questions(self, tmp_path,
-                                                              monkeypatch):
-        # Every send still counts: the memo answers the repeated unusable
-        # reply's second and third sends, and the next question's first.
-        gw = stub_gateway(tmp_path, ["no numbers"] * 4 + ["4"])
-        replies = count_replies(gw)
-        parsed_texts = []
-        monkeypatch.setattr(policies, "extract_structured",
-                            lambda text: parsed_texts.append(text) or extract_structured(text))
-        parsed = {}
-        decisions = [generative_decide(view(), SYSTEM, gw, ROLE_TEMPLATE, 10, 5, 2,
-                                       fallback_decision, parsed) for _ in range(2)]
-        assert decisions == [(fallback_decision(), ["fallback"]), (Decision(4, 2), [])]
-        assert replies == ["no numbers"] * 4 + ["4"]
-        assert parsed_texts == ["no numbers", "4"]
-        assert parsed["4"] == (4, None)
+            _reply_to_fields_and_fish(json.loads(reply))
 
     def test_transport_error_falls_back(self, tmp_path):
         gw = unmatched_gateway(tmp_path)
         decision, events = generative_decide(view(), SYSTEM, gw,
                                              ROLE_TEMPLATE, 10, 5, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == fallback_decision()
         assert events == ["fallback"]
-
-
-class TestParseOnce:
-    def test_value_and_schema_error_are_stored_once(self):
-        calls = []
-
-        def parse(text):
-            calls.append(text)
-            if text == "bad":
-                raise SchemaError("unusable")
-            return len(text), None
-
-        parsed, raised = {}, []
-        for _ in range(2):
-            assert _parse_once(parsed, "good", parse, "good") == (4, None)
-            with pytest.raises(SchemaError, match="^unusable$") as err:
-                _parse_once(parsed, ("bad", 5), parse, "bad")
-            raised.append(err.value)
-        assert calls == ["good", "bad"]
-        assert parsed == {"good": (4, None), ("bad", 5): "unusable"}
-        assert raised[0] is not raised[1]
-
-    def test_other_exceptions_are_not_stored(self):
-        def parse(text):
-            raise TypeError("a bug")
-
-        parsed = {}
-        for _ in range(2):
-            with pytest.raises(TypeError):
-                _parse_once(parsed, "text", parse, "text")
-        assert parsed == {}
 
 
 class TestMapAbstractAction:
@@ -481,27 +432,27 @@ class TestNaiveEgtaDecide:
     def test_low_maps_to_low_action(self, tmp_path):
         gw = stub_gateway(tmp_path, ["low", "3"])
         decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == Decision(2, 3)
         assert events == []
 
     def test_high_maps_to_max(self, tmp_path):
         gw = stub_gateway(tmp_path, ["high", "2"])
         decision, _ = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
-                                        fallback_decision, {})
+                                        fallback_decision)
         assert decision.fields_planted == 10
 
     def test_integer_reply_clamped(self, tmp_path):
         gw = stub_gateway(tmp_path, ["7", "9"])
         decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == Decision(7, 5)
         assert events == ["clamp"]
 
     def test_unusable_replies_fall_back(self, tmp_path):
         gw = stub_gateway(tmp_path, ["shrug"])
         decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == fallback_decision()
         assert "fallback" in events
 
@@ -510,14 +461,14 @@ class TestNaiveEgtaDecide:
         # situation then gets "3".
         gw = stub_gateway(tmp_path, ["shrug", "shrug", "shrug", "3"])
         decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == Decision(fallback_decision().fields_planted, 3)
         assert events == ["fallback"]
 
     def test_unusable_fishing_reply_falls_back_for_fish_only(self, tmp_path):
         gw = stub_gateway(tmp_path, ["high", "shrug", "shrug", "shrug"])
         decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == Decision(10, fallback_decision().fish_target)
         assert events == ["fallback"]
 
@@ -525,7 +476,7 @@ class TestNaiveEgtaDecide:
         gw = stub_gateway(tmp_path, ['{"action": NaN}', "3"])
         replies = count_replies(gw)
         decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == Decision(3, 3)
         assert events == []
         assert len(replies) == 4
@@ -533,6 +484,6 @@ class TestNaiveEgtaDecide:
     def test_transport_error_falls_back(self, tmp_path):
         gw = unmatched_gateway(tmp_path)
         decision, events = naive_egta_decide(SITUATION_PROMPTS, view(), SYSTEM, gw, 2,
-                                             fallback_decision, {})
+                                             fallback_decision)
         assert decision == fallback_decision()
         assert events == ["fallback"]
