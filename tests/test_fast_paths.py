@@ -162,6 +162,12 @@ LABELS = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -1.25, 2.0, 0.1, 0.
                    st.sampled_from(["H", "L", "x", True, None]))
 
 
+# A taxed pair game without a pure equilibrium: solve_irrigation_game falls back
+# to the Lemke-Howson equilibrium.
+NO_PURE_NE_SPEC = IrrigationGameSpec(B_u=2.0, B_d=1.0, c=1.0, T=6.0, w=3.0, y0=9.0, ys=6.0,
+                                     S=1.0, kappa=0.0, tau=1.0, max_fields=2)
+
+
 class TestPureEquilibria:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 6),
@@ -199,21 +205,30 @@ class TestPureEquilibria:
 
     @settings(max_examples=200, deadline=None)
     @given(irrigation_specs())
-    @example(IrrigationGameSpec(B_u=2.0, B_d=1.0, c=1.0, T=6.0, w=3.0, y0=9.0, ys=6.0,
-                                S=1.0, kappa=0.0, tau=1.0, max_fields=2))
+    @example(NO_PURE_NE_SPEC)
     def test_selected_irrigation_cell_is_pure_equilibrium(self, spec):
         """The selected cell is a pure equilibrium whenever the game has one.
-        The tax term can leave none (the example); then the cell is the most
-        probable action on each side of the Lemke-Howson equilibrium."""
+        The tax term can leave none (the example); then each side of the cell
+        is a most probable action of the Lemke-Howson equilibrium, so it lies
+        in the equilibrium's support and is a best response to the other
+        side's mix."""
         game = build_irrigation_game(spec)
         i, j = solve_irrigation_game(spec)
         if enumerate_pure_ne(game):
             assert is_epsilon_ne(game, pure_profile(i, j, *game.shape), 1e-9)
         else:
             profile = lemke_howson(game)
-            assert is_epsilon_ne(game, profile, 1e-9)
-            assert (i, j) == (int(np.argmax(profile.row_dist)),
-                              int(np.argmax(profile.col_dist)))
+            x, y = profile.row_dist, profile.col_dist
+            assert x[i] == x.max() > 0 and y[j] == y.max() > 0
+            assert game.row_payoffs[i] @ y >= (game.row_payoffs @ y).max() - 1e-9
+            assert x @ game.col_payoffs[:, j] >= (x @ game.col_payoffs).max() - 1e-9
+
+    def test_cell_of_a_game_without_pure_equilibrium(self):
+        """NO_PURE_NE_SPEC's game has no pure equilibrium; its Lemke-Howson
+        equilibrium mixes rows 1 and 2 and columns 0 and 1 evenly, and the
+        first most probable action of each side is the cell."""
+        assert not enumerate_pure_ne(build_irrigation_game(NO_PURE_NE_SPEC))
+        assert solve_irrigation_game(NO_PURE_NE_SPEC) == (1, 0)
 
 
 # -- the expert year: the solve-all reference and the pair-game key ---------------
