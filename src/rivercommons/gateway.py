@@ -3,7 +3,6 @@ plus a deterministic scripted stub so every pipeline runs offline.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -168,10 +167,13 @@ class Gateway:
             resp = requests.post(self.config.endpoint, json=body,
                                  headers=headers, timeout=self.config.timeout)
             resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (requests.RequestException, KeyError, IndexError, TypeError,
                 ValueError) as err:
             raise TransportError(f"chat completion failed: {err}") from err
+        if not isinstance(content, str):
+            raise TransportError(f"chat completion content is not text: {content!r}")
+        return content
 
     def _log(self, request: ChatRequest, fp: str, response: str, tags: dict):
         if not self.config.log_path:
@@ -200,22 +202,14 @@ class Gateway:
 _PLACEHOLDER = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
 
-@functools.lru_cache
-def _compile(template: str):
-    """(pieces, placeholder names) of a template: the pieces alternate
-    literal text and placeholder name, starting and ending with a literal,
-    so a name sits at every odd index."""
-    pieces = tuple(_PLACEHOLDER.split(template))
-    return pieces, frozenset(pieces[1::2])
-
-
 def bind_prompt(template: str, fixed: dict):
-    """The compiled pieces of `template` with each placeholder that `fixed`
-    names filled by `str` of its value and merged into the literals around
-    it, for `render_prompt`. A filled value is literal text from then on, so
-    rendering the bound pieces with `variables` equals rendering the template
-    with `{**variables, **fixed}`."""
-    pieces, _ = _compile(template)
+    """The pieces of `template`, which alternate literal text and placeholder
+    name and start and end with a literal, with each placeholder that
+    `fixed` names filled by `str` of its value and merged into the literals
+    around it; and the names left, for `render_prompt`. A filled value is
+    literal text from then on, so rendering the bound pieces with
+    `variables` equals rendering the template with `{**variables, **fixed}`."""
+    pieces = _PLACEHOLDER.split(template)
     bound = [pieces[0]]
     for i in range(1, len(pieces), 2):
         name, literal = pieces[i], pieces[i + 1]
@@ -231,7 +225,7 @@ def render_prompt(template, variables: dict) -> str:
     template string, or of the names left in `bind_prompt`'s pieces, by `str`
     of its value; every other brace stays as it is, and unresolved names
     raise TemplateError."""
-    pieces, names = _compile(template) if isinstance(template, str) else template
+    pieces, names = bind_prompt(template, {}) if isinstance(template, str) else template
     if not variables.keys() >= names:
         raise TemplateError(names.difference(variables))
     parts = list(pieces)

@@ -227,11 +227,9 @@ class _ExpertEgta(_Procedural):
 class _Generative(_Procedural):
     """The generative pipeline and the base of the naive one: the gateway,
     prompts and behaviour's `system` prompt of the LLM pipelines, asked once
-    per household. At its first year the pipeline binds each household's
-    `questions` to the household's prompt entries that are fixed for the run
-    (`gateway.bind_prompt`), so each year renders only the rounded inflow,
-    crop income and budget of its record. Each household's events join the
-    run's `events`."""
+    per household. At its first year it binds its `questions` once for all
+    households to the run's fixed entries (`gateway.bind_prompt`); a year's
+    view adds a household's own entries. Its events join the run's `events`."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
@@ -241,36 +239,35 @@ class _Generative(_Procedural):
         self.events, self.questions = [], None
 
     def fixed_entries(self):
-        """Each household's prompt entries that are fixed for the run."""
+        """The prompt entries fixed for the run, the same for every household."""
         cfg = self.config
-        return [{"water_per_field": cfg.ecology.w, "irrigation_cost": cfg.ecology.c,
-                 "subsistence": cfg.subsistence, "max_fields": cfg.max_fields,
-                 "e_max": cfg.e_max, "default_fish_target": target}
-                for target in self.fish_targets]
+        return {"water_per_field": cfg.ecology.w, "irrigation_cost": cfg.ecology.c,
+                "subsistence": cfg.subsistence, "max_fields": cfg.max_fields,
+                "e_max": cfg.e_max}
 
     def bind_questions(self):
-        """Each household's role prompt, bound to its fixed entries."""
-        return [bind_prompt(self.prompts["role"], fixed) for fixed in self.fixed_entries()]
+        """The role prompt, bound once to the run's fixed entries."""
+        return bind_prompt(self.prompts["role"], self.fixed_entries())
 
     def decide(self, state: WorldState):
         if self.questions is None:
             self.questions = self.bind_questions()
         decisions = []
-        for h, question in zip(state.households, self.questions):
+        for h in state.households:
             tags = {"year": state.year + 1, "household": h.household,
                     "pipeline": self.config.pipeline}
             view = {"predicted_water": round(h.node_inflow, 2),
-                    "past_yield": round(h.crop_income, 2), "budget": round(h.budget, 2)}
-            decision, events = self.decide_one(question, view, h, tags)
+                    "past_yield": round(h.crop_income, 2), "budget": round(h.budget, 2),
+                    "default_fish_target": self.fish_targets[h.household - 1]}
+            decision, events = self.decide_one(view, h, tags)
             decisions.append(decision)
             self.events.extend(events)
         return decisions
 
-    def decide_one(self, question, view: dict, h: YearRecord, tags: dict):
-        cfg = self.config
-        return generative_decide(view, self.system, self.gateway, question, cfg.max_fields,
-                                 cfg.e_max, self.fish_targets[h.household - 1],
-                                 lambda: self.rule(h), tags)
+    def decide_one(self, view: dict, h: YearRecord, tags: dict):
+        return generative_decide(view, self.system, self.gateway, self.questions,
+                                 self.config.max_fields, self.config.e_max,
+                                 view["default_fish_target"], lambda: self.rule(h), tags)
 
     def close(self):
         self.gateway.close()
@@ -280,19 +277,18 @@ class _NaiveEgta(_Generative):
     def bind_questions(self):
         """Step 1 of the naive pipeline: one extraction question at run
         start, the run's two action situations picked from its models, and
-        each household's action prompt for each situation, bound to its
-        fixed entries and the situation's variables."""
+        the action prompt of each situation, bound once to the run's fixed
+        entries and the situation's variables."""
         cfg = self.config
         self.as_models = self.gateway.ask((("user", self.prompts["as_extraction"]),),
                                           parse_llm_game, {"stage": "as_extraction"})
         situations = action_situations(self.as_models, cfg.max_fields, cfg.e_max)
-        template = self.prompts["as_action"]
-        return [tuple((None if values is None else bind_prompt(template, fixed | values), high)
-                      for values, high in situations)
-                for fixed in self.fixed_entries()]
+        template, fixed = self.prompts["as_action"], self.fixed_entries()
+        return tuple((None if values is None else bind_prompt(template, fixed | values), high)
+                     for values, high in situations)
 
-    def decide_one(self, question, view: dict, h: YearRecord, tags: dict):
-        return naive_egta_decide(question, view, self.system, self.gateway,
+    def decide_one(self, view: dict, h: YearRecord, tags: dict):
+        return naive_egta_decide(self.questions, view, self.system, self.gateway,
                                  self.config.low_action, lambda: self.rule(h), tags)
 
 

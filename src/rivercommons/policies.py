@@ -186,8 +186,8 @@ def generative_decide(view: dict, system: str, gateway: Gateway, role,
                       fallback, tags: dict = None):
     """LLM role-play pipeline for one household.
 
-    Renders the role prompt `role` (a template, or the household's prompt
-    bound once per run by `gateway.bind_prompt`) with the year's `view`,
+    Renders the role prompt `role` (a template, or the run's prompt bound
+    once by `gateway.bind_prompt`) with the household's `view` of the year,
     asks it after the system prompt `system`, parses an integer field count
     (and optional fish target, else `default_fish`) from the reply, clamps
     out-of-range values, and falls back to `fallback()` when the gateway's
@@ -264,14 +264,14 @@ def action_situations(as_models, max_fields: int, e_max: int) -> tuple:
 def naive_egta_decide(questions, view: dict, system: str, gateway: Gateway,
                       low_action: int, fallback, tags: dict = None):
     """Naive pipeline: query one action per action situation. `questions`
-    holds, for each of `action_situations`' two situations, the household's
-    action prompt (a template, or one bound once per run by
-    `gateway.bind_prompt` to the household's fixed entries and the
-    situation's variables), or None without a situation, and the situation's
-    high action. Each prompt is rendered with the year's `view`; the first
-    answer drives the field choice, the second the fish target. A component
-    without a usable reply, or without a situation, comes from `fallback()`.
-    Returns (Decision, events) like generative_decide.
+    holds, for each of `action_situations`' two situations, the action prompt
+    (a template, or one bound once per run by `gateway.bind_prompt` to the
+    run's fixed entries and the situation's variables), or None without a
+    situation, and the situation's high action. Each prompt is rendered with
+    the household's `view` of the year; the first answer drives the field
+    choice, the second the fish target. A component without a usable reply,
+    or without a situation, comes from `fallback()`. Returns (Decision,
+    events) like generative_decide.
     """
     events = []
     chosen = []

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import re
+import shutil
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -43,6 +44,7 @@ from rivercommons.config import BEHAVIOURS, load_prompts
 from rivercommons.ecology import (ADULT, IRRIGATION_MONTHS, LARVA, MIGRATION_MONTH,
                                   N_FISH_CLASSES)
 from rivercommons.games import _payoff_rule, pair_caps
+from rivercommons import harness
 from rivercommons.harness import RunArtifacts, _ExpertEgta, _initial_state, river_series
 from rivercommons.outputs import _SVG_H, _SVG_PAD, _SVG_W, _svg_header
 from rivercommons.policies import default_fish_target, solve_fishing_game
@@ -467,6 +469,38 @@ class TestPairGameKey:
         expected = list(dict.fromkeys(keys[pair] for pair in played))
         assert [_bits(key) for key in solved] == [_bits(key) for key in expected]
         assert {type(v) for key in solved for v in key[:3]} == {float}
+
+
+class TestPairGameKeyFloatFacts:
+    """Two games that a pair key of the whole water and no fishing income
+    would build or solve differently."""
+
+    def test_downstream_water_bound_differs_from_whole_water_bound(self):
+        """At T / w = 1.999999999, one upstream field leaves downstream none:
+        floor(max(water - f_u, 0) + 1e-9) is 0, while the whole-water bound
+        max(floor(water + 1e-9) - f_u, 0) is 1."""
+        spec = IrrigationGameSpec(B_u=100, B_d=100, c=1, T=1.999999999, w=1, y0=11, ys=9,
+                                  S=6, kappa=0, tau=0, max_fields=4)
+        water = pair_caps(spec.B_u, spec.B_d, spec.T, spec.c, spec.w, spec.max_fields)[2]
+        f_u, f_d, _, _ = _payoff_rule(1.0, 4.0, spec)
+        assert (f_u, f_d) == (1.0, 0.0)
+        assert max(math.floor(water + 1e-9) - f_u, 0) == 1
+
+    def test_fishing_income_moves_the_selected_cell(self):
+        """Fishing income adds one constant to each player's matrix, but the
+        sums round: at 0.3, upstream's payoffs 2.3 and 2.3000000000000007
+        against s_d = 2 no longer tie, so (1, 2) stops being an equilibrium
+        and the selected cell moves to (2, 2)."""
+        def spec(fish_income):
+            return IrrigationGameSpec(B_u=2, B_d=2, c=1, T=5, w=1, y0=20, ys=6, S=1,
+                                      kappa=0, tau=1, max_fields=2, F_u=fish_income,
+                                      F_d=fish_income)
+
+        assert enumerate_pure_ne(build_irrigation_game(spec(0.0))) == {(1, 2), (2, 1),
+                                                                       (2, 2)}
+        assert solve_irrigation_game(spec(0.0)) == (1, 2)
+        assert enumerate_pure_ne(build_irrigation_game(spec(0.3))) == {(2, 2)}
+        assert solve_irrigation_game(spec(0.3)) == (2, 2)
 
 
 # -- the expert year's pair solves -----------------------------------------------
@@ -1722,3 +1756,48 @@ def test_llm_run_outputs_equal_pinned_digests(tmp_path, pipeline, noisy):
                     for path in (paths["records"], tmp_path / "requests.jsonl"))
     assert (*digests, artifacts.fallback_events, artifacts.clamp_events) \
         == LLM_RUN_DIGESTS[pipeline, noisy]
+
+
+class TestPromptBinding:
+    @pytest.mark.parametrize("n_households", [9, 4])
+    @pytest.mark.parametrize("pipeline,binds", [("generative", 1), ("naive-egta", 2)])
+    def test_one_bind_per_run_or_situation(self, monkeypatch, pipeline, binds, n_households):
+        """An LLM run binds its role prompt once, or its action prompt once for
+        each of the two situations the shipped fixture's extraction reply
+        gives, whatever the number of households."""
+        calls = []
+        bind = harness.bind_prompt
+
+        def counting(*args):
+            calls.append(args)
+            return bind(*args)
+
+        monkeypatch.setattr(harness, "bind_prompt", counting)
+        run_simulation(short_config(pipeline=pipeline, n_households=n_households, horizon=3))
+        assert len(calls) == binds
+
+    @pytest.mark.parametrize("pipeline", ["generative", "naive-egta"])
+    def test_templates_naming_the_fish_target_render_each_households(self, tmp_path,
+                                                                      pipeline):
+        """Role and action templates that name `default_fish_target` render
+        each household's own target in every prompt it is asked."""
+        prompts = tmp_path / "prompts"
+        shutil.copytree(Path(harness.__file__).parent / "prompts", prompts)
+        for name in ("role", "as_action"):
+            path = prompts / f"{name}.txt"
+            path.write_text(path.read_text(encoding="utf-8")
+                            + "\nYour usual catch is <{default_fish_target}> fish.\n",
+                            encoding="utf-8")
+        config = llm_stub_config(tmp_path, pipeline, False, "requests.jsonl", horizon=3,
+                                 prompts_dir=str(prompts))
+        run_simulation(config)
+        targets = {}
+        with open(tmp_path / "requests.jsonl", encoding="utf-8") as fh:
+            for entry in map(json.loads, fh):
+                if "household" in entry["tags"]:
+                    text = entry["messages"][-1]["content"]
+                    targets.setdefault(entry["tags"]["household"], set()).update(
+                        re.findall(r"usual catch is <(\d+)>", text))
+        assert config.n_households == 9 and config.fish_target_base == 5
+        assert [targets[h] for h in range(1, 10)] == [{str(t)} for t in
+                                                      [1, 1, 2, 2, 3, 3, 4, 4, 5]]

@@ -299,6 +299,30 @@ def http_gateway(endpoint, **cfg):
 QUESTION = (("user", "How many fields?"),)
 
 
+class _JsonResponse:
+    def __init__(self, body):
+        self.body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.body
+
+
+def post_content(monkeypatch, content):
+    """Make `requests.post` answer every POST, without a network, with a
+    reply whose content is `content`; returns the list of request bodies."""
+    posts = []
+
+    def post(url, **kwargs):
+        posts.append(kwargs["json"])
+        return _JsonResponse({"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr("requests.post", post)
+    return posts
+
+
 class TestAsk:
     """Gateway.ask is the one retry loop: each question gets at most
     max_retries + 1 sends, whatever mix of failures it meets."""
@@ -338,6 +362,25 @@ class TestAsk:
             gw.ask(QUESTION, extract_structured)
         assert handler.posts == 3
         assert waits == [0.25, 0.5]
+
+    @pytest.mark.parametrize("content", [None, ["7"], {"fields": 7}, 7])
+    def test_non_text_content_uses_up_a_send(self, monkeypatch, content):
+        posts = post_content(monkeypatch, content)
+        gw = http_gateway("http://127.0.0.1:9/v1/chat/completions", max_retries=2)
+        with pytest.raises(TransportError, match="not text"):
+            gw.ask(QUESTION, extract_structured)
+        assert len(posts) == 3
+
+    def test_sweep_falls_back_on_non_text_content(self, monkeypatch):
+        posts = post_content(monkeypatch, ["7"])
+        base = RunConfig(pipeline="generative", horizon=3, gateway=GatewayConfig(
+            backend="http", endpoint="http://127.0.0.1:9/v1/chat/completions", model="m",
+            max_retries=1, backoff_base=0.0))
+        rows = rivercommons.sweep(base, seeds=[0, 3])
+        household_years = base.horizon * base.n_households
+        assert [(row["seed"], row["error"], row["fallback_events"]) for row in rows] == [
+            (0, "", household_years), (3, "", household_years)]
+        assert len(posts) == 2 * 2 * household_years
 
     def test_stub_pool_consumed_and_logged_once_per_send(self, tmp_path, monkeypatch):
         waits = []

@@ -1,7 +1,8 @@
 """records.csv pinned across the config space, beyond the benchmark's five
-golden cells: every cell of `tools/golden_grid.py`'s 450-cell grid (five
+golden cells: every cell of `tools/golden_grid.py`'s 490-cell grid (five
 pipelines, five river sizes, three taxes, two seeds, three household counts,
-40 years each) must give the digest that the seed source gave, recorded in
+and forty cells with `authority_window` 3 or `max_fields` 4; 40 years each)
+must give the digest that the seed source gave, recorded in
 tests/golden_grid.json. A change that means to move a cell rewrites the table
 with `tools/golden_grid.py --out` and says which cells move and why.
 """
@@ -27,5 +28,5 @@ def test_every_grid_cell_equals_its_golden_digest(tmp_path, monkeypatch):
     grid = load_tool()
     expected = grid.load_table()
     actual = grid.digests(rivercommons, grid.base_config(), tmp_path)
-    assert len(actual) == 450 and actual.keys() == expected.keys()
+    assert len(actual) == 490 and actual.keys() == expected.keys()
     assert [key for key in actual if actual[key] != expected[key]] == []

@@ -1,4 +1,4 @@
-"""The wide golden grid: the sha256 of records.csv in each of 450 cells.
+"""The wide golden grid: the sha256 of records.csv in each of 490 cells.
 
     python3 tools/golden_grid.py [--rev REV] [--out PATH]
 
@@ -10,7 +10,11 @@ every cell of
 
 The cells at mean_annual 40 also take a low-river ecology (c 1, w 5, y0 11,
 ys 9, kappa 0), where the expert pipeline meets pair games with no pure
-equilibrium and decides them by the Lemke-Howson fallback.
+equilibrium and decides them by the Lemke-Howson fallback. Forty more cells
+run the shipped river and 9 households with one override each:
+
+    5 pipelines x tau {0, 0.25} x seed {0, 3}
+    x (authority_window 3 or max_fields 4).
 
 Without `--rev` the grid runs the working tree's `src/`; with `--rev` it
 runs that revision's `src/`, unpacked from `git archive REV` into a
@@ -48,6 +52,8 @@ N_HOUSEHOLDS = (9, 4, 2)
 HORIZON = 40
 LOW_RIVER = 40.0
 LOW_RIVER_ECOLOGY = {"c": 1.0, "w": 5.0, "y0": 11.0, "ys": 9.0, "kappa": 0.0}
+OVERRIDE_TAUS = (0.0, 0.25)
+OVERRIDES = (("authority_window", 3), ("max_fields", 4))
 
 
 def base_config() -> dict:
@@ -65,6 +71,12 @@ def cells(base: dict):
             data.setdefault("ecology", {}).update(LOW_RIVER_ECOLOGY)
         key = f"{pipeline} mean_annual={mean:g} tau={tau:g} seed={seed} n_households={n}"
         yield key, data
+    for pipeline, tau, seed, (name, value) in itertools.product(
+            PIPELINES, OVERRIDE_TAUS, SEEDS, OVERRIDES):
+        data = copy.deepcopy(base)
+        data.update({"pipeline": pipeline, "horizon": HORIZON, "tau": tau, "seed": seed,
+                     "n_households": 9, name: value})
+        yield f"{pipeline} tau={tau:g} seed={seed} {name}={value}", data
 
 
 def digests(rc, base: dict, scratch: Path) -> dict:
