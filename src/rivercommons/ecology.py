@@ -199,12 +199,12 @@ def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> Rout
     """Sequential upstream-first withdrawal, month by month.
 
     Annual demand w * planted is spread equally over IRRIGATION_MONTHS;
-    whatever is left after the last household reaches the lake.
+    whatever is left after the last household reaches the lake. Households
+    are walked outermost, each over the month flows that the ones above it
+    left: the float operations of a month-by-month walk, in its order.
     """
     if any(f < 0 for f in planted_fields):
         raise ConfigurationError("planted field counts must be non-negative")
-    monthly_demand = [params.w * f / len(IRRIGATION_MONTHS) for f in planted_fields]
-    delivered = [0.0] * len(planted_fields)
     months = river.monthly_inflow
     # IRRIGATION_MONTHS is one run of months, May to September. Before it
     # every node sees the whole flow, so one sum, added in month order from
@@ -214,19 +214,23 @@ def route_river(river: RiverYear, planted_fields, params: EcologyParams) -> Rout
     head = 0.0
     for flow in months[:start]:
         head += flow
-    node_inflow = [head] * len(planted_fields)
-    lake = list(months[:start])
-    for flow in months[start:stop]:
-        for i, demand in enumerate(monthly_demand):
-            node_inflow[i] += flow
+    flows = months[start:stop]
+    october, november, december = tail = months[stop:]
+    delivered, node_inflow = [], []
+    for f in planted_fields:
+        demand = params.w * f / len(IRRIGATION_MONTHS)
+        inflow, got, left = head, 0.0, []
+        for flow in flows:
+            inflow += flow
             if demand > 0:
                 take = flow if flow < demand else demand  # min(demand, flow)
-                delivered[i] += take
+                got += take
                 flow -= take
-        lake.append(flow)
-    october, november, december = tail = months[stop:]
-    node_inflow = [v + october + november + december for v in node_inflow]
-    return RoutedWater(tuple(delivered), (*lake, *tail), tuple(node_inflow))
+            left.append(flow)
+        flows = left
+        delivered.append(got)
+        node_inflow.append(inflow + october + november + december)
+    return RoutedWater(tuple(delivered), (*months[:start], *flows, *tail), tuple(node_inflow))
 
 
 def _irrigated_count(planted: int, delivered: float, w: float) -> int:
@@ -324,7 +328,9 @@ def advance_year(state: WorldState, river: RiverYear, decisions, params: Ecology
     """Run one simulation year on `river`: routing, crops, fishery, budget update.
 
     Returns the successor WorldState, whose households are the year's
-    YearRecords, one per household. Budgets may go negative (debt).
+    YearRecords, one per household, each built directly as the tuple of its
+    fields; `crop_outcome` and `classify_activity` are the crop and activity
+    rules. Budgets may go negative (debt).
     """
     n = state.n_households
     if len(decisions) != n:
@@ -349,9 +355,9 @@ def advance_year(state: WorldState, river: RiverYear, decisions, params: Ecology
         income, stress_out = crop_outcome(
             p, delivered, irr, h.stress, total_irrigated, params)
         fish_income = price * catch
-        records.append(YearRecord(
+        records.append(tuple.__new__(YearRecord, (
             year, h.household, p, irr, delivered, node_inflow, stress_out, income, catch,
             fish_income, h.budget + income + fish_income - c * irr - kappa,
-            classify_activity(irr, catch)))
+            classify_activity(irr, catch))))
 
     return WorldState(households=tuple(records), fish=fish2, year=year)

@@ -355,7 +355,9 @@ def calibrate_check(config: RunConfig, taus=CALIBRATE_TAUS) -> dict:
     """Run the expert pipeline over the tax grid and check the qualitative
     outcome pattern: tragedy without the tax, full sustainability with it.
 
-    Failed checks are report content; an empty tax grid is a ConfigurationError.
+    The untaxed checks apply iff tau is 0.0 or -0.0, since RunConfig rejects a
+    negative or non-finite tau. Failed checks are report content; an empty
+    tax grid is a ConfigurationError.
     """
     taus = tuple(taus)
     if not taus:

@@ -105,14 +105,14 @@ def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rol
     household's pair role for the year, in household order, as the run's
     seeded generator drew it: 1 plays upstream in its own pair, 0 downstream
     in the pair above. Household 1 is always upstream and the last always
-    downstream. One pass checks every pair's budgets and inflow as float
-    fields (`finite_real`) and keys its game by its `games.pair_caps` and the
-    year's fishing income; every other spec field is fixed for the run, so
-    equal keys build equal games. So `solved`, which maps keys to selected
-    cells, belongs to one run: pass the same dict every year of that run
-    (and a fresh one to each run), and a spec is built and solved once per
-    key that some household plays in the run. A failing solve is not
-    stored."""
+    downstream. The budgets, then the inflows, are checked as float fields
+    (`finite_real`); each pair's game is keyed by its `games.pair_caps` and
+    the year's fishing income; every other spec field is fixed for the run,
+    so equal keys build equal games. So `solved`, which maps keys to selected
+    cells, belongs to one run: pass the same dict every year of that run (and
+    a fresh one to each run), and a spec is built and solved once per key
+    that some household plays in the run. A failing solve is not stored.
+    Households planting alike share one frozen Decision (fish target e_star)."""
     params, max_fields = config.ecology, config.max_fields
     n, hs = state.n_households, state.households
     if n < 2:
@@ -121,13 +121,17 @@ def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rol
         raise ConfigurationError(f"expected {n - 2} middle-household roles, got {len(roles)}")
     e_star, fish_income = fishing
     upstream = [1, *roles, 0]
-    for h, name in [(h, "budget") for h in hs] + [(h, "node_inflow") for h in hs[:-1]]:
-        if not finite_real(getattr(h, name)):
-            raise ConfigurationError(f"household {h.household} {name} must be a finite "
-                                     f"number, got {getattr(h, name)!r}")
+    for h in hs:
+        if not finite_real(h.budget):
+            raise ConfigurationError(f"household {h.household} budget must be a finite "
+                                     f"number, got {h.budget!r}")
+    for h in hs[:-1]:
+        if not finite_real(h.node_inflow):
+            raise ConfigurationError(f"household {h.household} node_inflow must be a "
+                                     f"finite number, got {h.node_inflow!r}")
     keys = [(*pair_caps(up.budget, down.budget, up.node_inflow, params.c, params.w,
                         max_fields), fish_income) for up, down in zip(hs, hs[1:])]
-    decisions = []
+    decisions, made = [], {}  # made: one Decision per field count played this year
     for i, role in enumerate(upstream):
         pair = i if role else i - 1
         key = keys[pair]
@@ -142,7 +146,10 @@ def expert_egta_decide(state: WorldState, config: RunConfig, fishing: tuple, rol
             except RiverCommonsError as err:
                 raise SimulationError(f"irrigation game solve failed: {err}",
                                       year=state.year + 1, pair=pair + 1) from err
-        decisions.append(Decision(solved[key][1 - role], e_star))  # cells are (s_u, s_d)
+        fields = solved[key][1 - role]  # cells are (s_u, s_d)
+        if fields not in made:
+            made[fields] = Decision(fields, e_star)
+        decisions.append(made[fields])
     return decisions
 
 

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rivercommons import (ActivityClass, ASKind, BimatrixGame, ConfigurationError,
+from rivercommons import (ActivityClass, advance_year, ASKind, BimatrixGame, ConfigurationError,
                           CprSolution, crop_outcome, Decision, EcologyParams, FishPopulation,
                           GatewayConfig, InvalidGameError,
                           IrrigationGameSpec, MixedProfile, RiverYear,
@@ -685,6 +685,24 @@ class TestExpertRun:
             run_simulation(RunConfig(pipeline="expert-egta", tau=tau, seed=2))
         assert sorted(solved_games(solves)) == sorted(games) != []
 
+    def test_households_that_choose_alike_share_one_decision(self):
+        """In each year of a tau = 0.25 run, the decisions hold one object per
+        distinct (fields_planted, fish_target), and some year's households
+        share one."""
+        years = []
+
+        def recording(*args):
+            years.append(expert_egta_decide(*args))
+            return years[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("rivercommons.harness.expert_egta_decide", recording)
+            run_simulation(RunConfig(pipeline="expert-egta", tau=0.25, seed=2, horizon=20))
+        for decisions in years:
+            assert (len({id(d) for d in decisions})
+                    == len({(d.fields_planted, d.fish_target) for d in decisions}))
+        assert any(len({id(d) for d in decisions}) < len(decisions) for decisions in years)
+
 
 # -- the fishing game kept for the run ---------------------------------------------
 
@@ -1314,7 +1332,90 @@ _stresses = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.25, 0.75, 1.25, -0.5, m
                                        math.inf, -math.inf]), _floats(-2.0, 2.0))
 
 
+def reference_advance_year(state, river, decisions, params):
+    """One year from the reference route, fish step and crop rule, with each
+    record built by keyword; returns the records and the fish classes."""
+    n = state.n_households
+    planted = [d.fields_planted for d in decisions]
+    delivered, lake, node_inflow = reference_route_river(river, planted, params)
+    irrigated = [min(p, math.floor(d / params.w + 1e-9)) if p > 0 else 0
+                 for p, d in zip(planted, delivered)]
+    classes, catches = reference_step_fish(state.fish, lake,
+                                           [d.fish_target for d in decisions],
+                                           range(n - 1, -1, -1), params)
+    records = []
+    for h, p, d, irr, inflow, catch in zip(state.households, planted, delivered, irrigated,
+                                           node_inflow, map(float, catches)):
+        income, stress = reference_crop_outcome(p, d, irr, h.stress, sum(irrigated), params)
+        fish_income = params.fish_price * catch
+        activity = (ActivityClass.BOTH if irr > 0 and catch > 0
+                    else ActivityClass.FARMING_ONLY if irr > 0
+                    else ActivityClass.FISHING_ONLY if catch > 0 else ActivityClass.NONE)
+        records.append(YearRecord(
+            year=state.year + 1, household=h.household, planted=p, irrigated=irr,
+            delivered=d, node_inflow=inflow, stress=stress, crop_income=income, catch=catch,
+            fish_income=fish_income,
+            budget=h.budget + income + fish_income - params.c * irr - params.kappa,
+            activity=activity))
+    return records, classes
+
+
+def _typed_bits(record):
+    """Each field as (type, float bits), the activity as (type, value)."""
+    return [(type(v), v if isinstance(v, ActivityClass) else _bits(v)) for v in record]
+
+
+# Months that are zero, subnormal, whole or arbitrary.
+_river_months = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.225e-308]), _volumes)
+
+
+@st.composite
+def whole_years(draw):
+    """A world of 1 to 9 households with budgets of either sign, stresses in
+    [0, 1] and planted counts, its decisions, a river with zero and
+    subnormal months, and params whose w and S move the rounding and the
+    stressed yield."""
+    n, year = draw(st.integers(1, 9)), draw(st.integers(0, 99))
+    households = tuple(
+        YearRecord(year=year, household=i + 1, planted=draw(st.integers(0, 12)),
+                   stress=draw(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]),
+                                         _floats(0.0, 1.0))),
+                   budget=draw(st.one_of(_floats(-1e4, 1e4), st.just(0.0))))
+        for i in range(n))
+    fish = FishPopulation(draw(st.lists(_edge_abundances, min_size=N_FISH_CLASSES,
+                                        max_size=N_FISH_CLASSES)))
+    state = WorldState(households, fish, year=year)
+    decisions = [Decision(draw(st.integers(0, 15)), draw(st.integers(0, 40)))
+                 for _ in range(n)]
+    river = RiverYear(draw(st.lists(_river_months, min_size=12, max_size=12)))
+    params = EcologyParams(w=draw(st.one_of(st.just(10.0), _floats(0.1, 50.0))),
+                           S=draw(st.sampled_from([0.0, 5.0, 70.0])))
+    return state, river, decisions, params
+
+
 class TestYearStep:
+    def test_irrigation_months_are_one_run(self):
+        """`route_river` walks the irrigation months as one slice of the year."""
+        first, last = min(IRRIGATION_MONTHS), max(IRRIGATION_MONTHS)
+        assert 1 <= first and last <= 12
+        assert IRRIGATION_MONTHS == frozenset(range(first, last + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(whole_years())
+    @example((WorldState((YearRecord(0, 1, stress=1.0), YearRecord(0, 2, planted=3)),
+                         FishPopulation([0.0] * N_FISH_CLASSES)),
+              RiverYear([0.0, 5e-324] * 6), [Decision(0, 0), Decision(4, 2)], EcologyParams()))
+    def test_advance_year_equals_reference(self, case):
+        """Every field of every record, with its type, and the fish classes
+        equal the reference year bit for bit."""
+        state, river, decisions, params = case
+        got = advance_year(state, river, decisions, params)
+        records, classes = reference_advance_year(state, river, decisions, params)
+        assert [type(r) for r in got.households] == [YearRecord] * state.n_households
+        assert [_typed_bits(r) for r in got.households] == [_typed_bits(r) for r in records]
+        assert _bits(got.fish.classes) == classes.tobytes()
+        assert got.year == state.year + 1
+
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 12), st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf]),
                                         _floats(0.0, 200.0)),

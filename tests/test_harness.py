@@ -775,6 +775,14 @@ class TestCalibrateCheck:
         assert len(names) == 2
         assert all("tau=0.0" in n for n in names)
 
+    def test_only_a_zero_tau_runs_the_untaxed_checks(self):
+        """-0.0 equals 0 and gets the untaxed checks; the smallest positive
+        float gets the taxed ones."""
+        report = calibrate_check(short_config(pipeline="expert-egta"), taus=(-0.0, 5e-324))
+        assert [c["name"] for c in report["checks"]] == [
+            "tau=-0.0: some household in debt", "tau=-0.0: mixed economy collapses",
+            "tau=5e-324: all budgets non-negative", "tau=5e-324: full mixed economy"]
+
     def test_empty_tax_grid_rejected(self):
         with pytest.raises(ConfigurationError, match="tax level"):
             calibrate_check(short_config(pipeline="expert-egta"), taus=())
