@@ -53,7 +53,8 @@ class SyntheticInflow:
         noise = rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma, size=12) \
             if sigma > 0 else np.ones(12)
         monthly = self.cfg.mean_annual * self.weights * noise
-        return RiverYear(monthly)
+        # Python floats convert faster in RiverYear than numpy scalars, to the same values.
+        return RiverYear(monthly.tolist())
 
 
 def read_inflow_csv(path: str) -> tuple[RiverYear, ...]:
@@ -179,15 +180,23 @@ class _Procedural:
 
 class _Centralized(_Procedural):
     """The national authority allocates fields from its `budget` and its
-    annual `inflows` so far; fish targets follow the procedural rule."""
+    annual `inflows` so far; fish targets follow the procedural rule.
+    `decisions` holds the run's one frozen Decision per (fields, fish target)."""
 
     def __init__(self, config: RunConfig, year0: RiverYear):
         super().__init__(config, year0)
         self.budget, self.inflows = config.authority_budget, [year0.annual_total]
+        self.decisions = {}
 
     def decide(self, state: WorldState):
         allocation = centralized_allocate(self.budget, self.inflows, self.config)
-        return [Decision(a, t) for a, t in zip(allocation, self.fish_targets)]
+        made = self.decisions
+        decisions = []
+        for key in zip(allocation, self.fish_targets):
+            if key not in made:
+                made[key] = Decision(*key)
+            decisions.append(made[key])
+        return decisions
 
     def end_year(self, river: RiverYear, state: WorldState):
         cfg = self.config

@@ -41,16 +41,13 @@ def summary_row(cell: dict, artifacts=None, error: str = "") -> dict:
     return row
 
 
-def _fmt(value):
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def write_rows(fh, rows, columns):
-    """CSV header plus one line per row mapping; missing cells are blank."""
+    """CSV header plus one line per row mapping; missing cells are blank. csv
+    writes each float, a numpy float included, as float.__repr__, None as a
+    blank cell and any other value as its str."""
     writer = csv.writer(fh)
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col, "")) for col in columns])
+    writer.writerows([row.get(col, "") for col in columns] for row in rows)
 
 
 def _write_new(path, text):
@@ -126,8 +123,10 @@ def budgets_svg(records) -> str:
     def sx(year):
         return x0 + (x1 - x0) * (year - years[0]) / max(xmax - years[0], 1)
 
+    dy = y0 - y1
+
     def sy(v):
-        return y0 - (y0 - y1) * (v - lo) / span
+        return y0 - dy * (v - lo) / span
 
     parts = _svg_header("household budgets over time")
     zero_y = sy(0.0)
@@ -138,7 +137,8 @@ def budgets_svg(records) -> str:
     for idx, (household, points) in enumerate(sorted(by_household.items())):
         hue = int(210 * idx / max(n - 1, 1))
         points.sort()
-        pts = " ".join(f"{xs[y]},{sy(b):.1f}" for y, b in points)
+        # Each point's y is sy(b) written out: a call per point costs more.
+        pts = " ".join(f"{xs[y]},{y0 - dy * (b - lo) / span:.1f}" for y, b in points)
         parts.append(f'<polyline fill="none" stroke="hsl({hue},70%,45%)" '
                      f'stroke-width="1.5" points="{pts}"/>')
         parts.append(f'<text x="{x1 + 4}" y="{sy(points[-1][1]):.1f}" '
@@ -188,12 +188,43 @@ def activity_svg(records) -> str:
     return "\n".join(parts) + "\n"
 
 
+# What csv writes for a value of exactly each of these types: an int as str,
+# which is its repr (a bool is not an int here: csv writes True), a float as
+# float.__repr__, and the str-enum activity as its value. None of these texts
+# holds a comma, a quote or a line break, so csv would not quote them. The
+# builtin repr reaches the same int and float methods with less call overhead.
+_COLUMN_TEXT = {int: repr, float: repr, ActivityClass: str.__str__}
+_RECORDS_HEADER = ",".join(YearRecord._fields) + "\r\n"
+_CHUNK_ROWS = 256
+
+
+def _columns_text(records):
+    """records.csv rendered a column at a time, chunks of `_CHUNK_ROWS` rows
+    each, or None when some column of a chunk is not all of one exact type
+    of `_COLUMN_TEXT`. The text equals `csv.writer`'s for the same rows."""
+    parts = [_RECORDS_HEADER]
+    for start in range(0, len(records), _CHUNK_ROWS):
+        columns = []
+        for column in zip(*records[start:start + _CHUNK_ROWS]):
+            kinds = set(map(type, column))
+            text = _COLUMN_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+            if text is None:
+                return None
+            columns.append(map(text, column))
+        parts.append("\r\n".join(map(",".join, zip(*columns))))
+        parts.append("\r\n")
+    return "".join(parts)
+
+
 def _records_text(records) -> str:
+    text = _columns_text(records)
+    if text is not None:
+        return text
+    # Any other type (a numpy scalar, None, a plain str that may need quoting):
+    # csv writes the whole table, so one rule decides every quoted byte.
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(YearRecord._fields)
-    # csv writes a float (numpy's too) as float.__repr__ and the str-enum
-    # activity as its value.
     writer.writerows(records)
     return buf.getvalue()
 

@@ -5,7 +5,7 @@ The references are the original per-cell and per-step loops, the original
 Fraction-arithmetic Lemke-Howson, the expert year that solves every pair game
 before it draws the roles, the numpy pass that keyed its pair games, the
 numpy-scalar river routing and fishery step, the min/max crop-stress clamps,
-the per-cell records.csv and budget-chart writers, and the regex prompt
+the per-cell records.csv, summary.csv and chart writers, and the regex prompt
 renderer on a household view built whole each year, kept here so that any
 change to the fast paths must reproduce them exactly. The LLM runs' outputs
 are pinned as digests taken before the runs bound their prompts once per
@@ -1610,6 +1610,59 @@ def reference_budgets_svg(records):
     return "\n".join(parts) + "\n"
 
 
+_ACTIVITY_ORDER = (("both", "#7b4fb5"), ("farming_only", "#3b6fb5"),
+                   ("fishing_only", "#c23b3b"), ("none", "#9a9a9a"))
+
+
+def reference_activity_svg(records):
+    years = sorted({r.year for r in records})
+    x0, x1 = _SVG_PAD, _SVG_W - _SVG_PAD
+    y0, y1 = _SVG_H - _SVG_PAD, _SVG_PAD
+    bar_w = (x1 - x0) / len(years)
+    parts = _svg_header("activity shares per year")
+    for i, year in enumerate(years):
+        in_year = [r for r in records if r.year == year]
+        x, y = x0 + i * bar_w, y0
+        for value, color in _ACTIVITY_ORDER:
+            share = sum(1 for r in in_year if r.activity == ActivityClass(value)) / len(in_year)
+            if share > 0:
+                h = (y0 - y1) * share
+                y -= h
+                parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
+                             f'height="{h:.2f}" fill="{color}"/>')
+    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
+    parts.append(f'<text x="{x0}" y="{_SVG_H - 8}" font-size="10">year</text>')
+    for k, (value, color) in enumerate(_ACTIVITY_ORDER):
+        parts.append(f'<rect x="{x0 + 120 * k}" y="{y1 - 24}" width="10" height="10" '
+                     f'fill="{color}"/>')
+        parts.append(f'<text x="{x0 + 120 * k + 14}" y="{y1 - 15}" font-size="9">'
+                     f'{value}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def reference_summary_csv(config, records, fallback_events):
+    """The summary row formatted cell by cell: a float as repr(float(v)),
+    anything else as str(v)."""
+    final_year = max(r.year for r in records)
+    finals = [r.budget for r in records if r.year == final_year]
+
+    def pct(value):
+        return 100.0 * sum(1 for r in records if r.activity == ActivityClass(value)) \
+            / len(records)
+
+    cells = [config.pipeline, config.tau, config.behaviour, config.seed, min(finals),
+             max(finals), pct("both"), pct("farming_only"), pct("fishing_only"), pct("none"),
+             fallback_events, ""]
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["pipeline", "tau", "behaviour", "seed", "min_budget_final",
+                     "max_budget_final", "pct_both", "pct_irrig_only", "pct_fish_only",
+                     "pct_none", "fallback_events", "error"])
+    writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in cells])
+    return fh.getvalue()
+
+
 _amounts = st.one_of(st.just(0.0), st.just(-0.0), st.integers(-500, 500).map(float),
                      _floats(-1e6, 1e6), _floats(-1e-300, 1e-300))
 
@@ -1628,14 +1681,39 @@ class TestOutputWriters:
                          -123.456, ActivityClass.BOTH)])
     @example([YearRecord(1, 2, 3, 2, np.float64(1.5), 0.25, np.float64(-0.0), 1e22, 0.0,
                          np.float64(0.1) + 0.2, np.float64(-123.456), ActivityClass.NONE)])
-    def test_records_csv_and_budget_chart_equal_reference(self, records):
-        artifacts = RunArtifacts(config=short_config(), records=records)
+    # In each of these three one column is all of a type outside the exact
+    # ones, so csv writes the table: it quotes the text, and writes the numpy
+    # ints as 3 and the bools as True (int.__repr__ would write 1).
+    @example([YearRecord(1, 1, 2, 1, 0.5, 1.0, budget=-1.5, activity='fish, "farm"'),
+              YearRecord(1, 2, activity="none")])
+    @example([YearRecord(1, 1, np.int64(3), np.int64(0), 0.5, activity=ActivityClass.BOTH),
+              YearRecord(2, 1, np.int64(4), np.int64(1), budget=2.0)])
+    @example([YearRecord(1, 1, True, 0, 0.5), YearRecord(1, 2, False, 0, 0.25)])
+    def test_each_output_file_equals_reference(self, records):
+        artifacts = RunArtifacts(config=short_config(), records=records, fallback_events=2)
         with tempfile.TemporaryDirectory() as out:
             paths = emit_outputs(artifacts, out)
             assert Path(paths["records"]).read_bytes() \
                 == reference_records_csv(records).encode("utf-8")
             assert Path(paths["budgets"]).read_text(encoding="utf-8") \
                 == reference_budgets_svg(records)
+            assert Path(paths["activity"]).read_text(encoding="utf-8") \
+                == reference_activity_svg(records)
+            assert Path(paths["summary"]).read_bytes() \
+                == reference_summary_csv(artifacts.config, records, 2).encode("utf-8")
+
+    @pytest.mark.parametrize("last_planted", [7, True, np.int64(7)])
+    def test_records_csv_over_several_chunks_equals_reference(self, last_planted):
+        """600 records span three row chunks; a type in the last one that only
+        csv writes exactly sends the whole table to csv."""
+        records = [YearRecord(1 + i // 9, 1 + i % 9, i % 11, i % 3, i / 7, 0.1 * i, 0.0,
+                              float(i), 1e-310 * i, -0.0, i / 3 - 50.0,
+                              list(ActivityClass)[i % 4]) for i in range(599)]
+        records.append(YearRecord(67, 1, last_planted))
+        with tempfile.TemporaryDirectory() as out:
+            paths = emit_outputs(RunArtifacts(config=short_config(), records=records), out)
+            assert Path(paths["records"]).read_bytes() \
+                == reference_records_csv(records).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -861,6 +861,30 @@ class TestCli:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert rows == capsys.readouterr().out.splitlines()[1:]
 
+    def test_sweep_rows_with_int_and_numpy_taus_as_literal_text(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """csv writes an int tau with str and a numpy float tau, like every
+        float, with float.__repr__, in summary.csv, sweep.csv and on stdout."""
+        records = [YearRecord(1, 1, budget=12.5, activity=ActivityClass.BOTH),
+                   YearRecord(1, 2, budget=0.1 + 0.2)]
+        artifacts = RunArtifacts(short_config(tau=1), records, fallback_events=3)
+        cells = [{"pipeline": "procedural", "tau": 1, "behaviour": "balanced", "seed": 7},
+                 {"pipeline": "centralized", "tau": np.float64(0.25), "behaviour": "rational",
+                  "seed": 8}]
+        rows = [summary_row(cells[0], artifacts), summary_row(cells[1], error="E: a, b")]
+        monkeypatch.setattr("rivercommons.cli.sweep", lambda base, **grid: rows)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", self.write_config(tmp_path),
+                     "--out", str(out)]) == 0
+        summary = ("pipeline,tau,behaviour,seed,min_budget_final,max_budget_final,pct_both,"
+                   "pct_irrig_only,pct_fish_only,pct_none,fallback_events,error\r\n"
+                   "procedural,1,balanced,7,0.30000000000000004,12.5,50.0,0.0,0.0,50.0,3,\r\n")
+        table = summary + 'centralized,0.25,rational,8,,,,,,,,"E: a, b"\r\n'
+        assert (out / "sweep.csv").read_bytes() == table.encode("utf-8")
+        assert capsys.readouterr().out == f"sweep: {out / 'sweep.csv'}\n" + table
+        path = emit_outputs(artifacts, str(tmp_path / "run"))["summary"]
+        assert Path(path).read_bytes() == summary.encode("utf-8")
+
     @pytest.mark.parametrize("blocked", ["csv_is_a_directory", "out_is_a_file"])
     def test_unwritable_sweep_out_exit_code(self, tmp_path, capsys, blocked):
         cfg = self.write_config(tmp_path)

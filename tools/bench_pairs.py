@@ -19,10 +19,19 @@ in the format of the repository's `BENCH_*.json` files: the seeds, which side
 ran first, whether every run was correct, the failed and attempted operation
 counts, and for each end-to-end metric of `BENCHMARK.json` each side's
 median and quartiles (`statistics.quantiles`, n=4, inclusive), the change's
-median over the parent's, every run in seed order and the number of pairs in
-which the change read better. `parent_revision` and `host` are set; every
-other key already in the file is kept, so the prose (`what`, `change`,
-`claim`, `notes`) is written by hand.
+median over the parent's, every run in seed order, the number of pairs in
+which the change read better, and two flags:
+
+- `claim_rule_met`: at least 10 pairs ran, the change read better in at
+  least 9 of each 10 of them, and the change's median is better than the
+  parent's by more than the parent's quartile spread (q3 - q1);
+- `within_bound`: the change's median is worse than the parent's by no
+  more than the metric's `BENCHMARK.json` bound, a share of the parent's
+  median.
+
+`parent_revision` and `host` are set; every other key already in the file
+is kept, so the prose (`what`, `change`, `claim`, `notes`) is written by
+hand.
 """
 from __future__ import annotations
 
@@ -78,17 +87,24 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def summary(runs: dict, better: str) -> dict:
-    """One metric's entry from its runs, {"parent": [...], "change": [...]}."""
+def summary(runs: dict, metric: dict) -> dict:
+    """One metric's entry from its runs, {"parent": [...], "change": [...]},
+    and its `BENCHMARK.json` entry (`better`, `bound`)."""
     entry = {}
     for side in ("parent", "change"):
         q1, _, q3 = statistics.quantiles(runs[side], n=4, method="inclusive")
         entry[side] = {"q1": q1, "median": statistics.median(runs[side]), "q3": q3}
-    entry["change_over_parent_median"] = entry["change"]["median"] / entry["parent"]["median"]
+    parent, change = entry["parent"], entry["change"]
+    entry["change_over_parent_median"] = change["median"] / parent["median"]
     entry["parent_runs"], entry["change_runs"] = runs["parent"], runs["change"]
-    entry["pairs_change_better"] = sum(
-        (c > p) if better == "higher" else (c < p)
-        for p, c in zip(runs["parent"], runs["change"]))
+    sign = 1 if metric["better"] == "higher" else -1  # gains are positive
+    pairs = len(runs["parent"])
+    better = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
+    gain = sign * (change["median"] - parent["median"])
+    entry["pairs_change_better"] = better
+    entry["claim_rule_met"] = (pairs >= 10 and 10 * better >= 9 * pairs
+                               and gain > parent["q3"] - parent["q1"])
+    entry["within_bound"] = -gain <= metric["bound"] * parent["median"]
     return entry
 
 
@@ -130,7 +146,7 @@ def main(argv=None) -> int:
     for metric in metrics:
         name = metric["name"]
         entry[name] = summary({side: [r["metrics"][name]["value"] for r in rs]
-                               for side, rs in records.items()}, metric["better"])
+                               for side, rs in records.items()}, metric)
 
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench["parent_revision"] = revision
@@ -138,9 +154,12 @@ def main(argv=None) -> int:
                      "nproc": os.cpu_count()}
     bench.setdefault("end_to_end", {})[args.workload] = entry
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
-    ratio = entry["ops_per_s"]["change_over_parent_median"]
-    print(f"{args.workload}: ops_per_s change/parent median {ratio:.4f}, change better in "
-          f"{entry['ops_per_s']['pairs_change_better']} of {len(seeds)} pairs", flush=True)
+    for metric in metrics:
+        m = entry[metric["name"]]
+        print(f"{args.workload}: {metric['name']} change/parent median "
+              f"{m['change_over_parent_median']:.4f}, change better in "
+              f"{m['pairs_change_better']} of {len(seeds)} pairs, claim_rule_met "
+              f"{m['claim_rule_met']}, within_bound {m['within_bound']}", flush=True)
     return 0 if entry["correct"] else 1
 
 
