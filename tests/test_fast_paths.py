@@ -1624,7 +1624,7 @@ def reference_activity_svg(records):
         in_year = [r for r in records if r.year == year]
         x, y = x0 + i * bar_w, y0
         for value, color in _ACTIVITY_ORDER:
-            share = sum(1 for r in in_year if r.activity == ActivityClass(value)) / len(in_year)
+            share = sum(1 for r in in_year if r.activity == value) / len(in_year)
             if share > 0:
                 h = (y0 - y1) * share
                 y -= h
@@ -1648,8 +1648,7 @@ def reference_summary_csv(config, records, fallback_events):
     finals = [r.budget for r in records if r.year == final_year]
 
     def pct(value):
-        return 100.0 * sum(1 for r in records if r.activity == ActivityClass(value)) \
-            / len(records)
+        return 100.0 * sum(1 for r in records if r.activity == value) / len(records)
 
     cells = [config.pipeline, config.tau, config.behaviour, config.seed, min(finals),
              max(finals), pct("both"), pct("farming_only"), pct("fishing_only"), pct("none"),
