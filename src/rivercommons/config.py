@@ -1,13 +1,15 @@
-"""Run configuration: the config types, JSON config files and prompt files."""
+"""Run configuration: the config types, and the config, prompt and inflow CSV files."""
 from __future__ import annotations
 
-import json
+import csv
+import io
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .ecology import N_FISH_CLASSES, EcologyParams, _checked_floats
-from .errors import ConfigurationError, check_fields
+from .ecology import N_FISH_CLASSES, EcologyParams, RiverYear, _checked_floats
+from .errors import ConfigurationError, check_fields, read_input, read_json
 from .gateway import GatewayConfig
 
 PIPELINES = ("procedural", "generative", "naive-egta", "expert-egta", "centralized")
@@ -18,9 +20,9 @@ DEFAULT_INITIAL_FISH = (3000.0, 1500.0, 1200.0, 1000.0, 800.0) + (250.0,) * 8
 
 @dataclass(frozen=True)
 class InflowConfig:
-    """The river's inflow: a CSV series with columns year, month, inflow when
-    `csv_path` names an existing file, else the synthetic seasonal generator
-    (seeded sinusoid + lognormal noise) set by the remaining fields."""
+    """The river's inflow: the CSV series that `csv_path` names (see
+    `read_inflow_csv`), else the synthetic seasonal generator (seeded
+    sinusoid + lognormal noise) set by the remaining fields."""
 
     csv_path: str = None
     mean_annual: float = 800.0
@@ -32,6 +34,44 @@ class InflowConfig:
         check_fields(self)
         if self.mean_annual < 0 or self.noise_sigma < 0 or self.shape_power < 0:
             raise ConfigurationError("inflow parameters must be non-negative")
+
+
+def read_inflow_csv(path: str) -> tuple[RiverYear, ...]:
+    """The years of a year,month,inflow CSV, in year order. An unreadable file
+    (`read_input`) or unusable cell is a ConfigurationError naming the file."""
+    table = {}
+    reader = csv.DictReader(io.StringIO(read_input(path, "inflow CSV")))
+    missing = {"year", "month", "inflow"} - set(reader.fieldnames or ())
+    if missing:
+        raise ConfigurationError(
+            f"inflow CSV {path} lacks columns {', '.join(sorted(missing))}")
+    for row in reader:
+        try:
+            y, m, inflow = int(row["year"]), int(row["month"]), float(row["inflow"])
+        except (TypeError, ValueError) as err:
+            raise ConfigurationError(
+                f"inflow CSV {path} line {reader.line_num}: {err}") from err
+        if not 1 <= m <= 12:
+            raise ConfigurationError(
+                f"inflow CSV {path} line {reader.line_num}: month must be "
+                f"1 to 12, got {m}")
+        if not 0 <= inflow < math.inf:
+            raise ConfigurationError(
+                f"inflow CSV {path} line {reader.line_num}: inflow must be "
+                f"finite and non-negative, got {inflow}")
+        months = table.setdefault(y, {})
+        if m in months:
+            raise ConfigurationError(
+                f"inflow CSV {path} line {reader.line_num}: repeats year {y} month {m}")
+        months[m] = inflow
+    if not table:
+        raise ConfigurationError(f"inflow CSV {path} holds no rows")
+    for y, months in table.items():
+        lacking = [m for m in range(1, 13) if m not in months]
+        if lacking:
+            raise ConfigurationError(
+                f"inflow CSV {path} year {y} lacks months {', '.join(map(str, lacking))}")
+    return tuple(RiverYear([table[y][m] for m in range(1, 13)]) for y in sorted(table))
 
 
 @dataclass(frozen=True)
@@ -98,14 +138,9 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def load_json_object(path: str, kind: str) -> dict:
-    """The JSON object in a file; any failure is a ConfigurationError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise ConfigurationError(f"cannot read {kind} file {path}: {err}") from err
-    except ValueError as err:
-        raise ConfigurationError(f"{kind} file {path} is not valid JSON: {err}") from err
+    """The JSON object in a file (`read_json`); any failure is a
+    ConfigurationError."""
+    data = read_json(path, f"{kind} file")
     if not isinstance(data, dict):
         raise ConfigurationError(f"{kind} file {path} must hold a JSON object")
     return data
@@ -116,23 +151,19 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(load_json_object(path, "config"))
 
 
-PROMPT_FILES = ("role", "as_action", "as_extraction",
-                "altruistic", "balanced", "rational")
+PROMPT_FILES = ("role", "as_action", "as_extraction") + BEHAVIOURS
 
 
 def load_prompts(prompts_dir: str = None) -> dict:
     """Every prompt template, from `prompts_dir` or else the packaged copies.
-    A file that cannot be read or decoded as UTF-8, or holds only
-    whitespace, is a ConfigurationError naming it."""
+    A file that `read_input` rejects, or that holds only whitespace, is a
+    ConfigurationError naming it."""
     root = (resources.files("rivercommons") / "prompts" if prompts_dir is None
             else Path(prompts_dir))
     prompts = {}
     for name in PROMPT_FILES:
         path = root / (name + ".txt")
-        try:
-            prompts[name] = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as err:
-            raise ConfigurationError(f"cannot read prompt file {path}: {err}") from err
+        prompts[name] = read_input(path, "prompt file")
         if not prompts[name].strip():
             raise ConfigurationError(f"prompt file {path} is blank")
     return prompts

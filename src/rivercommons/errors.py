@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, and `check_fields`, the one
-rule for the field values of every config section and game spec."""
+"""Exception hierarchy shared across the package, and its one rule each for the
+field values of config sections and game specs (`check_fields`) and for
+reading input files (`read_input`, `read_json`)."""
 
 import functools
+import json
 import math
 import numbers
 import typing
@@ -89,3 +91,23 @@ def check_fields(instance):
         if not ok and not (value is None and default is None):
             label = _LABELS.get(kind, kind.__name__)
             raise ConfigurationError(f"{name} must be {label}, got {value!r}")
+
+
+def read_input(path, what: str) -> str:
+    """The UTF-8 text of an input file. A file that cannot be read (missing,
+    a directory) or decoded is a ConfigurationError naming `what` and `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigurationError(f"cannot read {what} {path}: {err}") from err
+
+
+def read_json(path, what: str):
+    """The JSON value of an input file, read by `read_input`. Invalid JSON,
+    and JSON nested too deeply to decode, is a ConfigurationError."""
+    text = read_input(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {err}") from err

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import (ConfigurationError, SchemaError, TemplateError, TransportError,
-                     check_fields)
+                     check_fields, read_json)
 
 ENV_ENDPOINT = "RIVERCOMMONS_ENDPOINT"
 ENV_API_KEY = "RIVERCOMMONS_API_KEY"
@@ -92,12 +92,7 @@ class Gateway:
         self._replies = {}       # fingerprint -> cycle of replies; None keys the pool
         self._log_file = None
         if config.backend == "stub":
-            try:
-                with open(config.fixture_path, "r", encoding="utf-8") as fh:
-                    entries = json.load(fh)
-            except (OSError, ValueError) as err:
-                raise ConfigurationError(
-                    f"cannot read stub fixture {config.fixture_path}: {err}") from err
+            entries = read_json(config.fixture_path, "stub fixture")
             if (not isinstance(entries, list) or not entries
                     or not all(isinstance(e, dict) and "response" in e for e in entries)):
                 raise ConfigurationError("fixture must be a non-empty JSON array of "
@@ -250,12 +245,12 @@ def extract_structured(text: str):
     for block in _FENCED.findall(text):
         try:
             return json.loads(block)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deeply
             continue
     for match in _OPENER.finditer(text):
         try:
             return _DECODER.raw_decode(text, match.start())[0]
-        except ValueError:
+        except (ValueError, RecursionError):
             continue
     m = _INTEGER.search(text)
     if not m:

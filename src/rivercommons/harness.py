@@ -3,16 +3,13 @@ year: inflow, `pipeline.decide`, `ecology.advance_year`, `pipeline.end_year`),
 sweeps over a grid of runs and the calibration check."""
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
-import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import InflowConfig, RunConfig, load_prompts
+from .config import InflowConfig, RunConfig, load_prompts, read_inflow_csv
 from .ecology import (Decision, FishPopulation, RiverYear, WorldState,
                       YearRecord, advance_year)
 from .errors import ConfigurationError, RiverCommonsError, SimulationError
@@ -57,50 +54,6 @@ class SyntheticInflow:
         return RiverYear(monthly.tolist())
 
 
-def read_inflow_csv(path: str) -> tuple[RiverYear, ...]:
-    """The years of a year,month,inflow CSV, in year order. A file that cannot
-    be read or decoded as UTF-8, and any unusable cell, is a
-    ConfigurationError naming the file."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as err:
-        raise ConfigurationError(f"cannot read inflow CSV {path}: {err}") from err
-    table = {}
-    reader = csv.DictReader(lines)
-    missing = {"year", "month", "inflow"} - set(reader.fieldnames or ())
-    if missing:
-        raise ConfigurationError(
-            f"inflow CSV {path} lacks columns {', '.join(sorted(missing))}")
-    for row in reader:
-        try:
-            y, m, inflow = int(row["year"]), int(row["month"]), float(row["inflow"])
-        except (TypeError, ValueError) as err:
-            raise ConfigurationError(
-                f"inflow CSV {path} line {reader.line_num}: {err}") from err
-        if not 1 <= m <= 12:
-            raise ConfigurationError(
-                f"inflow CSV {path} line {reader.line_num}: month must be "
-                f"1 to 12, got {m}")
-        if not 0 <= inflow < math.inf:
-            raise ConfigurationError(
-                f"inflow CSV {path} line {reader.line_num}: inflow must be "
-                f"finite and non-negative, got {inflow}")
-        months = table.setdefault(y, {})
-        if m in months:
-            raise ConfigurationError(
-                f"inflow CSV {path} line {reader.line_num}: repeats year {y} month {m}")
-        months[m] = inflow
-    if not table:
-        raise ConfigurationError(f"inflow CSV {path} holds no rows")
-    for y, months in table.items():
-        lacking = [m for m in range(1, 13) if m not in months]
-        if lacking:
-            raise ConfigurationError(
-                f"inflow CSV {path} year {y} lacks months {', '.join(map(str, lacking))}")
-    return tuple(RiverYear([table[y][m] for m in range(1, 13)]) for y in sorted(table))
-
-
 # The river series of the last this many (inflow config, seed, horizon) keys are
 # kept, so runs that repeat a recent key, such as one seed's sweep cells, share one.
 SERIES_CACHE_SIZE = 16
@@ -117,12 +70,11 @@ def _synthetic_series(cfg: InflowConfig, cfg_repr: str, seed: int, horizon: int)
 def river_series(config: RunConfig) -> tuple[RiverYear, ...]:
     """The run's `RiverYear`s for years 0..horizon. A synthetic series is
     drawn once per (inflow config, seed, horizon) and shared, read-only, by
-    every run that asks for it (the last SERIES_CACHE_SIZE are kept); a CSV
-    is read again on every call, and its years cycle when the horizon
-    outruns them. A configured CSV that does not exist falls back to the
-    synthetic generator."""
+    every run that asks for it (the last SERIES_CACHE_SIZE are kept); the
+    CSV that `csv_path` names is read again on every call, and its years
+    cycle when the horizon outruns them."""
     cfg = config.inflow
-    if cfg.csv_path and os.path.exists(cfg.csv_path):
+    if cfg.csv_path:
         years = read_inflow_csv(cfg.csv_path)
         return tuple(years[t % len(years)] for t in range(config.horizon + 1))
     return _synthetic_series(cfg, repr(cfg), config.seed, config.horizon)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -485,6 +486,13 @@ class TestExtractStructured:
     def test_none_rejected(self):
         with pytest.raises(SchemaError):
             extract_structured(None)
+
+    def test_too_deep_candidates_skipped(self):
+        # Nesting past the recursion limit: a candidate too deep to decode is
+        # skipped like any undecodable one, in a fence and bare.
+        depth = sys.getrecursionlimit() + 1
+        assert isinstance(extract_structured("[" * depth + "]" * depth), list)
+        assert extract_structured("```\n" + "[" * depth + "\n```\nanswer: 5") == 5
 
     def test_undecodable_opener_skipped(self):
         assert extract_structured('[oops {"fields": 2}') == {"fields": 2}

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import sys
 import typing
 from dataclasses import replace
 from pathlib import Path
@@ -19,12 +20,18 @@ from rivercommons import (ActivityClass, ConfigurationError, EcologyParams,
                           config_from_dict, emit_outputs, load_config,
                           run_simulation, summarize, sweep)
 from rivercommons.cli import main
-from rivercommons.config import PIPELINES, InflowConfig, load_prompts
+from rivercommons.config import PIPELINES, InflowConfig, load_json_object, load_prompts
 from rivercommons.harness import (PIPELINE_TYPES, RunArtifacts, SyntheticInflow,
                                   read_inflow_csv, river_series, seasonal_weights)
 from rivercommons.ecology import YearRecord
 from rivercommons.outputs import summary_row, write_summary_csv
 from conftest import g1_spec, short_config
+
+# JSON nested far deeper than the decoder's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# A reply's nesting, just past that limit: `extract_structured` tries each
+# opener in turn, and each too-deep try costs the limit's depth.
+TOO_DEEP_REPLY = sys.getrecursionlimit() + 1
 
 
 class TestConfig:
@@ -197,6 +204,43 @@ class TestConfig:
         assert cfg.horizon == 100
 
 
+def _stub_gateway(path):
+    return Gateway(GatewayConfig(backend="stub", fixture_path=path))
+
+
+class TestInputFiles:
+    """One rule reads every input file (`errors.read_input`) and one parses
+    every JSON file (`errors.read_json`); each error names the file."""
+
+    # what -> (the file read, and a reader given the directory and that file)
+    READERS = {
+        "config file": ("config.json", lambda folder, path: load_config(path)),
+        "game file": ("game.json", lambda folder, path: load_json_object(path, "game")),
+        "stub fixture": ("fixture.json", lambda folder, path: _stub_gateway(path)),
+        "prompt file": ("role.txt", lambda folder, path: load_prompts(folder)),
+        "inflow CSV": ("inflow.csv", lambda folder, path: read_inflow_csv(path)),
+    }
+    CASES = ([(what, kind) for what in READERS
+              for kind in ("missing", "directory", "not utf-8")]
+             + [(what, kind) for what in ("config file", "game file", "stub fixture")
+                for kind in ("invalid", "too deep")])
+
+    @pytest.mark.parametrize("what,kind", CASES)
+    def test_unusable_input_file_named(self, tmp_path, what, kind):
+        name, read = self.READERS[what]
+        path = tmp_path / name
+        if kind == "directory":
+            path.mkdir()
+        elif kind != "missing":
+            path.write_bytes({"not utf-8": b'{"role": "\xb1"}', "invalid": b"{not json",
+                              "too deep": DEEP_JSON.encode()}[kind])
+        message = (f"{what} {path} is not valid JSON: " if kind in ("invalid", "too deep")
+                   else f"cannot read {what} {path}: ")
+        with pytest.raises(ConfigurationError) as err:
+            read(str(tmp_path), str(path))
+        assert str(err.value).startswith(message)
+
+
 class TestInflow:
     def test_seasonal_weights_normalized(self):
         w = seasonal_weights(7.0, 2.0)
@@ -285,22 +329,26 @@ class TestInflow:
 
     @staticmethod
     def unreadable_csv(tmp_path, kind):
-        """A csv_path that exists but cannot be read: a directory, or a file
-        that is not UTF-8."""
+        """A csv_path that cannot be read: one that names no file, a
+        directory, or a file that is not UTF-8."""
+        if kind == "missing":
+            return str(tmp_path / "absent.csv")
         if kind == "directory":
             return str(tmp_path)
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"year,month,inflow\n2001,1,5.0 \xb1 0.5\n")
         return str(path)
 
-    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
     def test_unreadable_csv_rejected_naming_the_file(self, tmp_path, kind):
         path = self.unreadable_csv(tmp_path, kind)
         with pytest.raises(ConfigurationError, match="^cannot read inflow CSV ") as err:
             read_inflow_csv(path)
         assert path in str(err.value)
+        with pytest.raises(ConfigurationError, match="^cannot read inflow CSV "):
+            run_simulation(short_config(inflow=InflowConfig(csv_path=path)))
 
-    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
     def test_unreadable_csv_gives_each_sweep_cell_an_error_row(self, tmp_path, kind):
         path = self.unreadable_csv(tmp_path, kind)
         rows = sweep(short_config(horizon=2, inflow=InflowConfig(csv_path=path)),
@@ -315,11 +363,6 @@ class TestInflow:
             inflow = SyntheticInflow(InflowConfig(shape_power=1e6), seed=0)
         with pytest.raises(ConfigurationError, match="finite"):
             inflow.year(1)
-
-    def test_missing_csv_falls_back_to_synthetic(self, tmp_path):
-        cfg = short_config(inflow=InflowConfig(csv_path=str(tmp_path / "absent.csv")))
-        assert ([_bits(r.monthly_inflow) for r in river_series(cfg)]
-                == fresh_bytes(cfg.inflow, cfg.seed, cfg.horizon))
 
 
 def _bits(values):
@@ -643,10 +686,13 @@ class TestSweep:
         assert by_pipeline["procedural"]["error"] == ""
         assert by_pipeline["generative"]["error"] != ""
 
-    def test_overlong_integer_replies_fall_back(self, tmp_path):
-        fixture = tmp_path / "nines.json"
-        fixture.write_text(json.dumps(
-            [{"response": "I will plant " + "9" * 5000 + " fields"}]))
+    @pytest.mark.parametrize("reply", [
+        "I will plant " + "9" * 5000 + " fields",     # more digits than int() converts
+        "[" * TOO_DEEP_REPLY + "]" * TOO_DEEP_REPLY,  # nested too deeply to decode
+    ], ids=["overlong integer", "too deep"])
+    def test_overlong_integer_and_too_deep_replies_fall_back(self, tmp_path, reply):
+        fixture = tmp_path / "replies.json"
+        fixture.write_text(json.dumps([{"response": reply}]))
         base = short_config(
             pipeline="generative", horizon=2,
             gateway=GatewayConfig(backend="stub", fixture_path=str(fixture)))
@@ -915,7 +961,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
-        None, "{not json", '{"row_payoffs": [[1]]}',
+        None, "{not json", pytest.param(DEEP_JSON, id="too deep"), '{"row_payoffs": [[1]]}',
         '{"row_payoffs": [[1]], "col_payoffs": [[1]], "row_actions": 5}',
         '{"row_payoffs": [[1, 2]], "col_payoffs": [[1, 2]], "col_actions": "HL"}'])
     def test_solve_game_unusable_file_exit_code(self, tmp_path, capsys, content):
@@ -973,6 +1019,18 @@ class TestCli:
         cfg = self.write_config(tmp_path, inflow={"csv_path": str(path)})
         assert main(["run", "--config", cfg]) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_missing_inflow_csv_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        cfg = self.write_config(tmp_path, inflow={"csv_path": str(path)})
+        assert main(["run", "--config", cfg]) == 2
+        assert f"error: cannot read inflow CSV {path}" in capsys.readouterr().err
+
+    def test_too_deep_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(DEEP_JSON)
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"error: config file {path} is not valid JSON" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "config.json"

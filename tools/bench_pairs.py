@@ -29,9 +29,10 @@ which the change read better, and two flags:
   more than the metric's `BENCHMARK.json` bound, a share of the parent's
   median.
 
-`parent_revision` and `host` are set; every other key already in the file
-is kept, so the prose (`what`, `change`, `claim`, `notes`) is written by
-hand.
+`parent_revision`, `host` and `src_lines` are set; `src_lines` is
+`{"parent": N, "change": M}`, the lines of `src/**/*.py` in each side's
+copy. Every other key already in the file is kept, so the prose (`what`,
+`change`, `claim`, `notes`) is written by hand.
 """
 from __future__ import annotations
 
@@ -72,6 +73,11 @@ def change_copy(dest: Path):
         if src.is_file():  # a tracked file deleted in the working tree is skipped
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
+
+
+def src_lines(tree: Path) -> int:
+    """The number of lines of `src/**/*.py` in `tree`."""
+    return sum(len(path.read_bytes().splitlines()) for path in tree.glob("src/**/*.py"))
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -129,6 +135,8 @@ def main(argv=None) -> int:
             tree.mkdir()
         revision = parent_copy(args.parent, trees["parent"])
         change_copy(trees["change"])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        print(f"src lines: parent {lines['parent']}, change {lines['change']}", flush=True)
         for seed, first in zip(seeds, first_side):
             for side in (first, "change" if first == "parent" else "parent"):
                 record = run_side(trees[side], args.workload, seed, args.seconds)
@@ -152,6 +160,7 @@ def main(argv=None) -> int:
     bench["parent_revision"] = revision
     bench["host"] = {"python": platform.python_version(), "numpy": metadata.version("numpy"),
                      "nproc": os.cpu_count()}
+    bench["src_lines"] = lines
     bench.setdefault("end_to_end", {})[args.workload] = entry
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     for metric in metrics:
